@@ -275,8 +275,10 @@ def _report(name: str, verdict: Verdict) -> None:
 @click.option("--property", "prop",
               type=click.Choice(["bm", "htp", "mtp", "all"]), default="all",
               show_default=True)
-@click.option("--max-height", type=int, default=6, show_default=True)
-@click.option("--max-len", type=int, default=24, show_default=True)
+@click.option("--max-height", type=click.IntRange(min=0), default=6,
+              show_default=True)
+@click.option("--max-len", type=click.IntRange(min=0), default=24,
+              show_default=True)
 def check(path: str, prop: str, max_height: int, max_len: int) -> None:
     """Check memory-boundedness properties of the machine at PATH."""
     vpt = _load(path)
@@ -325,7 +327,8 @@ def reduce_cmd(path: str, out_path: str) -> None:
 
 @main.command("enum")
 @click.argument("path")
-@click.option("--max-len", type=int, default=8, show_default=True)
+@click.option("--max-len", type=click.IntRange(min=0), default=8,
+              show_default=True)
 def enum_cmd(path: str, max_len: int) -> None:
     """List accepted words up to --max-len with their outputs, one
     `word output` pair per line (symbols concatenated, `-` for empty)."""

@@ -4,10 +4,13 @@ Three tiers, strongest first: bounded memory (BM) holds iff the domain's
 stack height is bounded and the height-restricted finite-state transducer is
 twinned — both decided exactly here.  Height-bounded memory (HBM) and
 current-height-bounded memory (OBM) are characterized by the horizontal and
-matched twinning properties of the pushdown machine itself; for those this
-module runs bounded witness searches: a Violated verdict carries a replayed,
-machine-checked witness, while exhausting the bounds yields NoWitnessUpTo —
-never Holds, since the searches are not complete.
+matched twinning properties of the pushdown machine itself.  For those, one
+bounded breadth-first search looks for two runs on a common input
+u1·u2·u3·u4 whose loops u2 and u4 around a well-nested u3 change the delay
+between them; the horizontal property is its special case u3 = u4 = ε.  A
+Violated verdict carries a replayed, machine-checked witness, while
+exhausting the bounds yields NoWitnessUpTo — never Holds, since the search
+is not complete.
 
 All searches run on the reduced machine (accessible implies co-accessible
 there, which the twinning premises need) and witnesses are projected back to
@@ -22,7 +25,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .delay_algebra import DelayPair, Word, delta, delta_extend
-from .nested_words import SymbolKind, classify, is_well_nested
+from .nested_words import SymbolKind, is_well_nested
 from .vpt_core import (
     Configuration,
     CounterExample,
@@ -30,6 +33,7 @@ from .vpt_core import (
     FstRule,
     InputWord,
     NotFunctionalWitness,
+    RuleIndex,
     StateExplosion,
     Vpt,
     check_functional_bounded,
@@ -37,6 +41,7 @@ from .vpt_core import (
     fst_of,
     metrics,
     reduce_with_map,
+    rule_index,
     step_runs,
     trim_fst,
     well_matched_witnesses,
@@ -499,37 +504,22 @@ def step_runs_many(vpt: Vpt, configs, word):
 
 
 # ---------------------------------------------------------------------------
-# Joint search machinery (shared by the HTP and MTP searches)
+# Twinning search (HTP and MTP)
 
-class _RuleIndex:
-    def __init__(self, vpt: Vpt):
-        self.vpt = vpt
-        self.symbols = sorted(vpt.alphabet.symbols)
-        self.kind = {s: classify(s, vpt.alphabet) for s in self.symbols}
-        self.calls: dict[tuple[str, str], list] = {}
-        for r in sorted(vpt.call_rules):
-            self.calls.setdefault((r.src, r.symbol), []).append(r)
-        self.rets: dict[tuple[str, str, str], list] = {}
-        for r in sorted(vpt.return_rules):
-            self.rets.setdefault((r.src, r.symbol, r.pop), []).append(r)
-        self.ints: dict[tuple[str, str], list] = {}
-        for r in sorted(vpt.internal_rules):
-            self.ints.setdefault((r.src, r.symbol), []).append(r)
-
-    def moves(self, cfg: Configuration, symbol: str) -> list[tuple[Configuration, Word]]:
-        kind = self.kind[symbol]
-        out = []
-        if kind is SymbolKind.CALL:
-            for r in self.calls.get((cfg.state, symbol), ()):
-                out.append((Configuration(r.dst, cfg.stack + (r.push,)), r.out))
-        elif kind is SymbolKind.RETURN:
-            if cfg.stack:
-                for r in self.rets.get((cfg.state, symbol, cfg.stack[-1]), ()):
-                    out.append((Configuration(r.dst, cfg.stack[:-1]), r.out))
-        else:
-            for r in self.ints.get((cfg.state, symbol), ()):
-                out.append((Configuration(r.dst, cfg.stack), r.out))
-        return out
+def _moves(idx: RuleIndex, cfg: Configuration, symbol: str,
+           kind: SymbolKind) -> list[tuple[Configuration, Word]]:
+    out = []
+    if kind is SymbolKind.CALL:
+        for r in idx.calls.get((symbol, cfg.state), ()):
+            out.append((Configuration(r.dst, cfg.stack + (r.push,)), r.out))
+    elif kind is SymbolKind.RETURN:
+        if cfg.stack:
+            for r in idx.returns.get((symbol, cfg.state, cfg.stack[-1]), ()):
+                out.append((Configuration(r.dst, cfg.stack[:-1]), r.out))
+    else:
+        for r in idx.internals.get((symbol, cfg.state), ()):
+            out.append((Configuration(r.dst, cfg.stack), r.out))
+    return out
 
 
 def _wn_loop_states(vpt: Vpt) -> set[str]:
@@ -556,26 +546,26 @@ def _wn_loop_states(vpt: Vpt) -> set[str]:
 
 
 def _joint_pairs(vpt: Vpt) -> set[tuple[str, str]]:
-    """State pairs jointly reachable on a common input, stacks abstracted."""
-    idx = _RuleIndex(vpt)
+    """State pairs jointly reachable on a common input, stacks abstracted:
+    a return may pop any stack symbol, so this over-approximates."""
+    idx = rule_index(vpt)
+    pops = sorted(vpt.stack_alphabet)
+
+    def successors(q: str, symbol: str) -> list[str]:
+        kind = idx.kind[symbol]
+        if kind is SymbolKind.CALL:
+            return [r.dst for r in idx.calls.get((symbol, q), ())]
+        if kind is SymbolKind.INTERNAL:
+            return [r.dst for r in idx.internals.get((symbol, q), ())]
+        return [r.dst for g in pops for r in idx.returns.get((symbol, q, g), ())]
+
     pairs = {(a, b) for a in vpt.initial for b in vpt.initial}
     frontier = list(pairs)
     while frontier:
         (a, b) = frontier.pop()
         for symbol in idx.symbols:
-            kind = idx.kind[symbol]
-            if kind is SymbolKind.CALL:
-                steps_a = [r.dst for r in idx.calls.get((a, symbol), ())]
-                steps_b = [r.dst for r in idx.calls.get((b, symbol), ())]
-            elif kind is SymbolKind.INTERNAL:
-                steps_a = [r.dst for r in idx.ints.get((a, symbol), ())]
-                steps_b = [r.dst for r in idx.ints.get((b, symbol), ())]
-            else:
-                steps_a = [r.dst for r in vpt.return_rules
-                           if r.src == a and r.symbol == symbol]
-                steps_b = [r.dst for r in vpt.return_rules
-                           if r.src == b and r.symbol == symbol]
-            for na in steps_a:
+            steps_b = successors(b, symbol)
+            for na in successors(a, symbol):
                 for nb in steps_b:
                     if (na, nb) not in pairs:
                         pairs.add((na, nb))
@@ -596,341 +586,179 @@ def _project_config(cfg: Configuration, state_map: dict[str, str],
                          tuple(sym_map[g] for g in cfg.stack))
 
 
-# ---------------------------------------------------------------------------
-# HTP search
-
 def check_htp(vpt: Vpt, bounds: Optional[SearchBounds] = None) -> Verdict:
     """Search for two runs on a common input looping (each on its own
-    configuration) around a common well-nested word with diverging delay."""
-    bounds = bounds or SearchBounds()
+    configuration) around a common well-nested word with diverging delay.
+
+    This is the matched search of ``check_mtp`` with u3 = u4 = ε: the loop
+    closes as soon as u2 does.  It may only start on two states that each
+    admit a nonempty well-nested loop; when no jointly reachable pair of
+    such states exists, no witness of any size does and the search is
+    skipped."""
+    return _twinning_search(vpt, bounds or SearchBounds(), horizontal=True)
+
+
+def check_mtp(vpt: Vpt, bounds: Optional[SearchBounds] = None) -> Verdict:
+    """Search for matched ascent/descent loops (u2/u4 around a well-nested
+    u3) whose pumping changes the delay between two runs on a common input."""
+    return _twinning_search(vpt, bounds or SearchBounds(), horizontal=False)
+
+
+def _twinning_search(vpt: Vpt, bounds: SearchBounds, horizontal: bool) -> Verdict:
     reduced, state_map, sym_map = reduce_with_map(vpt)
     cap = _resolve_cap(bounds, reduced)
     eff = replace(bounds, delay_cap=cap)
     if not reduced.initial:
         return Verdict(Outcome.NO_WITNESS_UP_TO, bounds=eff,
                        diagnostics="empty domain")
+    loopers = None
+    if horizontal:
+        loopers = _wn_loop_states(reduced)
+        if not loopers or not any(a in loopers and b in loopers
+                                  for (a, b) in _joint_pairs(reduced)):
+            return Verdict(Outcome.NO_WITNESS_UP_TO, bounds=eff, diagnostics=(
+                "no jointly reachable state pair admits a nonempty well-nested "
+                "loop, so no witness of any size exists"))
 
-    loopers = _wn_loop_states(reduced)
-    if not loopers or not any(a in loopers and b in loopers
-                              for (a, b) in _joint_pairs(reduced)):
-        return Verdict(Outcome.NO_WITNESS_UP_TO, bounds=eff, diagnostics=(
-            "no jointly reachable state pair admits a nonempty well-nested "
-            "loop, so no witness of any size exists"))
+    preds, final, exhaustive_to = _search(reduced, state_map, bounds, cap, loopers)
+    if final is not None:
+        return _witness(vpt, state_map, sym_map, preds, final)
+    if exhaustive_to is not None:
+        return Verdict(Outcome.NO_WITNESS_UP_TO,
+                       bounds=replace(eff, max_len=exhaustive_to), diagnostics=(
+                           "node budget exhausted; exhaustive only up to "
+                           f"length {exhaustive_to}"))
+    return Verdict(Outcome.NO_WITNESS_UP_TO, bounds=eff)
 
-    idx = _RuleIndex(reduced)
-    empty_delay = DelayPair((), ())
-    # nodes: (1, c1, c2, d) before the loop, (2, c1, c2, d, a1, a2, da) inside
+
+def _search(reduced: Vpt, state_map: dict[str, str], bounds: SearchBounds,
+            cap: int, loopers: Optional[set[str]]):
+    """Breadth-first search over joint-run nodes, one layer per input length.
+
+    A node is (phase, c1, c2, dA, dF, ah, floor, s1, s2): the phase says
+    which of u1..u4 is being read, c1/c2 are the two runs' configurations,
+    dF the delay over everything read and dA the delay over u1·u3 alone
+    (the word with both loops cut out; None before the loops start).  ah
+    is the loop's anchor height, floor the height no return may pop below,
+    and s1/s2 the states the current loop must come back to (the u2 anchor
+    in phase 2, the end of u3 in phase 4).  ε-steps hand over from one
+    phase to the next.  A loop closes in the last phase, back at the anchor
+    height in states s1/s2 with dA != dF, which needs u2·u4 nonempty.
+
+    Horizontal mode (``loopers`` given) ends in phase 2, so u3 = u4 = ε,
+    and enters phase 2 only on a pair of looping states.
+
+    The loop gates compare states of the caller's machine, not the reduced
+    one: the reduction refines states by pop obligation, and a loop that is
+    closed upstairs may look open downstairs after refinement.
+
+    Returns (preds, closing node or None, the length up to which the search
+    was exhaustive when the node budget ran out, else None).
+    """
+    idx = rule_index(reduced)
+    max_height = bounds.max_height
+    last = 4 if loopers is None else 2
+    empty = DelayPair((), ())
     preds: dict[tuple, Optional[tuple[tuple, Optional[str], Word, Word]]] = {}
     layer: deque[tuple] = deque()
     for i1 in sorted(reduced.initial):
         for i2 in sorted(reduced.initial):
-            node = (1, Configuration(i1, ()), Configuration(i2, ()), empty_delay)
-            if node not in preds:
-                preds[node] = None
-                layer.append(node)
-
-    completed = -1
-    budget_hit = False
-
-    def anchor_of(node):
-        return None if node[0] == 1 else (node[4], node[5], node[6])
+            node = (1, Configuration(i1, ()), Configuration(i2, ()),
+                    None, empty, 0, 0, None, None)
+            preds[node] = None
+            layer.append(node)
 
     for length in range(bounds.max_len + 1):
         if not layer:
-            completed = bounds.max_len
             break
         nxt_layer: deque[tuple] = deque()
         work = layer
         while work:
             node = work.popleft()
-            phase, c1, c2, d = node[0], node[1], node[2], node[3]
-            if phase == 1 and c1.state in loopers and c2.state in loopers:
-                eps = (2, c1, c2, d, c1, c2, d)
-                if eps not in preds:
-                    preds[eps] = (node, None, (), ())
-                    work.append(eps)
+            phase, c1, c2, dA, dF, ah, floor, s1, s2 = node
+            eps = None
+            if phase == 1:
+                if loopers is None or (c1.state in loopers and c2.state in loopers):
+                    h = len(c1.stack)
+                    eps = (2, c1, c2, dF, dF, h, h,
+                           state_map[c1.state], state_map[c2.state])
+            elif phase == 2:
+                if phase < last and state_map[c1.state] == s1 \
+                        and state_map[c2.state] == s2:
+                    eps = (3, c1, c2, dA, dF, ah, len(c1.stack), None, None)
+            elif phase == 3 and len(c1.stack) == floor:
+                eps = (4, c1, c2, dA, dF, ah, ah,
+                       state_map[c1.state], state_map[c2.state])
+            if eps is not None and eps not in preds:
+                preds[eps] = (node, None, (), ())
+                # entering phase 4 keeps the states, so only height and delay
+                if eps[0] == 4 and len(c1.stack) == ah and dA != dF:
+                    return preds, eps, None
+                work.append(eps)
             for symbol in idx.symbols:
                 kind = idx.kind[symbol]
-                if phase == 2 and kind is SymbolKind.RETURN \
-                        and len(c1.stack) <= len(node[4].stack):
-                    continue  # a pop here would dip below the loop anchor
-                for (n1, o1) in idx.moves(c1, symbol):
-                    if len(n1.stack) > bounds.max_height:
-                        continue
-                    for (n2, o2) in idx.moves(c2, symbol):
-                        d2 = delta_extend(d, o1, o2)
-                        if _delay_len(d2) > cap:
-                            continue
-                        if phase == 1:
-                            child = (1, n1, n2, d2)
-                        else:
-                            a1, a2, da = node[4], node[5], node[6]
-                            child = (2, n1, n2, d2, a1, a2, da)
-                            if n1 == a1 and n2 == a2 and d2 != da:
-                                preds[child] = (node, symbol, o1, o2)
-                                return _htp_witness(vpt, reduced, state_map,
-                                                    sym_map, preds, child)
-                        if child not in preds:
-                            preds[child] = (node, symbol, o1, o2)
-                            if len(preds) > _NODE_BUDGET:
-                                budget_hit = True
-                                break
-                            nxt_layer.append(child)
-                    if budget_hit:
-                        break
-                if budget_hit:
-                    break
-            if budget_hit:
-                break
-        if budget_hit:
-            break
-        completed = length
-        layer = nxt_layer
-
-    if budget_hit and completed < bounds.max_len:
-        eff = replace(eff, max_len=max(completed, 0))
-        return Verdict(Outcome.NO_WITNESS_UP_TO, bounds=eff, diagnostics=(
-            f"node budget exhausted; exhaustive only up to length {max(completed, 0)}"))
-    return Verdict(Outcome.NO_WITNESS_UP_TO, bounds=eff)
-
-
-def _chain(preds, node):
-    steps = []
-    cur = node
-    while True:
-        entry = preds[cur]
-        if entry is None:
-            steps.append((cur, None, (), ()))
-            break
-        prev, sym, o1, o2 = entry
-        steps.append((cur, sym, o1, o2))
-        cur = prev
-    steps.reverse()
-    return steps
-
-
-def _htp_witness(original: Vpt, reduced: Vpt, state_map, sym_map,
-                 preds, final_node) -> Verdict:
-    steps = _chain(preds, final_node)
-    u1, u2 = [], []
-    v1, v2, w1, w2 = [], [], [], []
-    anchor1 = anchor2 = None
-    in_loop = False
-    for (node, sym, o1, o2) in steps:
-        if sym is None and node[0] == 2 and not in_loop:
-            in_loop = True
-            anchor1, anchor2 = node[1], node[2]
-            continue
-        if sym is None:
-            continue
-        if in_loop:
-            u2.append(sym)
-            v2.extend(o1)
-            w2.extend(o2)
-        else:
-            u1.append(sym)
-            v1.extend(o1)
-            w1.extend(o2)
-    init1 = steps[0][0][1].state
-    init2 = steps[0][0][2].state
-    a1 = _project_config(anchor1, state_map, sym_map)
-    a2 = _project_config(anchor2, state_map, sym_map)
-    witness = VptTwinWitness(
-        u1=tuple(u1), u2=tuple(u2), u3=(), u4=(),
-        init1=state_map[init1], init2=state_map[init2],
-        configs1=(a1, a1, a1, a1), configs2=(a2, a2, a2, a2),
-        outs1=(tuple(v1), tuple(v2), (), ()),
-        outs2=(tuple(w1), tuple(w2), (), ()),
-        delay_before=delta(tuple(v1), tuple(w1)),
-        delay_after=delta(tuple(v1) + tuple(v2), tuple(w1) + tuple(w2)))
-    verify_vpt_twinning_witness(original, witness)
-    return Verdict(Outcome.VIOLATED, witness=witness)
-
-
-# ---------------------------------------------------------------------------
-# MTP search
-
-def check_mtp(vpt: Vpt, bounds: Optional[SearchBounds] = None) -> Verdict:
-    """Search for matched ascent/descent loops (u2/u4 around a well-nested
-    u3) whose pumping changes the delay between two runs on a common input."""
-    bounds = bounds or SearchBounds()
-    reduced, state_map, sym_map = reduce_with_map(vpt)
-    cap = _resolve_cap(bounds, reduced)
-    eff = replace(bounds, delay_cap=cap)
-    if not reduced.initial:
-        return Verdict(Outcome.NO_WITNESS_UP_TO, bounds=eff,
-                       diagnostics="empty domain")
-
-    idx = _RuleIndex(reduced)
-    empty_delay = DelayPair((), ())
-    # node shapes, by phase tag:
-    #  (1, c1, c2, dF)                          before the ascent loop
-    #  (2, c1, c2, dA, dF, p, p', ah, ne)       inside u2 (anchor states p,p';
-    #                                           ah = anchor height)
-    #  (3, c1, c2, dA, dF, ah, f3, ne)          inside u3 (f3 = its floor)
-    #  (4, c1, c2, dA, dF, ah, q3, q3', ne)     inside u4
-    preds: dict[tuple, Optional[tuple[tuple, Optional[str], Word, Word]]] = {}
-    layer: deque[tuple] = deque()
-    for i1 in sorted(reduced.initial):
-        for i2 in sorted(reduced.initial):
-            node = (1, Configuration(i1, ()), Configuration(i2, ()), empty_delay)
-            if node not in preds:
-                preds[node] = None
-                layer.append(node)
-
-    completed = -1
-    budget_hit = False
-
-    # The anchor/closure gates compare states of the caller's machine, not the
-    # reduced one: the reduction refines states by pop obligation, and a loop
-    # that is closed upstairs may look open downstairs after refinement.
-    def try_final(node) -> bool:
-        if node[0] != 4:
-            return False
-        _, c1, c2, dA, dF, ah, q3a, q3b, ne = node
-        return (ne and len(c1.stack) == ah and state_map[c1.state] == q3a
-                and state_map[c2.state] == q3b and dA != dF)
-
-    def expansions(node):
-        """Same-length ε-steps: phase entries and hand-offs."""
-        out = []
-        phase = node[0]
-        if phase == 1:
-            _, c1, c2, dF = node
-            out.append((2, c1, c2, dF, dF, state_map[c1.state],
-                        state_map[c2.state], len(c1.stack), False))
-        elif phase == 2:
-            _, c1, c2, dA, dF, p1, p2, ah, ne = node
-            if state_map[c1.state] == p1 and state_map[c2.state] == p2:
-                out.append((3, c1, c2, dA, dF, ah, len(c1.stack), ne))
-        elif phase == 3:
-            _, c1, c2, dA, dF, ah, f3, ne = node
-            if len(c1.stack) == f3:
-                out.append((4, c1, c2, dA, dF, ah, state_map[c1.state],
-                            state_map[c2.state], ne))
-        return out
-
-    final = None
-    for length in range(bounds.max_len + 1):
-        if final is not None or not layer:
-            completed = bounds.max_len
-            break
-        nxt_layer: deque[tuple] = deque()
-        work = layer
-        while work and final is None:
-            node = work.popleft()
-            for eps in expansions(node):
-                if eps not in preds:
-                    preds[eps] = (node, None, (), ())
-                    if try_final(eps):
-                        final = eps
-                        break
-                    work.append(eps)
-            if final is not None:
-                break
-            phase, c1, c2 = node[0], node[1], node[2]
-            floor = 0
-            if phase == 2:
-                floor = node[7]
-            elif phase == 3:
-                floor = node[6]
-            elif phase == 4:
-                floor = node[5]
-            for symbol in idx.symbols:
-                kind = idx.kind[symbol]
-                if phase != 1 and kind is SymbolKind.RETURN \
-                        and len(c1.stack) <= floor:
+                if kind is SymbolKind.RETURN and len(c1.stack) <= floor:
+                    continue  # a pop here would dip below the loop
+                moves1 = _moves(idx, c1, symbol, kind)
+                if not moves1:
                     continue
-                for (n1, o1) in idx.moves(c1, symbol):
-                    if len(n1.stack) > bounds.max_height:
+                moves2 = _moves(idx, c2, symbol, kind)
+                for (n1, o1) in moves1:
+                    if len(n1.stack) > max_height:
                         continue
-                    for (n2, o2) in idx.moves(c2, symbol):
-                        if phase == 1:
-                            dF2 = delta_extend(node[3], o1, o2)
-                            if _delay_len(dF2) > cap:
-                                continue
-                            child = (1, n1, n2, dF2)
-                        elif phase == 2:
-                            _, _, _, dA, dF, p1, p2, ah, ne = node
-                            dF2 = delta_extend(dF, o1, o2)
-                            if _delay_len(dF2) > cap:
-                                continue
-                            child = (2, n1, n2, dA, dF2, p1, p2, ah, True)
-                        elif phase == 3:
-                            _, _, _, dA, dF, ah, f3, ne = node
+                    for (n2, o2) in moves2:
+                        dF2 = delta_extend(dF, o1, o2)
+                        if _delay_len(dF2) > cap:
+                            continue
+                        dA2 = dA
+                        if phase == 3:
                             dA2 = delta_extend(dA, o1, o2)
-                            dF2 = delta_extend(dF, o1, o2)
-                            if _delay_len(dA2) > cap or _delay_len(dF2) > cap:
+                            if _delay_len(dA2) > cap:
                                 continue
-                            child = (3, n1, n2, dA2, dF2, ah, f3, ne)
-                        else:
-                            _, _, _, dA, dF, ah, q3a, q3b, ne = node
-                            dF2 = delta_extend(dF, o1, o2)
-                            if _delay_len(dF2) > cap:
-                                continue
-                            child = (4, n1, n2, dA, dF2, ah, q3a, q3b, True)
-                        if child not in preds:
-                            preds[child] = (node, symbol, o1, o2)
-                            if try_final(child):
-                                final = child
-                                break
-                            if len(preds) > _NODE_BUDGET:
-                                budget_hit = True
-                                break
-                            nxt_layer.append(child)
-                    if final is not None or budget_hit:
-                        break
-                if final is not None or budget_hit:
-                    break
-            if budget_hit:
-                break
-        if final is not None or budget_hit:
-            break
-        completed = length
+                        child = (phase, n1, n2, dA2, dF2, ah, floor, s1, s2)
+                        if child in preds:
+                            continue
+                        preds[child] = (node, symbol, o1, o2)
+                        if phase == last and len(n1.stack) == ah \
+                                and state_map[n1.state] == s1 \
+                                and state_map[n2.state] == s2 and dA2 != dF2:
+                            return preds, child, None
+                        if len(preds) > _NODE_BUDGET:
+                            return preds, None, max(length - 1, 0)
+                        nxt_layer.append(child)
         layer = nxt_layer
-
-    if final is not None:
-        return _mtp_witness(vpt, reduced, state_map, sym_map, preds, final)
-    if budget_hit and completed < bounds.max_len:
-        eff = replace(eff, max_len=max(completed, 0))
-        return Verdict(Outcome.NO_WITNESS_UP_TO, bounds=eff, diagnostics=(
-            f"node budget exhausted; exhaustive only up to length {max(completed, 0)}"))
-    return Verdict(Outcome.NO_WITNESS_UP_TO, bounds=eff)
+    return preds, None, None
 
 
-def _mtp_witness(original: Vpt, reduced: Vpt, state_map, sym_map,
-                 preds, final_node) -> Verdict:
-    steps = _chain(preds, final_node)
-    segs_u = {1: [], 2: [], 3: [], 4: []}
-    segs_v = {1: [], 2: [], 3: [], 4: []}
-    segs_w = {1: [], 2: [], 3: [], 4: []}
-    marks: dict[int, tuple[Configuration, Configuration]] = {}
-    for (node, sym, o1, o2) in steps:
+def _witness(original: Vpt, state_map, sym_map, preds, final) -> Verdict:
+    """Read u1..u4 off the discovery chain of ``final``: each symbol belongs
+    to the phase of the node it leads to, and the ε-steps into phases 2, 3
+    and 4 mark the configurations after u1, u2 and u3 (a horizontal loop
+    closes in phase 2, so its u3 and u4 are empty and end where u2 does)."""
+    steps = []
+    node = final
+    while preds[node] is not None:
+        prev, sym, o1, o2 = preds[node]
+        steps.append((node, sym, o1, o2))
+        node = prev
+    init1, init2 = node[1].state, node[2].state
+    u = {k: () for k in (1, 2, 3, 4)}
+    v = dict(u)
+    w = dict(u)
+    marks = {}
+    for (node, sym, o1, o2) in reversed(steps):
         phase = node[0]
         if sym is None:
-            # phase entry: remember the configuration pair at the boundary
-            if phase in (2, 3, 4) and phase not in marks:
-                marks[phase] = (node[1], node[2])
-            continue
-        segs_u[phase].append(sym)
-        segs_v[phase].extend(o1)
-        segs_w[phase].extend(o2)
-    # boundary configs: after u1 = entry to phase 2; after u2 = entry to 3;
-    # after u3 = entry to 4; after u4 = the final node itself
-    A = marks[2]
-    B = marks[3]
-    C = marks[4]
-    D = (final_node[1], final_node[2])
-    pc = lambda pair: ( _project_config(pair[0], state_map, sym_map),
-                        _project_config(pair[1], state_map, sym_map))
-    A, B, C, D = pc(A), pc(B), pc(C), pc(D)
-    init1 = steps[0][0][1].state
-    init2 = steps[0][0][2].state
-    v = {k: tuple(x) for k, x in segs_v.items()}
-    w = {k: tuple(x) for k, x in segs_w.items()}
+            marks[phase] = (node[1], node[2])
+        else:
+            u[phase] += (sym,)
+            v[phase] += o1
+            w[phase] += o2
+    end = final[1:3]
+    A, B, C, D = ([_project_config(c, state_map, sym_map) for c in pair]
+                  for pair in (marks[2], marks.get(3, end), marks.get(4, end), end))
     witness = VptTwinWitness(
-        u1=tuple(segs_u[1]), u2=tuple(segs_u[2]),
-        u3=tuple(segs_u[3]), u4=tuple(segs_u[4]),
+        u1=u[1], u2=u[2], u3=u[3], u4=u[4],
         init1=state_map[init1], init2=state_map[init2],
         configs1=(A[0], B[0], C[0], D[0]),
         configs2=(A[1], B[1], C[1], D[1]),

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .delay_algebra import Word, lcp
 from .nested_words import ScanState, SymbolKind, UnknownSymbol, classify
-from .vpt_core import DConfiguration, Vpt
+from .vpt_core import DConfiguration, Vpt, rule_index
 
 
 class NoInitialStates(ValueError):
@@ -196,25 +195,9 @@ def start(vpt: Vpt, factorize: bool = True) -> EvalState:
 # ---------------------------------------------------------------------------
 # Per-symbol DAG updates
 
-@lru_cache(maxsize=256)
-def _update_index(vpt: Vpt):
-    """Rules sorted once per machine: calls/internals by (symbol, src),
-    returns by (symbol, src, popped symbol)."""
-    calls: dict[tuple[str, str], list] = {}
-    for r in sorted(vpt.call_rules):
-        calls.setdefault((r.symbol, r.src), []).append(r)
-    rets: dict[tuple[str, str, str], list] = {}
-    for r in sorted(vpt.return_rules):
-        rets.setdefault((r.symbol, r.src, r.pop), []).append(r)
-    ints: dict[tuple[str, str], list] = {}
-    for r in sorted(vpt.internal_rules):
-        ints.setdefault((r.symbol, r.src), []).append(r)
-    return calls, rets, ints
-
-
 def update_call(dag: EvalDag, symbol: str, vpt: Vpt) -> EvalDag:
     depth = dag.depth
-    by_trigger = _update_index(vpt)[0]
+    by_trigger = rule_index(vpt).calls
 
     new_edges = []
     orphans = []
@@ -237,7 +220,7 @@ def update_return(dag: EvalDag, symbol: str, vpt: Vpt) -> EvalDag:
     depth = dag.depth
     if depth == 0:
         raise PopOnEmpty(symbol)
-    by_trigger = _update_index(vpt)[1]
+    by_trigger = rule_index(vpt).returns
 
     # Collect the replacement level before touching anything: each surviving
     # leaf folds its parent edge, its rule output, and every grandparent edge
@@ -268,7 +251,7 @@ def update_return(dag: EvalDag, symbol: str, vpt: Vpt) -> EvalDag:
 
 def update_internal(dag: EvalDag, symbol: str, vpt: Vpt) -> EvalDag:
     depth = dag.depth
-    by_trigger = _update_index(vpt)[2]
+    by_trigger = rule_index(vpt).internals
 
     new_edges = []
     orphans = []

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .delay_algebra import Word
 from .nested_words import StructuredAlphabet, SymbolKind, classify
@@ -125,13 +125,6 @@ class Vpt:
             errors.append(f"rule references undeclared state {rule.dst!r}")
         return errors
 
-    def rules_for(self, kind: SymbolKind):
-        if kind is SymbolKind.CALL:
-            return self.call_rules
-        if kind is SymbolKind.RETURN:
-            return self.return_rules
-        return self.internal_rules
-
 
 @dataclass(frozen=True, order=True)
 class FstRule:
@@ -184,46 +177,56 @@ def initial_dconfigs(vpt: Vpt) -> set[DConfiguration]:
     return {DConfiguration(q, (), ()) for q in vpt.initial}
 
 
+class RuleIndex(NamedTuple):
+    """Rules grouped for one-step lookup, each bucket in ``sorted(rules)``
+    order: calls and internals by (symbol, src), returns by (symbol, src,
+    popped symbol); plus the sorted input symbols and each one's kind."""
+    symbols: tuple[str, ...]
+    kind: dict[str, SymbolKind]
+    calls: dict[tuple[str, str], tuple[CallRule, ...]]
+    returns: dict[tuple[str, str, str], tuple[ReturnRule, ...]]
+    internals: dict[tuple[str, str], tuple[InternalRule, ...]]
+
+
+def _group(rules, key) -> dict:
+    groups: dict = {}
+    for r in sorted(rules):
+        groups.setdefault(key(r), []).append(r)
+    return {k: tuple(v) for k, v in groups.items()}
+
+
 @lru_cache(maxsize=256)
-def _step_index(vpt: Vpt):
-    """Rules grouped for one-step lookup: calls and internals by (symbol, src),
-    returns by (symbol, src, popped symbol)."""
-    calls: dict[tuple[str, str], tuple[CallRule, ...]] = {}
-    rets: dict[tuple[str, str, str], tuple[ReturnRule, ...]] = {}
-    ints: dict[tuple[str, str], tuple[InternalRule, ...]] = {}
-    for r in vpt.call_rules:
-        key = (r.symbol, r.src)
-        calls[key] = calls.get(key, ()) + (r,)
-    for r in vpt.return_rules:
-        key = (r.symbol, r.src, r.pop)
-        rets[key] = rets.get(key, ()) + (r,)
-    for r in vpt.internal_rules:
-        key = (r.symbol, r.src)
-        ints[key] = ints.get(key, ()) + (r,)
-    return calls, rets, ints
+def rule_index(vpt: Vpt) -> RuleIndex:
+    symbols = tuple(sorted(vpt.alphabet.symbols))
+    return RuleIndex(
+        symbols=symbols,
+        kind={s: classify(s, vpt.alphabet) for s in symbols},
+        calls=_group(vpt.call_rules, lambda r: (r.symbol, r.src)),
+        returns=_group(vpt.return_rules, lambda r: (r.symbol, r.src, r.pop)),
+        internals=_group(vpt.internal_rules, lambda r: (r.symbol, r.src)))
 
 
 def update_dconfigs(configs: Iterable[DConfiguration], symbol: str,
                     vpt: Vpt) -> set[DConfiguration]:
     """One naive step: every run candidate advances by every applicable rule."""
-    kind = classify(symbol, vpt.alphabet)
-    calls, rets, ints = _step_index(vpt)
+    idx = rule_index(vpt)
+    kind = idx.kind.get(symbol)
     out: set[DConfiguration] = set()
     if kind is SymbolKind.CALL:
         for dc in configs:
-            for r in calls.get((symbol, dc.state), ()):
+            for r in idx.calls.get((symbol, dc.state), ()):
                 out.add(DConfiguration(r.dst, dc.stack + (r.push,),
                                        dc.residual + r.out))
     elif kind is SymbolKind.RETURN:
         for dc in configs:
             if not dc.stack:
                 continue
-            for r in rets.get((symbol, dc.state, dc.stack[-1]), ()):
+            for r in idx.returns.get((symbol, dc.state, dc.stack[-1]), ()):
                 out.add(DConfiguration(r.dst, dc.stack[:-1],
                                        dc.residual + r.out))
     elif kind is SymbolKind.INTERNAL:
         for dc in configs:
-            for r in ints.get((symbol, dc.state), ()):
+            for r in idx.internals.get((symbol, dc.state), ()):
                 out.add(DConfiguration(r.dst, dc.stack, dc.residual + r.out))
     else:
         raise ValueError(f"symbol {symbol!r} is not in the machine's alphabet")
@@ -484,72 +487,49 @@ def reduce_with_map(vpt: Vpt) -> tuple[Vpt, dict[str, str], dict[str, str]]:
         gamma, p = t
         return p in pop_to.get((q, gamma), ())
 
-    states: set[tuple[str, _Top]] = {(q, None) for q in sorted(vpt.initial)
-                                     if q in can_finish}
-    symbols: set[tuple[str, str, _Top]] = set()
-    call_out: list[tuple[tuple[str, _Top], CallRule, str]] = []
-    frontier = sorted(states)
+    states: set[tuple[str, _Top]] = set()
+    frontier: list[tuple[str, _Top]] = []
+    call_out: set[tuple[tuple[str, _Top], CallRule, str]] = set()
+    # A return popping gamma onto its commitment p lands on (p, below) for
+    # every symbol (gamma, p, below) that some call materializes; whichever
+    # of the two is found second makes the join.
+    below_of: dict[tuple[str, str], set[_Top]] = {}
+    landed: set[tuple[str, str]] = set()
+
+    def add(st: tuple[str, _Top]) -> None:
+        if st not in states:
+            states.add(st)
+            frontier.append(st)
+
+    for q in vpt.initial:
+        if q in can_finish:
+            add((q, None))
     while frontier:
         q, t = frontier.pop()
-        for r in sorted(vpt.internal_rules):
-            if r.src == q and live(r.dst, t) and (r.dst, t) not in states:
-                states.add((r.dst, t))
-                frontier.append((r.dst, t))
-        for r in sorted(vpt.call_rules):
+        for r in vpt.internal_rules:
+            if r.src == q and live(r.dst, t):
+                add((r.dst, t))
+        for r in vpt.call_rules:
             if r.src != q:
                 continue
-            for p in sorted(pop_to.get((r.dst, r.push), ())):
+            for p in pop_to.get((r.dst, r.push), ()):
                 if not live(p, t):
                     continue
-                call_out.append(((q, t), r, p))
-                symbols.add((r.push, p, t))
-                if (r.dst, (r.push, p)) not in states:
-                    states.add((r.dst, (r.push, p)))
-                    frontier.append((r.dst, (r.push, p)))
-        # returns: landing states come from materialized symbols
-        if t is not None:
-            gamma, p = t
-            for r in sorted(vpt.return_rules):
-                if r.src == q and r.pop == gamma and r.dst == p:
-                    for (g2, p2, below) in sorted(symbols, key=_sym_key):
-                        if g2 == gamma and p2 == p and (p, below) not in states:
-                            states.add((p, below))
-                            frontier.append((p, below))
-
-    # A late-materialized symbol can unlock return landings discovered above;
-    # iterate to a fixpoint (the state space is polynomial and tiny here).
-    changed = True
-    while changed:
-        changed = False
-        for (q, t) in sorted(states, key=_state_key):
-            if t is None:
-                continue
-            gamma, p = t
-            for r in sorted(vpt.return_rules):
-                if r.src == q and r.pop == gamma and r.dst == p:
-                    for (g2, p2, below) in sorted(symbols, key=_sym_key):
-                        if g2 == gamma and p2 == p and (p, below) not in states:
-                            states.add((p, below))
-                            changed = True
-        for (q, t) in sorted(states, key=_state_key):
-            for r in sorted(vpt.internal_rules):
-                if r.src == q and live(r.dst, t) and (r.dst, t) not in states:
-                    states.add((r.dst, t))
-                    changed = True
-            for r in sorted(vpt.call_rules):
-                if r.src != q:
-                    continue
-                for p in sorted(pop_to.get((r.dst, r.push), ())):
-                    if not live(p, t):
-                        continue
-                    if ((q, t), r, p) not in call_out:
-                        call_out.append(((q, t), r, p))
-                    if (r.push, p, t) not in symbols:
-                        symbols.add((r.push, p, t))
-                        changed = True
-                    if (r.dst, (r.push, p)) not in states:
-                        states.add((r.dst, (r.push, p)))
-                        changed = True
+                call_out.add(((q, t), r, p))
+                add((r.dst, (r.push, p)))
+                below = below_of.setdefault((r.push, p), set())
+                if t not in below:
+                    below.add(t)
+                    if (r.push, p) in landed:
+                        add((p, t))
+        if t is not None and t not in landed and any(
+                r.src == q and r.pop == t[0] and r.dst == t[1]
+                for r in vpt.return_rules):
+            landed.add(t)
+            for below in below_of.get(t, ()):
+                add((t[1], below))
+    symbols = {(gamma, p, below) for (gamma, p), belows in below_of.items()
+               for below in belows}
 
     state_name: dict[tuple[str, _Top], str] = {}
     used_states: set[str] = set()
@@ -568,27 +548,24 @@ def reduce_with_map(vpt: Vpt) -> tuple[Vpt, dict[str, str], dict[str, str]]:
         sym_name[s] = name
         used_syms.add(name)
 
-    new_calls = set()
-    for (src, r, p) in call_out:
-        if src in states:
-            new_calls.add(CallRule(state_name[src], r.symbol, r.out,
-                                   sym_name[(r.push, p, src[1])],
-                                   state_name[(r.dst, (r.push, p))]))
+    new_calls = {CallRule(state_name[src], r.symbol, r.out,
+                          sym_name[(r.push, p, src[1])],
+                          state_name[(r.dst, (r.push, p))])
+                 for (src, r, p) in call_out}
     new_returns = set()
     for (q, t) in states:
         if t is None:
             continue
         gamma, p = t
-        for r in sorted(vpt.return_rules):
+        for r in vpt.return_rules:
             if r.src == q and r.pop == gamma and r.dst == p:
-                for s in symbols:
-                    if s[0] == gamma and s[1] == p and (p, s[2]) in states:
-                        new_returns.add(ReturnRule(state_name[(q, t)], r.symbol,
-                                                   r.out, sym_name[s],
-                                                   state_name[(p, s[2])]))
+                for below in below_of[t]:
+                    new_returns.add(ReturnRule(state_name[(q, t)], r.symbol,
+                                               r.out, sym_name[(gamma, p, below)],
+                                               state_name[(p, below)]))
     new_internals = set()
     for (q, t) in states:
-        for r in sorted(vpt.internal_rules):
+        for r in vpt.internal_rules:
             if r.src == q and (r.dst, t) in states:
                 new_internals.add(InternalRule(state_name[(q, t)], r.symbol,
                                                r.out, state_name[(r.dst, t)]))

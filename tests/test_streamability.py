@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from vptstream import streamability
 from vptstream import (
     Bounded,
     FstMachine,
@@ -205,6 +206,18 @@ def test_mtp_no_witness_on_fig4(fig4):
     v = check_mtp(fig4)
     assert v.outcome is Outcome.NO_WITNESS_UP_TO
     assert v.bounds is not None
+
+
+@pytest.mark.parametrize("search, machine, budget", [(check_htp, "fig3_full", 100),
+                                                     (check_mtp, "fig4", 400)])
+def test_search_reports_node_budget(search, machine, budget, request, monkeypatch):
+    monkeypatch.setattr(streamability, "_NODE_BUDGET", budget)
+    v = search(request.getfixturevalue(machine))
+    assert v.outcome is Outcome.NO_WITNESS_UP_TO
+    n = v.bounds.max_len
+    assert 0 < n < 24
+    # perfbench/measure.py counts budget hits by this exact text
+    assert v.diagnostics == f"node budget exhausted; exhaustive only up to length {n}"
 
 
 def test_vpt_witness_verifier_rejects_tampering(fig3_plain):
