@@ -20,10 +20,3 @@ def load(name: str) -> Vpt:
                        f"available: {', '.join(names())}")
     return parse_vpt(candidate.read_text(encoding="utf-8"))
 
-
-def source(name: str) -> str:
-    candidate = resources.files(__name__) / f"{name}.vpt"
-    if not candidate.is_file():
-        raise KeyError(f"no bundled machine named {name!r}; "
-                       f"available: {', '.join(names())}")
-    return candidate.read_text(encoding="utf-8")

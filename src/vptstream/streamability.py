@@ -14,7 +14,9 @@ is not complete.
 
 All searches run on the reduced machine (accessible implies co-accessible
 there, which the twinning premises need) and witnesses are projected back to
-the caller's machine and re-verified on it before being returned.
+the caller's machine and re-verified on it before being returned.  Every
+stage reads the one well-matched summary ``vpt_core.well_matched`` of the
+machine it works on, and steps configurations with ``vpt_core.moves``.
 """
 
 from __future__ import annotations
@@ -33,18 +35,19 @@ from .vpt_core import (
     FstRule,
     InputWord,
     NotFunctionalWitness,
-    RuleIndex,
     StateExplosion,
     Vpt,
     check_functional_bounded,
     co_accessible,
     fst_of,
     metrics,
+    moves,
     reduce_with_map,
     rule_index,
     step_runs,
     trim_fst,
-    well_matched_witnesses,
+    well_matched,
+    well_matched_witnesses,  # unused here: perfbench/run.py traces it by this name
 )
 
 
@@ -139,7 +142,7 @@ def _delay_len(d: DelayPair) -> int:
     return max(len(d.left), len(d.right))
 
 
-def check_fst_twinning(fst: FstMachine, delay_cap: Optional[int] = None,
+def check_fst_twinning(fst: FstMachine,
                        node_budget: Optional[int] = None) -> Verdict:
     """Exact decision: two runs looping on a common input keep a fixed delay.
 
@@ -156,8 +159,7 @@ def check_fst_twinning(fst: FstMachine, delay_cap: Optional[int] = None,
     if not m.initial or not m.rules:
         return Verdict(Outcome.HOLDS, diagnostics="no two runs exist")
     max_out = max((len(r.out) for r in m.rules), default=0)
-    cap = delay_cap if delay_cap is not None \
-        else 3 * len(m.states) ** 2 * max(max_out, 1)
+    cap = 3 * len(m.states) ** 2 * max(max_out, 1)
 
     by_symbol: dict[tuple[str, str], list[FstRule]] = {}
     for r in sorted(m.rules):
@@ -365,7 +367,7 @@ def verify_fst_twinning_witness(fst: FstMachine, w: FstTwinWitness) -> None:
 def _ascend_edges(vpt: Vpt) -> dict[str, list[tuple[str, InputWord]]]:
     """q -> p whenever one call from q plus a well-matched walk lands on p one
     level higher; the word realizes the ascent."""
-    wmw = well_matched_witnesses(vpt)
+    wmw = well_matched(vpt).witnesses
     edges: dict[str, list[tuple[str, InputWord]]] = {}
     for r in sorted(vpt.call_rules):
         for (a, p), word in sorted(wmw.items()):
@@ -376,7 +378,7 @@ def _ascend_edges(vpt: Vpt) -> dict[str, list[tuple[str, InputWord]]]:
 
 def _access_words(vpt: Vpt) -> dict[str, InputWord]:
     """Some input word reaching each forward-reachable state."""
-    wmw = well_matched_witnesses(vpt)
+    wmw = well_matched(vpt).witnesses
     words: dict[str, InputWord] = {q: () for q in sorted(vpt.initial)}
     changed = True
     while changed:
@@ -411,19 +413,11 @@ def domain_height_bounded(vpt: Vpt):
             return Unbounded(state=state, prefix=access.get(state, ()),
                              cycle=cycle_word)
 
-    wmw = well_matched_witnesses(vpt)
-    wm_pairs = set(wmw)
-    level = {p for q in vpt.initial for (a, p) in wm_pairs if a == q}
+    level = {p for (a, p) in well_matched(vpt).witnesses if a in vpt.initial}
     h_max = 0
     k = 0
     while level:
-        nxt_states: set[str] = set()
-        for q in level:
-            for r in vpt.call_rules:
-                if r.src == q:
-                    for (a, p) in wm_pairs:
-                        if a == r.dst:
-                            nxt_states.add(p)
+        nxt_states = {p for q in level for p, _ in edges.get(q, ())}
         k += 1
         if nxt_states:
             h_max = k
@@ -462,8 +456,7 @@ def _find_ascent_cycle(start: str, edges: dict[str, list[tuple[str, InputWord]]]
 # ---------------------------------------------------------------------------
 # BM
 
-def check_bm(vpt: Vpt, delay_cap: Optional[int] = None,
-             config_budget: int = 200_000) -> Verdict:
+def check_bm(vpt: Vpt, config_budget: int = 200_000) -> Verdict:
     """Exact: bounded domain height plus twinning of the height-capped FST."""
     reduced, state_map, _ = reduce_with_map(vpt)
     shape = domain_height_bounded(reduced)
@@ -474,8 +467,7 @@ def check_bm(vpt: Vpt, delay_cap: Optional[int] = None,
                        diagnostics="domain height is unbounded")
     try:
         flat = fst_of(reduced, shape.h_max, max_states=config_budget)
-        verdict = check_fst_twinning(flat, delay_cap=delay_cap,
-                                     node_budget=config_budget)
+        verdict = check_fst_twinning(flat, node_budget=config_budget)
     except StateExplosion as exc:
         return Verdict(Outcome.UNKNOWN, diagnostics=str(exc))
     if verdict.outcome is Outcome.VIOLATED:
@@ -506,36 +498,15 @@ def step_runs_many(vpt: Vpt, configs, word):
 # ---------------------------------------------------------------------------
 # Twinning search (HTP and MTP)
 
-def _moves(idx: RuleIndex, cfg: Configuration, symbol: str,
-           kind: SymbolKind) -> list[tuple[Configuration, Word]]:
-    out = []
-    if kind is SymbolKind.CALL:
-        for r in idx.calls.get((symbol, cfg.state), ()):
-            out.append((Configuration(r.dst, cfg.stack + (r.push,)), r.out))
-    elif kind is SymbolKind.RETURN:
-        if cfg.stack:
-            for r in idx.returns.get((symbol, cfg.state, cfg.stack[-1]), ()):
-                out.append((Configuration(r.dst, cfg.stack[:-1]), r.out))
-    else:
-        for r in idx.internals.get((symbol, cfg.state), ()):
-            out.append((Configuration(r.dst, cfg.stack), r.out))
-    return out
-
-
 def _wn_loop_states(vpt: Vpt) -> set[str]:
     """States with a nonempty well-nested input loop back to themselves."""
-    wm = set(well_matched_witnesses(vpt))
-    by_left: dict[str, list[str]] = {}
-    for (a, b) in wm:
-        by_left.setdefault(a, []).append(b)
-    steps: set[tuple[str, str]] = set()
-    for r in vpt.internal_rules:
-        steps.add((r.src, r.dst))
-    for c in vpt.call_rules:
-        for x in by_left.get(c.dst, ()):
-            for r in vpt.return_rules:
-                if r.src == x and r.pop == c.push:
-                    steps.add((c.src, r.dst))
+    summary = well_matched(vpt)
+    wm = summary.witnesses
+    # one internal step, or one call wrapped around a well-nested word and
+    # closed by its matching return
+    steps = {(r.src, r.dst) for r in vpt.internal_rules}
+    steps |= {(c.src, p) for c in vpt.call_rules
+              for p in summary.pop_to.get((c.dst, c.push), ())}
     loops: set[str] = set()
     for q in vpt.states:
         for (a, b) in steps:
@@ -699,10 +670,10 @@ def _search(reduced: Vpt, state_map: dict[str, str], bounds: SearchBounds,
                 kind = idx.kind[symbol]
                 if kind is SymbolKind.RETURN and len(c1.stack) <= floor:
                     continue  # a pop here would dip below the loop
-                moves1 = _moves(idx, c1, symbol, kind)
+                moves1 = moves(idx, c1, symbol, kind)
                 if not moves1:
                     continue
-                moves2 = _moves(idx, c2, symbol, kind)
+                moves2 = moves(idx, c2, symbol, kind)
                 for (n1, o1) in moves1:
                     if len(n1.stack) > max_height:
                         continue

@@ -74,9 +74,6 @@ class EvalDag:
     def alive(self) -> bool:
         return bool(self.edges[ROOT])
 
-    def nodes(self) -> list[Node]:
-        return list(self.parents)
-
     def level(self, depth: int) -> list[Node]:
         return sorted((n for n in self.parents if n.depth == depth), key=_node_key)
 
@@ -383,18 +380,19 @@ def finish(state: EvalState) -> Optional[Word]:
 def decode(dag: EvalDag) -> set[DConfiguration]:
     """One d-configuration per root-to-leaf branch (the naive run set)."""
     result: set[DConfiguration] = set()
-
-    def walk(node: Node, stack: tuple[str, ...], residual: Word) -> None:
+    # explicit stack of (node, stack spelled so far, residual so far): the
+    # DAG is as deep as the input is nested
+    pending: list[tuple[Node, tuple[str, ...], Word]] = [(ROOT, (), ())]
+    while pending:
+        node, stack, residual = pending.pop()
         children = dag.edges.get(node, {})
         if not children:
             if node is not ROOT:
                 result.add(DConfiguration(node.state, stack, residual))
-            return
+            continue
         for child in dag.sorted_children(node):
             child_stack = stack + (child.symbol,) if child.symbol else stack
-            walk(child, child_stack, residual + children[child])
-
-    walk(ROOT, (), ())
+            pending.append((child, child_stack, residual + children[child]))
     return result
 
 

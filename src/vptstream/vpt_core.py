@@ -6,6 +6,13 @@ rule emits an output word.  ``naive_eval`` and friends implement the
 run-enumeration semantics used as the oracle for the streaming evaluator;
 ``reduce`` rebuilds a machine so that every accessible configuration can still
 reach acceptance; ``fst_of`` flattens a machine up to a stack-height bound.
+
+Two per-machine tables serve every later stage.  ``rule_index`` groups the
+rules for one-step lookup, and ``moves`` takes one configuration step through
+it.  ``well_matched`` holds the well-matched relation (q, q' joined by a
+well-nested word) with a witness word per pair, plus the pop targets and
+finishing states derived from it; reduction, co-accessibility, the
+domain-height test and the twinning loop conditions all read it.
 """
 
 from __future__ import annotations
@@ -206,6 +213,23 @@ def rule_index(vpt: Vpt) -> RuleIndex:
         internals=_group(vpt.internal_rules, lambda r: (r.symbol, r.src)))
 
 
+def moves(idx: RuleIndex, cfg: Configuration, symbol: str,
+          kind: SymbolKind) -> list[tuple[Configuration, Word]]:
+    """One-step successors of ``cfg`` on ``symbol`` with each rule's output."""
+    out = []
+    if kind is SymbolKind.CALL:
+        for r in idx.calls.get((symbol, cfg.state), ()):
+            out.append((Configuration(r.dst, cfg.stack + (r.push,)), r.out))
+    elif kind is SymbolKind.RETURN:
+        if cfg.stack:
+            for r in idx.returns.get((symbol, cfg.state, cfg.stack[-1]), ()):
+                out.append((Configuration(r.dst, cfg.stack[:-1]), r.out))
+    else:
+        for r in idx.internals.get((symbol, cfg.state), ()):
+            out.append((Configuration(r.dst, cfg.stack), r.out))
+    return out
+
+
 def update_dconfigs(configs: Iterable[DConfiguration], symbol: str,
                     vpt: Vpt) -> set[DConfiguration]:
     """One naive step: every run candidate advances by every applicable rule."""
@@ -388,35 +412,53 @@ def well_matched_witnesses(vpt: Vpt) -> dict[tuple[str, str], InputWord]:
     return wit
 
 
+class WellMatched(NamedTuple):
+    """The well-matched relation of one machine and the tables built on it.
+
+    ``witnesses`` maps each (q, q') joined by a well-nested word to one such
+    word; ``pop_to[(q, gamma)]`` holds the states that q, with gamma on top
+    of the stack, can land in right after popping that gamma; ``can_finish``
+    holds the states that reach a final state by a well-nested word.  Shared
+    by every caller through the cache, so read-only.
+    """
+    witnesses: dict[tuple[str, str], InputWord]
+    pop_to: dict[tuple[str, str], frozenset[str]]
+    can_finish: frozenset[str]
+
+
+# One classification touches about four machines (the caller's, its
+# reduction and the intermediate reductions), so a few entries suffice.
+@lru_cache(maxsize=16)
+def well_matched(vpt: Vpt) -> WellMatched:
+    wit = well_matched_witnesses(vpt)
+    ret_by_src: dict[str, list[ReturnRule]] = {}
+    for r in vpt.return_rules:
+        ret_by_src.setdefault(r.src, []).append(r)
+    pop_to: dict[tuple[str, str], set[str]] = {}
+    for (q, x) in wit:
+        for r in ret_by_src.get(x, ()):
+            pop_to.setdefault((q, r.pop), set()).add(r.dst)
+    return WellMatched(
+        witnesses=wit,
+        pop_to={k: frozenset(v) for k, v in pop_to.items()},
+        can_finish=frozenset(q for q in vpt.states
+                             if any((q, f) in wit for f in vpt.final)))
+
+
 def well_matched_summary(vpt: Vpt) -> frozenset[tuple[str, str]]:
-    return frozenset(well_matched_witnesses(vpt))
+    return frozenset(well_matched(vpt).witnesses)
 
 
-def _pop_targets(vpt: Vpt, wm: frozenset[tuple[str, str]]) -> dict[tuple[str, str], set[str]]:
-    """(q, gamma) -> states reachable right after gamma is eventually popped."""
-    targets: dict[tuple[str, str], set[str]] = {}
-    for (q, x) in wm:
-        for r in vpt.return_rules:
-            if r.src == x:
-                targets.setdefault((q, r.pop), set()).add(r.dst)
-    return targets
-
-
-def co_accessible(vpt: Vpt, config: Configuration,
-                  wm: Optional[frozenset[tuple[str, str]]] = None) -> bool:
+def co_accessible(vpt: Vpt, config: Configuration) -> bool:
     """Exact test: can ``config`` be continued into an accepting run?"""
-    if wm is None:
-        wm = well_matched_summary(vpt)
-    finish = {q for q in vpt.states if any((q, f) in wm for f in vpt.final)}
-    pop_to = _pop_targets(vpt, wm)
-
+    wm = well_matched(vpt)
     # Peel the stack bottom-up: after processing a prefix of the tuple, live
     # holds the states that can finish with exactly that prefix below them,
     # its last symbol on top (popped first from there).
-    live = finish
+    live = wm.can_finish
     for gamma in config.stack:
         live = {q for q in vpt.states
-                if any(p in live for p in pop_to.get((q, gamma), ()))}
+                if any(p in live for p in wm.pop_to.get((q, gamma), ()))}
         if not live:
             return False
     return config.state in live
@@ -424,27 +466,20 @@ def co_accessible(vpt: Vpt, config: Configuration,
 
 def accessible_configs(vpt: Vpt, max_height: int) -> set[Configuration]:
     """Configurations reachable while never exceeding ``max_height``."""
+    idx = rule_index(vpt)
     seen: set[Configuration] = set()
     frontier = [Configuration(q, ()) for q in sorted(vpt.initial)]
     seen.update(frontier)
     while frontier:
         cfg = frontier.pop()
-        succs: list[Configuration] = []
-        for r in vpt.internal_rules:
-            if r.src == cfg.state:
-                succs.append(Configuration(r.dst, cfg.stack))
-        if len(cfg.stack) < max_height:
-            for r in vpt.call_rules:
-                if r.src == cfg.state:
-                    succs.append(Configuration(r.dst, cfg.stack + (r.push,)))
-        if cfg.stack:
-            for r in vpt.return_rules:
-                if r.src == cfg.state and r.pop == cfg.stack[-1]:
-                    succs.append(Configuration(r.dst, cfg.stack[:-1]))
-        for s in succs:
-            if s not in seen:
-                seen.add(s)
-                frontier.append(s)
+        for symbol in idx.symbols:
+            kind = idx.kind[symbol]
+            if kind is SymbolKind.CALL and len(cfg.stack) >= max_height:
+                continue
+            for nxt, _ in moves(idx, cfg, symbol, kind):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
     return seen
 
 
@@ -477,9 +512,8 @@ def reduce_with_map(vpt: Vpt) -> tuple[Vpt, dict[str, str], dict[str, str]]:
     corner.  States gain the annotation of the current top so return rules can
     check the commitment.
     """
-    wm = well_matched_summary(vpt)
-    pop_to = _pop_targets(vpt, wm)
-    can_finish = {q for q in vpt.states if any((q, f) in wm for f in vpt.final)}
+    wm = well_matched(vpt)
+    pop_to, can_finish = wm.pop_to, wm.can_finish
 
     def live(q: str, t: _Top) -> bool:
         if t is None:
@@ -577,7 +611,7 @@ def reduce_with_map(vpt: Vpt) -> tuple[Vpt, dict[str, str], dict[str, str]]:
                           if (q, None) in states),
         final=frozenset(state_name[(q, None)] for q in vpt.final
                         if (q, None) in states),
-        stack_alphabet=frozenset(sym_name.values()) or frozenset(),
+        stack_alphabet=frozenset(sym_name.values()),
         call_rules=frozenset(new_calls),
         return_rules=frozenset(new_returns),
         internal_rules=frozenset(new_internals),
@@ -600,7 +634,7 @@ def _sym_key(s: tuple[str, str, _Top]):
 
 def _forward_trim(vpt: Vpt) -> Vpt:
     """Drop states (and their rules) that no input can ever reach."""
-    wm = well_matched_summary(vpt)
+    wm = well_matched(vpt).witnesses
     reachable: set[str] = set(vpt.initial)
     changed = True
     while changed:
@@ -650,33 +684,24 @@ def fst_of(vpt: Vpt, k: int, max_states: Optional[int] = None) -> FstMachine:
     """
     if k < 0:
         raise ValueError("height bound must be >= 0")
+    idx = rule_index(vpt)
     rules: set[FstRule] = set()
     seen: set[Configuration] = {Configuration(q, ()) for q in sorted(vpt.initial)}
     frontier = sorted(seen)
     while frontier:
         cfg = frontier.pop()
-        steps: list[tuple[str, Word, Configuration]] = []
-        for r in sorted(vpt.internal_rules):
-            if r.src == cfg.state:
-                steps.append((r.symbol, r.out, Configuration(r.dst, cfg.stack)))
-        if len(cfg.stack) < k:
-            for r in sorted(vpt.call_rules):
-                if r.src == cfg.state:
-                    steps.append((r.symbol, r.out,
-                                  Configuration(r.dst, cfg.stack + (r.push,))))
-        if cfg.stack:
-            for r in sorted(vpt.return_rules):
-                if r.src == cfg.state and r.pop == cfg.stack[-1]:
-                    steps.append((r.symbol, r.out,
-                                  Configuration(r.dst, cfg.stack[:-1])))
-        for symbol, out, nxt in steps:
-            rules.add(FstRule(_cfg_name(cfg), symbol, out, _cfg_name(nxt)))
-            if nxt not in seen:
-                seen.add(nxt)
-                if max_states is not None and len(seen) > max_states:
-                    raise StateExplosion(
-                        f"height-{k} flattening exceeded {max_states} configurations")
-                frontier.append(nxt)
+        for symbol in idx.symbols:
+            kind = idx.kind[symbol]
+            if kind is SymbolKind.CALL and len(cfg.stack) >= k:
+                continue
+            for nxt, out in moves(idx, cfg, symbol, kind):
+                rules.add(FstRule(_cfg_name(cfg), symbol, out, _cfg_name(nxt)))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    if max_states is not None and len(seen) > max_states:
+                        raise StateExplosion(
+                            f"height-{k} flattening exceeded {max_states} configurations")
+                    frontier.append(nxt)
     return FstMachine(
         alphabet=frozenset(vpt.alphabet.symbols),
         states=frozenset(_cfg_name(c) for c in seen),

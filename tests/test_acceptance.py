@@ -24,16 +24,19 @@ from vptstream import (
     lcp,
     machines,
     memory_snapshot,
-    naive_outputs,
     reach,
     reduce,
     run_stream,
     start,
     step,
     verify_vpt_twinning_witness,
-    well_matched_summary,
 )
-from vptstream.vpt_core import accessible_configs, live_prefixes
+from vptstream.vpt_core import (
+    accessible_configs,
+    initial_dconfigs,
+    live_prefixes,
+    update_dconfigs,
+)
 
 from helpers import (
     assert_dag_invariants,
@@ -261,11 +264,19 @@ def test_criterion_11_reduction():
         for _ in range(100):
             m = random_nondet_vpt(rng)
             r = reduce(m)
+            # runs[i] is r's run set on the current prefix's first i symbols;
+            # live_prefixes walks depth-first, so each prefix extends the
+            # run set of its parent instead of replaying from the start
+            runs = [initial_dconfigs(r)]
             for prefix, dconfigs in live_prefixes(m, 8):
+                n = len(prefix)
+                if n:
+                    runs[n:] = [update_dconfigs(runs[n - 1], prefix[-1], r)]
                 want = frozenset(dc.residual for dc in dconfigs
                                  if not dc.stack and dc.state in m.final)
-                assert naive_outputs(r, prefix) == want, prefix
+                got = frozenset(dc.residual for dc in runs[n]
+                                if not dc.stack and dc.state in r.final)
+                assert got == want, prefix
             if r.states:
-                wm = well_matched_summary(r)
                 for cfg in accessible_configs(r, 4):
-                    assert co_accessible(r, cfg, wm), cfg
+                    assert co_accessible(r, cfg), cfg

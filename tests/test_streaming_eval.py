@@ -93,6 +93,17 @@ def test_decode_recovers_all_runs():
             assert got == want, (name, prefix)
 
 
+def test_decode_deep_dag(fig4):
+    # 1500 pending calls make the DAG deeper than the default recursion
+    # limit; without factorization every residual stays on the edges, so
+    # decoding must give back the naive run set exactly
+    word = ("c",) * 1500
+    st = start(fig4, factorize=False)
+    for sym in word:
+        step(st, sym)
+    assert decode(st.dag) == run_dconfigs(fig4, word)
+
+
 def test_factorize_toggle_changes_nothing_observable(fig3_full):
     for word in (["c", "r"], ["c", "c", "r", "r"], ["c", "r", "c", "r", "c"]):
         fast, plain = start(fig3_full), start(fig3_full, factorize=False)

@@ -161,17 +161,15 @@ def test_bundled_machines_reduced_status():
     # repairs.
     for name in machines.names():
         m = machines.load(name)
-        wm = well_matched_summary(m)
         stuck = [c for c in accessible_configs(m, 3)
-                 if not co_accessible(m, c, wm)]
+                 if not co_accessible(m, c)]
         if name == "fig2_t1":
             assert not stuck
         else:
             assert stuck, name
         r = reduce(m)
-        wm_r = well_matched_summary(r)
         for cfg in accessible_configs(r, 3):
-            assert co_accessible(r, cfg, wm_r), (name, cfg)
+            assert co_accessible(r, cfg), (name, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +216,8 @@ def test_reduce_differential_on_random_machines():
                              if not dc.stack and dc.state in m.final)
             assert naive_outputs(r, prefix) == want, prefix
         if r.states:
-            wm = well_matched_summary(r)
             for cfg in accessible_configs(r, 3):
-                assert co_accessible(r, cfg, wm), cfg
+                assert co_accessible(r, cfg), cfg
 
 
 # ---------------------------------------------------------------------------
