@@ -134,6 +134,8 @@ class _Emitter:
         self.any = False
 
     def emit(self, fragment: Word) -> None:
+        if not fragment:
+            return
         for token in fragment:
             self.out.write((" " if self.any else "") + token)
             self.any = True

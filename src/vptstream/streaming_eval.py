@@ -5,15 +5,22 @@ nodes are (state, stack symbol, depth) triples: a root-to-leaf branch spells
 one d-configuration, with the run's pending output residual spread along the
 branch's edge labels.  Stack contents are shared between runs, so each level
 holds at most |Q|·|Γ| nodes.  After every symbol the DAG is factorized
-bottom-up: each node hoists the longest common prefix of its outgoing labels
-onto its incoming edges, and whatever reaches the root is the longest output
-prefix common to every candidate — which is exactly what can be emitted
-without betting on the future.
+bottom-up: each node whose out-edges changed hoists the longest common prefix
+of its outgoing labels onto its incoming edges, and whatever reaches the root
+is the longest output prefix common to every candidate — which is exactly
+what can be emitted without betting on the future.
+
+A step costs the width of the levels it touches plus the label work, not the
+stack height: ``EvalDag`` indexes its nodes by depth, factorization visits
+only the depths that hold changed nodes, and a hoist that would climb a
+chain of single-child nodes with empty labels jumps to the chain's top
+through union-find style links.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -63,6 +70,10 @@ class EvalDag:
     def __init__(self):
         self.edges: dict[Node, dict[Node, Word]] = {ROOT: {}}
         self.parents: dict[Node, set[Node]] = {}
+        # the live (parented) nodes of every non-empty level
+        self.at_depth: dict[int, set[Node]] = {}
+        # node -> an ancestor up its chain (see ``chain_top``)
+        self.chain: dict[Node, Node] = {}
         self.depth = 0
         # nodes whose out-edge set changed since the last factorization;
         # only these can have picked up a non-trivial label lcp
@@ -75,7 +86,7 @@ class EvalDag:
         return bool(self.edges[ROOT])
 
     def level(self, depth: int) -> list[Node]:
-        return sorted((n for n in self.parents if n.depth == depth), key=_node_key)
+        return sorted(self.at_depth.get(depth, ()), key=_node_key)
 
     def leaves(self) -> list[Node]:
         return self.level(self.depth)
@@ -92,14 +103,26 @@ class EvalDag:
             return
         slot[dst] = label
         self.edges.setdefault(dst, {})
-        self.parents.setdefault(dst, set()).add(src)
+        ps = self.parents.get(dst)
+        if ps is None:
+            self.parents[dst] = {src}
+            self.at_depth.setdefault(dst.depth, set()).add(dst)
+        else:
+            ps.add(src)
         self.dirty.add(src)
 
     def _drop_node(self, node: Node) -> None:
-        for p in self.parents.pop(node, ()):
-            self.edges[p].pop(node, None)
-            self.dirty.add(p)
+        ps = self.parents.pop(node, None)
+        if ps is not None:
+            level = self.at_depth[node.depth]
+            level.discard(node)
+            if not level:
+                del self.at_depth[node.depth]
+            for p in ps:
+                self.edges[p].pop(node, None)
+                self.dirty.add(p)
         self.edges.pop(node, None)
+        self.chain.pop(node, None)
         self.dirty.discard(node)
 
     def cascade_remove(self, seeds: list[Node]) -> None:
@@ -118,8 +141,38 @@ class EvalDag:
                     pending.append(p)
 
     def remove_level(self, depth: int) -> None:
-        for node in [n for n in self.parents if n.depth == depth]:
+        for node in list(self.at_depth.get(depth, ())):
             self._drop_node(node)
+
+    def chain_top(self, node: Node) -> Node:
+        """The highest node a hoist from ``node`` climbs unchanged.
+
+        A link X -> P is recorded when X has the single parent P, P is not
+        ROOT, X is P's only child and the label P -> X is ε: an lcp hoisted
+        from X would then pass through P as a whole.  Links hold while X
+        lives, because a node gains children only in the step that removes
+        all its earlier children and gains parents only in the step that
+        creates it; hoists land on the chain's top, so the labels inside
+        stay ε.  The ε test matters when P has just lost a sibling and still
+        carries a label, which must be emitted before X's.  Paths are
+        compressed as in union-find.
+        """
+        path = []
+        while True:
+            up = self.chain.get(node)
+            if up is None:
+                ps = self.parents[node]
+                if len(ps) != 1:
+                    break
+                (up,) = ps
+                if up is ROOT or len(self.edges[up]) != 1 or self.edges[up][node]:
+                    break
+                self.chain[node] = up
+            path.append(node)
+            node = up
+        for n in path[:-1]:
+            self.chain[n] = node
+        return node
 
     # -- traversal ---------------------------------------------------------
 
@@ -278,8 +331,12 @@ def factorize_and_emit(dag: EvalDag) -> Word:
 
     Each call leaves every live node with a trivial lcp over its out-edge
     labels, so the next call only needs to revisit nodes whose out-edges
-    changed since (``dag.dirty``).  Edges run strictly level d -> d+1, hence
-    one sweep in decreasing depth order settles all hoisting cascades.
+    changed since (``dag.dirty``).  Edges run strictly level d -> d+1, so
+    visiting the depths that hold such nodes deepest first, through a
+    max-heap that also takes the depths of parents a hoist reaches, settles
+    all hoisting cascades.  A hoist lands on the in-edges of
+    ``dag.chain_top(node)``, the labels it would otherwise have passed
+    through level by level being ε.
     """
     if not dag.alive:
         dag.dirty.clear()
@@ -289,9 +346,11 @@ def factorize_and_emit(dag: EvalDag) -> Word:
         if node is not ROOT and node in dag.parents:
             by_depth.setdefault(node.depth, []).append(node)
     dag.dirty.clear()
-    for d in range(max(by_depth, default=-1), -1, -1):
-        for node in by_depth.get(d, ()):
-            out_edges = dag.edges.get(node)
+    heap = [-d for d in by_depth]
+    heapq.heapify(heap)
+    while heap:
+        for node in by_depth.pop(-heapq.heappop(heap)):
+            out_edges = dag.edges[node]
             if not out_edges:
                 continue
             common = lcp(list(out_edges.values()))
@@ -300,10 +359,17 @@ def factorize_and_emit(dag: EvalDag) -> Word:
             k = len(common)
             for child in out_edges:
                 out_edges[child] = out_edges[child][k:]
-            for p in dag.parents[node]:
-                dag.edges[p][node] = dag.edges[p][node] + common
-                if p is not ROOT and p.depth == d - 1:
-                    by_depth.setdefault(d - 1, []).append(p)
+            top = dag.chain_top(node)
+            for p in dag.parents[top]:
+                dag.edges[p][top] += common
+                if p is ROOT:
+                    continue
+                level = by_depth.get(p.depth)
+                if level is None:
+                    by_depth[p.depth] = [p]
+                    heapq.heappush(heap, -p.depth)
+                else:
+                    level.append(p)
     root_edges = dag.edges[ROOT]
     emitted = lcp(list(root_edges.values()))
     if emitted:

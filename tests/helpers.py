@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import random
 
-from vptstream.delay_algebra import delta
+from vptstream.delay_algebra import delta, lcp
+from vptstream.streaming_eval import ROOT, Status
 from vptstream.vpt_core import (
     CallRule,
     FstMachine,
@@ -178,7 +179,11 @@ def fst_twinning_violated(m: FstMachine, max_len: int = 10) -> bool:
 
 def assert_dag_invariants(state) -> None:
     """Structural bounds on the run DAG: one level per pending call plus the
-    bottom, and per-level width at most |states| * |stack symbols|."""
+    bottom, and per-level width at most |states| * |stack symbols|.  Also the
+    evaluator's bookkeeping: the depth index matches a scan of the nodes,
+    chain links join live nodes and start where a link may (single parent,
+    only child, ε label), and after factorization every node's out-labels
+    have an empty lcp."""
     dag = state.dag
     if not dag.alive:
         return
@@ -187,3 +192,16 @@ def assert_dag_invariants(state) -> None:
     for d in range(dag.depth + 1):
         width = len(dag.level(d))
         assert 0 < width <= bound, (d, width, bound)
+    scan: dict[int, set] = {}
+    for node in dag.parents:
+        scan.setdefault(node.depth, set()).add(node)
+    assert dag.at_depth == scan, (sorted(dag.at_depth), sorted(scan))
+    for node, top in dag.chain.items():
+        assert node in dag.parents and top in dag.parents, (node, top)
+        (parent,) = dag.parents[node]
+        assert parent is not ROOT and parent.depth >= top.depth, (node, top)
+        assert dag.edges[parent] == {node: ()}, (node, dag.edges[parent])
+    if state.factorize and state.status is Status.RUNNING:
+        for node in [ROOT, *dag.parents]:
+            labels = list(dag.edges[node].values())
+            assert not labels or not lcp(labels), (node, labels)

@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from vptstream import machines, parse_vpt, serialize_vpt
-from vptstream.cli import main
+from vptstream.cli import _Emitter, main
 
 runner = CliRunner()
 
@@ -77,6 +77,24 @@ def test_eval_partial_output_before_reject():
     res = invoke(["eval", "builtin:fig3_plain"], stdin="c c r rp c\n")
     assert res.exit_code == 1
     assert res.output.startswith("b b c c")
+
+
+def test_emitter_flushes_only_tokens():
+    class Counted(io.StringIO):
+        flushes = 0
+
+        def flush(self):
+            self.flushes += 1
+
+    out = Counted()
+    emitter = _Emitter(out)
+    emitter.emit(())
+    assert (out.getvalue(), out.flushes) == ("", 0)
+    emitter.emit(("a",))
+    assert (out.getvalue(), out.flushes) == ("a", 1)
+    emitter.emit(())
+    emitter.emit(("b", "c"))
+    assert (out.getvalue(), out.flushes) == ("a b c", 2)
 
 
 def test_eval_telemetry_header(tmp_path):

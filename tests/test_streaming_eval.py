@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from vptstream import (
@@ -8,15 +11,17 @@ from vptstream import (
     lcp,
     machines,
     memory_snapshot,
+    naive_eval,
     parse_vpt,
     reach,
     run_stream,
     start,
     step,
 )
+from vptstream.streaming_eval import Status
 from vptstream.vpt_core import live_prefixes, run_dconfigs
 
-from helpers import assert_dag_invariants
+from helpers import assert_dag_invariants, random_nondet_vpt
 
 
 def test_emission_waits_for_the_deciding_return(fig2_t1):
@@ -102,6 +107,123 @@ def test_decode_deep_dag(fig4):
     for sym in word:
         step(st, sym)
     assert decode(st.dag) == run_dconfigs(fig4, word)
+
+
+def test_chain_hoist_keeps_a_dead_siblings_label_first():
+    # the second c kills the q2 branch, leaving s0 -> q1 a single-child
+    # chain whose label x is still pending when q1 hoists z: x must come
+    # out before z
+    m = parse_vpt("""
+calls: c
+returns: r
+states: s0 q1 q2 f
+initial: s0
+final: f
+stack: g
+trans s0 c x push g q1
+trans s0 c y push g q2
+trans q1 c z push g q1
+trans q1 r - pop g f
+trans q2 r - pop g f
+trans f r - pop g f
+""")
+    st = start(m)
+    assert step(st, "c") == ()
+    assert step(st, "c") == ("x", "z")
+    assert_dag_invariants(st)
+
+
+def _call_heavy_run(m, rng: random.Random, length: int) -> list[str]:
+    """The input word of one random run of ``m``, taking calls in bursts of
+    up to 15 whenever a call rule applies."""
+    state, stack, word, burst = rng.choice(sorted(m.initial)), (), [], 0
+    while len(word) < length:
+        if not burst and rng.random() < 0.3:
+            burst = rng.randint(3, 15)
+        moves = [(r.symbol, r.dst, stack + (r.push,))
+                 for r in sorted(m.call_rules) if r.src == state]
+        if not (burst and moves):
+            moves += [(r.symbol, r.dst, stack[:-1])
+                      for r in sorted(m.return_rules)
+                      if r.src == state and stack[-1:] == (r.pop,)]
+            moves += [(r.symbol, r.dst, stack)
+                      for r in sorted(m.internal_rules) if r.src == state]
+        if not moves:
+            break
+        symbol, state, stack = rng.choice(moves)
+        word.append(symbol)
+        burst = max(burst - 1, 0)
+    return word
+
+
+def test_factorized_dag_decodes_like_the_plain_one():
+    # after every symbol, the emitted prefix plus each residual left on the
+    # factorized DAG is a run of the unfactorized DAG, and vice versa;
+    # decoding lists every root-to-leaf path, so it is skipped where the
+    # product of the level widths (a bound on the path count) is large
+    rng = random.Random(7)
+    compared = 0
+    for _ in range(200):
+        m = random_nondet_vpt(rng)
+        fast, plain = start(m), start(m, factorize=False)
+        emitted: tuple[str, ...] = ()
+        for sym in _call_heavy_run(m, rng, 40):
+            try:
+                emitted += step(fast, sym)
+            except EvalDiagnostic:
+                with pytest.raises(EvalDiagnostic):
+                    step(plain, sym)
+                break
+            step(plain, sym)
+            assert fast.status is plain.status is Status.RUNNING
+            assert_dag_invariants(fast)
+            dag = fast.dag
+            if math.prod(len(dag.level(d)) for d in range(dag.depth + 1)) > 2048:
+                continue
+            got = {(dc.state, dc.stack, emitted + dc.residual)
+                   for dc in decode(dag)}
+            want = {(dc.state, dc.stack, dc.residual) for dc in decode(plain.dag)}
+            assert got == want, (m, sym)
+            compared += 1
+    assert compared > 3000  # the corpus is not degenerate
+
+
+def test_deep_fig4_emission_profile(fig4):
+    # height 1500: nothing while the calls pile up, everything decided by
+    # the first return, then one letter per return
+    n = 1500
+    st = start(fig4)
+    profile = [len(step(st, sym)) for sym in ["c"] * n + ["r"] * n]
+    assert profile == [0] * n + [n + 1] + [1] * (n - 1)
+    assert finish(st) == ()
+
+
+def test_deep_fig3_plain_right(fig3_plain):
+    n = 1500
+    word = ["c"] * n + ["r"] * (n - 1) + ["rp"]
+    st = start(fig3_plain)
+    assert sum((step(st, sym) for sym in word[:-1]), ()) == ()
+    assert step(st, "rp") == ("b",) * n + ("c",) * n
+    assert finish(st) == ()
+
+
+def test_deep_fig2_t1_seeded_returns(fig2_t1):
+    # the i-th return from the top names the i-th push from the top (r1:
+    # g1 and a, r2: g2 and b); naive_eval lists 2^n runs, so it checks this
+    # closed form at small n and the evaluator is held to it at n = 1500
+    rng = random.Random(1500)
+
+    def word_and_output(n):
+        rets = ["r1"] + [rng.choice(["r1", "r2"]) for _ in range(n - 1)]
+        out = tuple("a" if r == "r1" else "b" for r in reversed(rets))
+        return ["c"] * n + rets, out
+
+    for n in range(1, 9):
+        word, out = word_and_output(n)
+        assert naive_eval(fig2_t1, word) == out, word
+        assert run_stream(start(fig2_t1), word) == out, word
+    word, out = word_and_output(1500)
+    assert run_stream(start(fig2_t1), word) == out
 
 
 def test_factorize_toggle_changes_nothing_observable(fig3_full):
