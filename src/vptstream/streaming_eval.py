@@ -15,6 +15,14 @@ stack height: ``EvalDag`` indexes its nodes by depth, factorization visits
 only the depths that hold changed nodes, and a hoist that would climb a
 chain of single-child nodes with empty labels jumps to the chain's top
 through union-find style links.
+
+``memory_snapshot`` reports the DAG's size and pending output, exact after
+every step.  ``out_neq`` is the longest pending residual over the candidate
+runs, the longest label sum on a root-to-leaf path: with factorization the
+part of a run's output beyond what was already emitted, without it the whole
+residual.  ``EvalDag`` keeps the edge and label counts, and per node the
+longest label sum above it, up to date as the DAG changes, so a snapshot
+costs the width of the leaf level, not the size of the DAG.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .delay_algebra import Word, lcp
 from .nested_words import ScanState, SymbolKind, UnknownSymbol, classify
@@ -41,20 +49,12 @@ class EvalDiagnostic(Exception):
     """Structural evidence that the machine is not reduced functional."""
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
+    # a tuple, so that the dict and set operations on nodes, a few dozen
+    # per step, hash in C
     state: str
     symbol: Optional[str]  # stack symbol at this level; None is bottom
     depth: int
-
-    def __post_init__(self):
-        # nodes are hashed constantly (visited sets, edge dicts); the
-        # dataclass hash would rebuild the field tuple on every call
-        object.__setattr__(self, "_hash",
-                           hash((self.state, self.symbol, self.depth)))
-
-    def __hash__(self):
-        return self._hash
 
 
 ROOT = Node("#", None, -1)
@@ -78,6 +78,12 @@ class EvalDag:
         # nodes whose out-edge set changed since the last factorization;
         # only these can have picked up a non-trivial label lcp
         self.dirty: set[Node] = set()
+        # running totals over every edge, kept exact by each edit below
+        self.edge_count = 0
+        self.label_tokens = 0
+        # node -> letters emitted plus the longest label sum from ROOT to the
+        # node (see ``reach_of``)
+        self.reach: dict[Node, int] = {ROOT: 0}
 
     # -- structure ---------------------------------------------------------
 
@@ -102,13 +108,21 @@ class EvalDag:
                     "the machine is not reduced functional")
             return
         slot[dst] = label
+        self.edge_count += 1
+        self.label_tokens += len(label)
+        # dst gets all its in-edges in the step that creates it, from
+        # parents that outlive it: the max over them stays its longest path
+        reach = self.reach_of(src) + len(label)
         self.edges.setdefault(dst, {})
         ps = self.parents.get(dst)
         if ps is None:
             self.parents[dst] = {src}
             self.at_depth.setdefault(dst.depth, set()).add(dst)
+            self.reach[dst] = reach
         else:
             ps.add(src)
+            if reach > self.reach[dst]:
+                self.reach[dst] = reach
         self.dirty.add(src)
 
     def _drop_node(self, node: Node) -> None:
@@ -119,9 +133,21 @@ class EvalDag:
             if not level:
                 del self.at_depth[node.depth]
             for p in ps:
-                self.edges[p].pop(node, None)
+                label = self.edges[p].pop(node, None)
+                if label is not None:
+                    self.edge_count -= 1
+                    self.label_tokens -= len(label)
                 self.dirty.add(p)
-        self.edges.pop(node, None)
+        out = self.edges.pop(node, None)
+        if out:
+            # the updates drop a level only after the level below it, so a
+            # dropped node is childless; should it not be, its children lose
+            # this parent and the counters its out-edges
+            self.edge_count -= len(out)
+            for child, label in out.items():
+                self.label_tokens -= len(label)
+                self.parents[child].discard(node)
+        self.reach.pop(node, None)
         self.chain.pop(node, None)
         self.dirty.discard(node)
 
@@ -174,31 +200,26 @@ class EvalDag:
             self.chain[n] = node
         return node
 
+    def reach_of(self, node: Node) -> int:
+        """Letters emitted plus the longest label sum from ROOT to ``node``.
+
+        A hoist keeps every root-to-leaf sum, so it only raises the reach of
+        the nodes from its chain top down to where it started, all linked
+        but the top: the top's entry takes the change.  A linked node shares
+        the reach of the node it links to, the label between them being ε,
+        so the first node up the links holds the exact value.  Emission
+        moves letters from the root labels into ROOT's entry.
+        """
+        up = self.chain.get(node)
+        while up is not None:
+            node = up
+            up = self.chain.get(node)
+        return self.reach[node]
+
     # -- traversal ---------------------------------------------------------
 
     def sorted_children(self, node: Node) -> list[Node]:
         return sorted(self.edges.get(node, ()), key=_node_key)
-
-    def postorder(self) -> list[Node]:
-        """Every reachable node after all its children; ROOT last.
-
-        Children come in edge insertion order, which the updates keep
-        deterministic; callers needing sorted output sort themselves.
-        """
-        out: list[Node] = []
-        visited = {ROOT}
-        stack: list[tuple[Node, Iterator[Node]]] = [(ROOT, iter(self.edges[ROOT]))]
-        while stack:
-            node, it = stack[-1]
-            for child in it:
-                if child not in visited:
-                    visited.add(child)
-                    stack.append((child, iter(self.edges.get(child, ()))))
-                    break
-            else:
-                stack.pop()
-                out.append(node)
-        return out
 
 
 class Status(enum.Enum):
@@ -360,7 +381,10 @@ def factorize_and_emit(dag: EvalDag) -> Word:
             for child in out_edges:
                 out_edges[child] = out_edges[child][k:]
             top = dag.chain_top(node)
-            for p in dag.parents[top]:
+            top_parents = dag.parents[top]
+            dag.label_tokens += k * (len(top_parents) - len(out_edges))
+            dag.reach[top] += k
+            for p in top_parents:
                 dag.edges[p][top] += common
                 if p is ROOT:
                     continue
@@ -376,6 +400,8 @@ def factorize_and_emit(dag: EvalDag) -> Word:
         k = len(emitted)
         for child in root_edges:
             root_edges[child] = root_edges[child][k:]
+        dag.label_tokens -= k * len(root_edges)
+        dag.reach[ROOT] += k
     return emitted
 
 
@@ -463,29 +489,22 @@ def decode(dag: EvalDag) -> set[DConfiguration]:
 
 
 def memory_snapshot(state: EvalState) -> MemoryReport:
+    """The telemetry record after the last step, exact on every call.
+
+    It reads the DAG's running counters and the reach of each leaf, so it
+    costs the width of the leaf level, not the size of the DAG.
+    """
     dag = state.dag
-    node_count = len(dag.parents)
-    edge_count = sum(len(slot) for slot in dag.edges.values())
-    label_tokens = sum(len(label) for slot in dag.edges.values()
-                       for label in slot.values())
-    # longest root-to-leaf label mass: relax edges in topological order
-    dist: dict[Node, int] = {ROOT: 0}
-    out_neq = 0
-    for node in reversed(dag.postorder()):
-        d = dist.get(node, 0)
-        children = dag.edges.get(node, {})
-        if not children and node is not ROOT:
-            out_neq = max(out_neq, d)
-        for child, label in children.items():
-            dist[child] = max(dist.get(child, 0), d + len(label))
+    emitted = dag.reach[ROOT]
+    leaves = dag.at_depth.get(dag.depth, ())
     return MemoryReport(
         position=state.scan.position,
         symbol=state.last_symbol,
         hc=state.scan.hc,
-        node_count=node_count,
-        edge_count=edge_count,
-        label_tokens_total=label_tokens,
-        out_neq=out_neq,
+        node_count=len(dag.parents),
+        edge_count=dag.edge_count,
+        label_tokens_total=dag.label_tokens,
+        out_neq=max(map(dag.reach_of, leaves), default=emitted) - emitted,
         emitted_total=state.emitted_len,
     )
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 from vptstream.delay_algebra import delta, lcp
-from vptstream.streaming_eval import ROOT, Status
+from vptstream.streaming_eval import ROOT, MemoryReport, Status, memory_snapshot
 from vptstream.vpt_core import (
     CallRule,
     FstMachine,
@@ -177,14 +177,59 @@ def fst_twinning_violated(m: FstMachine, max_len: int = 10) -> bool:
     return found[0]
 
 
+def snapshot_by_walk(state) -> MemoryReport:
+    """The telemetry record computed from scratch: counts and label sums
+    over every edge, and ``out_neq`` as the longest root-to-leaf label sum,
+    relaxed over the nodes reachable from ROOT in topological order."""
+    dag = state.dag
+    order: list = []  # reachable nodes, each after all its children
+    visited = {ROOT}
+    stack = [(ROOT, iter(dag.edges[ROOT]))]
+    while stack:
+        node, it = stack[-1]
+        for child in it:
+            if child not in visited:
+                visited.add(child)
+                stack.append((child, iter(dag.edges.get(child, ()))))
+                break
+        else:
+            stack.pop()
+            order.append(node)
+    dist = {ROOT: 0}
+    out_neq = 0
+    for node in reversed(order):
+        d = dist.get(node, 0)
+        children = dag.edges.get(node, {})
+        if not children and node is not ROOT:
+            out_neq = max(out_neq, d)
+        for child, label in children.items():
+            dist[child] = max(dist.get(child, 0), d + len(label))
+    return MemoryReport(
+        position=state.scan.position,
+        symbol=state.last_symbol,
+        hc=state.scan.hc,
+        node_count=len(dag.parents),
+        edge_count=sum(len(slot) for slot in dag.edges.values()),
+        label_tokens_total=sum(len(label) for slot in dag.edges.values()
+                               for label in slot.values()),
+        out_neq=out_neq,
+        emitted_total=state.emitted_len,
+    )
+
+
 def assert_dag_invariants(state) -> None:
     """Structural bounds on the run DAG: one level per pending call plus the
     bottom, and per-level width at most |states| * |stack symbols|.  Also the
-    evaluator's bookkeeping: the depth index matches a scan of the nodes,
-    chain links join live nodes and start where a link may (single parent,
-    only child, ε label), and after factorization every node's out-labels
-    have an empty lcp."""
+    evaluator's bookkeeping: ``memory_snapshot`` equals the walk above, every
+    recorded parent is ROOT or a live node, the depth index matches a scan
+    of the nodes, chain links join live nodes and start where a link may
+    (single parent, only child, ε label), and after factorization every
+    node's out-labels have an empty lcp."""
     dag = state.dag
+    assert memory_snapshot(state) == snapshot_by_walk(state), \
+        (memory_snapshot(state), snapshot_by_walk(state))
+    for node, ps in dag.parents.items():
+        assert all(p is ROOT or p in dag.parents for p in ps), (node, ps)
     if not dag.alive:
         return
     bound = len(state.machine.states) * max(len(state.machine.stack_alphabet), 1)

@@ -125,9 +125,7 @@ def test_eval_chars_mode(tmp_path):
     assert res.output == "a a c c\n"
 
 
-def test_eval_xml_mode(tmp_path):
-    p = tmp_path / "copy.vpt"
-    p.write_text("""
+XML_COPY = """
 calls: item
 returns: /item
 internals: x
@@ -138,10 +136,35 @@ stack: g
 trans s0 item [ push g s1
 trans s1 x x int s1
 trans s1 /item ] pop g s0
-""")
+"""
+
+
+def test_eval_xml_mode(tmp_path):
+    p = tmp_path / "copy.vpt"
+    p.write_text(XML_COPY)
     res = invoke(["eval", str(p), "--xml"], stdin="<item>xx</item>")
     assert res.exit_code == 0
     assert res.output == "[ x x ]\n"
+
+
+def test_eval_xml_deep_document_with_telemetry(tmp_path):
+    # the copy machine above, with inner items pushing h so that only the
+    # outermost close returns to s0; 1200 nested items, text in each
+    n = 1200
+    p = tmp_path / "nested.vpt"
+    p.write_text(XML_COPY.replace("stack: g\n", "stack: g h\n")
+                 + "trans s1 item [ push h s1\ntrans s1 /item ] pop h s1\n")
+    telem = tmp_path / "t.csv"
+    res = invoke(["eval", str(p), "--xml", "--telemetry", str(telem)],
+                 stdin="<item>x" * n + "</item>" * n + "\n")
+    assert res.exit_code == 0, res.output
+    assert res.output == " ".join(["[", "x"] * n + ["]"] * n) + "\n"
+    rows = list(csv.DictReader(io.StringIO(telem.read_text())))
+    assert len(rows) == 3 * n
+    assert max(int(row["hc"]) for row in rows) == n
+    assert int(rows[-1]["emitted"]) == 3 * n
+    # one run, so every letter leaves at once and nothing is pending
+    assert {row["out_neq"] for row in rows} == {"0"}
 
 
 def test_eval_chars_and_xml_conflict():

@@ -19,9 +19,14 @@ from vptstream import (
     step,
 )
 from vptstream.streaming_eval import Status
-from vptstream.vpt_core import live_prefixes, run_dconfigs
+from vptstream.vpt_core import live_prefixes, reduce, run_dconfigs
 
-from helpers import assert_dag_invariants, random_nondet_vpt
+from helpers import (
+    assert_dag_invariants,
+    random_det_vpt,
+    random_nondet_vpt,
+    snapshot_by_walk,
+)
 
 
 def test_emission_waits_for_the_deciding_return(fig2_t1):
@@ -186,6 +191,57 @@ def test_factorized_dag_decodes_like_the_plain_one():
             assert got == want, (m, sym)
             compared += 1
     assert compared > 3000  # the corpus is not degenerate
+
+
+def test_snapshot_counters_match_the_walk():
+    # the running counters and leaf reaches against a walk over the whole
+    # DAG, after every step: random machines as generated and reduced, on
+    # call-heavy runs, with and without factorization
+    rng = random.Random(11)
+    compared = 0
+    for i in range(200):
+        m = (random_det_vpt if i % 2 else random_nondet_vpt)(rng)
+        for machine in (m, reduce(m)):
+            if not machine.initial:
+                continue
+            word = _call_heavy_run(machine, rng, 40)
+            for factorize in (True, False):
+                st = start(machine, factorize=factorize)
+                for sym in word:
+                    try:
+                        step(st, sym)
+                    except EvalDiagnostic:
+                        break
+                    assert memory_snapshot(st) == snapshot_by_walk(st), \
+                        (machine, word, factorize, st.scan.position)
+                    compared += 1
+                    if st.status is not Status.RUNNING:
+                        break
+    assert compared > 15000  # the corpus is not degenerate
+
+
+def test_snapshot_on_deep_fig2_t1(fig2_t1):
+    # after k calls both pushes stay open at every level: out_neq = k;
+    # the returns decide the pushes from the top, but the bottom letter,
+    # which comes first, only on the last one, so out_neq stays n until
+    # everything is emitted
+    n = 1500
+    rng = random.Random(n)
+    word = ["c"] * n + ["r1"] + [rng.choice(["r1", "r2"]) for _ in range(n - 1)]
+    st = start(fig2_t1)
+    for i, sym in enumerate(word, 1):
+        step(st, sym)
+        snap = memory_snapshot(st)
+        if i <= n:
+            assert (snap.hc, snap.node_count, snap.edge_count,
+                    snap.label_tokens_total, snap.out_neq) == \
+                (i, 2 * i + 1, 4 * i - 1, 4 * i - 2, i), snap
+        else:
+            assert snap.hc == 2 * n - i
+            assert snap.out_neq == (n if i < 2 * n else 0), (i, snap)
+        if i % 100 == 0 or i == 2 * n:
+            assert snap == snapshot_by_walk(st), i
+    assert st.emitted_len == n
 
 
 def test_deep_fig4_emission_profile(fig4):
