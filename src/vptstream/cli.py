@@ -8,7 +8,6 @@ Exit codes, everywhere: 0 accept/clean, 1 reject/violation, 2 usage/parse.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import re
 import sys
 from typing import Iterable, Iterator, Optional, TextIO
@@ -48,6 +47,13 @@ TELEMETRY_COLUMNS = ("pos", "symbol", "hc", "nodes", "edges",
                      "label_tokens", "out_neq", "emitted")
 
 _FUNCTIONAL_PROBE_LEN = 8
+
+
+def _telemetry_row(state: EvalState) -> tuple:
+    """The memory snapshot after the last step, in TELEMETRY_COLUMNS order."""
+    r = memory_snapshot(state)
+    return (r.position, r.symbol, r.hc, r.node_count, r.edge_count,
+            r.label_tokens_total, r.out_neq, r.emitted_total)
 
 
 def _load(path: str) -> Vpt:
@@ -202,7 +208,7 @@ def eval_cmd(path: str, no_factorize: bool, telemetry_path: Optional[str],
                 reject(position, symbol)
             emitter.emit(fragment)
             if writer:
-                writer.writerow(dataclasses.astuple(memory_snapshot(state)))
+                writer.writerow(_telemetry_row(state))
             if state.reject_position is not None:
                 reject(state.reject_position, symbol)
         tail = finish(state)
@@ -384,7 +390,7 @@ def bench(path: str, family: str, n_max: int) -> None:
             click.echo(f"reject at position {position} (symbol {symbol!r})",
                        err=True)
             sys.exit(1)
-        writer.writerow(dataclasses.astuple(memory_snapshot(state)))
+        writer.writerow(_telemetry_row(state))
         if state.reject_position is not None:
             click.echo(f"reject at position {state.reject_position} "
                        f"(symbol {symbol!r})", err=True)

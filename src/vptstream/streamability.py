@@ -44,6 +44,7 @@ from .vpt_core import (
     moves,
     reduce_with_map,
     rule_index,
+    run_dconfigs,
     step_runs,
     trim_fst,
     well_matched,
@@ -138,203 +139,96 @@ _NODE_BUDGET = 400_000
 # ---------------------------------------------------------------------------
 # Exact twinning for finite-state transducers
 
-def _delay_len(d: DelayPair) -> int:
-    return max(len(d.left), len(d.right))
-
-
 def check_fst_twinning(fst: FstMachine,
                        node_budget: Optional[int] = None) -> Verdict:
     """Exact decision: two runs looping on a common input keep a fixed delay.
 
-    Depth-first product reachability over (state, state, delay) triples.  Two
-    tripwires fire mid-search: a state pair recurring on the current path with
-    a different delay is itself a violating loop, and a delay longer than
-    3·|Q|²·M forces such a recurrence somewhere on its own discovery path.
-    Divergent machines are caught by one of these before the (potentially
-    huge) set of bounded delays is enumerated; if neither fires, the reachable
-    node graph is exhausted and searched for a same-pair delay change, which
-    settles the remaining cases.
+    One depth-first forest over (state, state, delay) nodes, rooted at the
+    pairs of initial states; a root starts a tree only if no earlier tree
+    reached it.  Every edge, to a new node or a seen one, is checked against
+    the current path: if it reaches a state pair that is on the path with
+    another delay, the path from that pair plus the edge is a loop that
+    changes the delay, and the search returns Violated.  If that never
+    fires, every reachable node has been expanded and twinning holds:
+
+    - No pair repeats on a path (a repeat with the same delay is a seen
+      node, with another it fires), so paths hold at most |Q|² nodes, their
+      delays stay short, and the explored graph is finite.
+    - In the free group the delay of (u, v) is u⁻¹·v, so appending outputs
+      (o1, o2) maps a delay d to o1⁻¹·d·o2: each step, and so each word,
+      changes delays injectively.
+    - Take the first node n the search enters in a strongly connected part
+      of the pair graph.  Nothing n reaches in that part has been seen, so
+      n stays on the path while all of it is found, and every edge back to
+      n's pair is checked against n's delay.  Walking back to n's pair is
+      injective, so the nodes found from n carry one delay per pair, and
+      every loop in the part keeps every such delay.
+    - A later entry into the part reaches none of those nodes, unless it is
+      one of them: a loop through them would take its pair from its own
+      delay to the one found from n, while the same loop keeps the latter,
+      and an injective map cannot send two delays to one.  So it starts a
+      part of unseen nodes, and the same argument holds for it.
     """
     m = trim_fst(fst)
     if not m.initial or not m.rules:
         return Verdict(Outcome.HOLDS, diagnostics="no two runs exist")
-    max_out = max((len(r.out) for r in m.rules), default=0)
-    cap = 3 * len(m.states) ** 2 * max(max_out, 1)
-
     by_symbol: dict[tuple[str, str], list[FstRule]] = {}
     for r in sorted(m.rules):
         by_symbol.setdefault((r.src, r.symbol), []).append(r)
     symbols = sorted({r.symbol for r in m.rules})
 
-    start_delay = DelayPair((), ())
-    NodeT = tuple[str, str, DelayPair]
-    preds: dict[NodeT, Optional[tuple[NodeT, str, Word, Word]]] = {}
-    succs: dict[NodeT, list[NodeT]] = {}
-    roots = []
-    for i1 in sorted(m.initial):
-        for i2 in sorted(m.initial):
-            node = (i1, i2, start_delay)
-            if node not in preds:
-                preds[node] = None
-                roots.append(node)
-
-    def path_to(node: NodeT) -> list[tuple[NodeT, str, Word, Word]]:
-        """Discovery path as (node, symbol-into-node, out1, out2); first entry
-        has no incoming step."""
-        chain = []
-        cur: Optional[NodeT] = node
-        while cur is not None:
-            entry = preds[cur]
-            if entry is None:
-                chain.append((cur, "", (), ()))
-                cur = None
-            else:
-                prev, sym, o1, o2 = entry
-                chain.append((cur, sym, o1, o2))
-                cur = prev
-        chain.reverse()
-        return chain
-
-    def witness_from_paths(p1: list, p2: list) -> Verdict:
-        # p1: path from a start node to the loop anchor; p2: anchor-to-anchor
-        u1 = tuple(sym for (_, sym, _, _) in p1[1:])
-        u2 = tuple(sym for (_, sym, _, _) in p2[1:])
-        v1 = sum((o1 for (_, _, o1, _) in p1[1:]), ())
-        w1 = sum((o2 for (_, _, _, o2) in p1[1:]), ())
-        v2 = sum((o1 for (_, _, o1, _) in p2[1:]), ())
-        w2 = sum((o2 for (_, _, _, o2) in p2[1:]), ())
-
-        def rules_along(path, pick_out):
-            rules = []
-            for (prev, _, _, _), (cur, sym, o1, o2) in zip(path, path[1:]):
-                out = pick_out(o1, o2)
-                src = prev[0] if pick_out is _first else prev[1]
-                dst = cur[0] if pick_out is _first else cur[1]
-                rules.append(FstRule(src, sym, out, dst))
-            return tuple(rules)
-
-        run1 = rules_along(p1, _first) + rules_along(p2, _first)
-        run2 = rules_along(p1, _second) + rules_along(p2, _second)
-        witness = FstTwinWitness(
-            u1=u1, u2=u2, run1_rules=run1, run2_rules=run2,
-            v1=v1, v2=v2, w1=w1, w2=w2,
-            delay_before=delta(v1, w1), delay_after=delta(v1 + v2, w1 + w2))
-        verify_fst_twinning_witness(m, witness)
-        return Verdict(Outcome.VIOLATED, witness=witness)
-
-    def expansions(node: NodeT):
+    def expansions(node: tuple[str, str, DelayPair]):
         q1, q2, d = node
         for symbol in symbols:
             for r1 in by_symbol.get((q1, symbol), ()):
                 for r2 in by_symbol.get((q2, symbol), ()):
-                    yield (r1.dst, r2.dst, delta_extend(d, r1.out, r2.out)), \
-                        symbol, r1.out, r2.out
+                    yield (r1.dst, r2.dst, delta_extend(d, r1.out, r2.out)), r1, r2
 
-    def divergence_on_stack(stack, child) -> Optional[Verdict]:
-        """Scan the current root-to-child path for a state pair occurring with
-        two delays; the enclosed segment is a violating loop."""
-        path = [(node, sym, o1, o2) for (node, _, sym, o1, o2) in stack]
-        path.append(child)
-        seen_pairs: dict[tuple[str, str], int] = {}
-        for idx, (n, _, _, _) in enumerate(path):
-            pair = (n[0], n[1])
-            if pair in seen_pairs:
-                j = seen_pairs[pair]
-                if path[j][0][2] != n[2]:
-                    return witness_from_paths(path[: j + 1], path[j: idx + 1])
-            else:
-                seen_pairs[pair] = idx
-        return None
-
-    # Depth-first so the divergence check sees whole root-to-node paths, with
-    # a path-local index of pairs to make the per-step test cheap.
-    for root in roots:
-        stack = [(root, expansions(root), "", (), ())]
-        on_path: dict[tuple[str, str], list[DelayPair]] = {}
-        on_path.setdefault((root[0], root[1]), []).append(root[2])
-        while stack:
-            node, it = stack[-1][0], stack[-1][1]
-            pushed = False
-            for nxt, symbol, o1, o2 in it:
-                child = (nxt, symbol, o1, o2)
-                if _delay_len(nxt[2]) > cap:
-                    # Its own discovery path must revisit a pair with two
-                    # delays: more than 3|Q|² strictly growing steps.
-                    found = divergence_on_stack(stack, child)
-                    assert found is not None, "cap hit on a repeat-free path"
-                    return found
-                succs.setdefault(node, []).append(nxt)
-                pair = (nxt[0], nxt[1])
-                if any(earlier != nxt[2] for earlier in on_path.get(pair, ())):
-                    found = divergence_on_stack(stack, child)
-                    assert found is not None, "path index out of sync"
-                    return found
-                if nxt not in preds:
-                    preds[nxt] = (node, symbol, o1, o2)
-                    if node_budget is not None and len(preds) > node_budget:
-                        raise StateExplosion(
-                            f"product delay graph exceeded {node_budget} nodes")
-                    stack.append((nxt, expansions(nxt), symbol, o1, o2))
-                    on_path.setdefault(pair, []).append(nxt[2])
-                    pushed = True
-                    break
-            if not pushed:
-                stack.pop()
-                on_path[(node[0], node[1])].pop()
-
-    # Finite fixpoint: look for a loop between two delays of one state pair.
-    by_pair: dict[tuple[str, str], list[NodeT]] = {}
-    for node in preds:
-        by_pair.setdefault((node[0], node[1]), []).append(node)
-    for pair in sorted(by_pair):
-        group = by_pair[pair]
-        if len(group) < 2:
-            continue
-        targets = set(group)
-        for anchor in sorted(group, key=lambda n: (n[2].left, n[2].right)):
-            loop_pred: dict[NodeT, tuple[NodeT, str, Word, Word]] = {}
-            stack = [anchor]
-            hit = None
-            while stack and hit is None:
-                cur = stack.pop()
-                for sym_nxt in succs.get(cur, ()):
-                    if sym_nxt in loop_pred or sym_nxt == anchor:
-                        continue
-                    loop_pred[sym_nxt] = _step_between(m, by_symbol, cur, sym_nxt)
-                    if sym_nxt in targets:
-                        hit = sym_nxt
+    seen: set[tuple[str, str, DelayPair]] = set()
+    for i1 in sorted(m.initial):
+        for i2 in sorted(m.initial):
+            root = (i1, i2, DelayPair((), ()))
+            if root in seen:
+                continue
+            seen.add(root)
+            # path entries: (node, its expansions, rule pair leading to it)
+            path = [(root, expansions(root), None)]
+            at = {(i1, i2): 0}  # state pair on the path -> its index
+            while path:
+                node, it, _ = path[-1]
+                for nxt, r1, r2 in it:
+                    j = at.get(nxt[:2])
+                    if j is not None and path[j][0][2] != nxt[2]:
+                        steps = [step for _, _, step in path[1:]] + [(r1, r2)]
+                        return _fst_violation(m, steps, j)
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        if node_budget is not None and len(seen) > node_budget:
+                            raise StateExplosion(
+                                f"product delay graph exceeded {node_budget} nodes")
+                        at[nxt[:2]] = len(path)
+                        path.append((nxt, expansions(nxt), (r1, r2)))
                         break
-                    stack.append(sym_nxt)
-            if hit is not None:
-                p2 = []
-                cur = hit
-                while cur != anchor:
-                    prev, sym, o1, o2 = loop_pred[cur]
-                    p2.append((cur, sym, o1, o2))
-                    cur = prev
-                p2.append((anchor, "", (), ()))
-                p2.reverse()
-                return witness_from_paths(path_to(anchor), p2)
+                else:
+                    path.pop()
+                    del at[node[:2]]
     return Verdict(Outcome.HOLDS)
 
 
-def _first(a, b):
-    return a
-
-
-def _second(a, b):
-    return b
-
-
-def _step_between(m: FstMachine, by_symbol, src: tuple, dst: tuple):
-    """One concrete (symbol, out1, out2) step realizing the product edge."""
-    for symbol in sorted({r.symbol for r in m.rules}):
-        for r1 in by_symbol.get((src[0], symbol), ()):
-            for r2 in by_symbol.get((src[1], symbol), ()):
-                if (r1.dst, r2.dst) == (dst[0], dst[1]) \
-                        and delta_extend(src[2], r1.out, r2.out) == dst[2]:
-                    return (src, symbol, r1.out, r2.out)
-    raise AssertionError("recorded product edge has no realizing step")
+def _fst_violation(m: FstMachine, steps: list[tuple[FstRule, FstRule]],
+                   k: int) -> Verdict:
+    """The two runs take ``steps`` and loop back after the first ``k``."""
+    run1 = tuple(r1 for r1, _ in steps)
+    run2 = tuple(r2 for _, r2 in steps)
+    word = tuple(r.symbol for r in run1)
+    v1, v2, w1, w2 = (sum((r.out for r in rules), ())
+                      for rules in (run1[:k], run1[k:], run2[:k], run2[k:]))
+    witness = FstTwinWitness(
+        u1=word[:k], u2=word[k:], run1_rules=run1, run2_rules=run2,
+        v1=v1, v2=v2, w1=w1, w2=w2,
+        delay_before=delta(v1, w1), delay_after=delta(v1 + v2, w1 + w2))
+    verify_fst_twinning_witness(m, witness)
+    return Verdict(Outcome.VIOLATED, witness=witness)
 
 
 def verify_fst_twinning_witness(fst: FstMachine, w: FstTwinWitness) -> None:
@@ -478,21 +372,12 @@ def check_bm(vpt: Vpt, config_budget: int = 200_000) -> Verdict:
 
 def _verify_pump(vpt: Vpt, w: Unbounded) -> None:
     """The pump witness must keep runs alive while the pending height grows."""
-    configs = {Configuration(q, ()) for q in vpt.initial}
-    word = w.prefix + w.cycle + w.cycle
-    ends = step_runs_many(vpt, configs, word)
-    assert ends, "pump witness replay died"
-    grow = step_runs_many(vpt, configs, w.prefix + w.cycle)
-    base = step_runs_many(vpt, configs, w.prefix)
-    assert max(len(c.stack) for c, _ in grow) > max(len(c.stack) for c, _ in base), \
+    def heights(word: InputWord) -> list[int]:
+        return [len(dc.stack) for dc in run_dconfigs(vpt, word)]
+
+    assert heights(w.prefix + w.cycle + w.cycle), "pump witness replay died"
+    assert max(heights(w.prefix + w.cycle)) > max(heights(w.prefix)), \
         "pump witness does not ascend"
-
-
-def step_runs_many(vpt: Vpt, configs, word):
-    out = set()
-    for c in configs:
-        out |= step_runs(vpt, c, word)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +427,10 @@ def _joint_pairs(vpt: Vpt) -> set[tuple[str, str]]:
                         pairs.add((na, nb))
                         frontier.append((na, nb))
     return pairs
+
+
+def _delay_len(d: DelayPair) -> int:
+    return max(len(d.left), len(d.right))
 
 
 def _resolve_cap(bounds: SearchBounds, vpt: Vpt) -> int:

@@ -150,14 +150,12 @@ class FstMachine:
     rules: frozenset[FstRule]
 
 
-@dataclass(frozen=True, order=True)
-class Configuration:
+class Configuration(NamedTuple):
     state: str
     stack: tuple[str, ...] = ()  # bottom ⊥ is the empty tuple
 
 
-@dataclass(frozen=True, order=True)
-class DConfiguration:
+class DConfiguration(NamedTuple):
     state: str
     stack: tuple[str, ...]
     residual: Word
@@ -445,10 +443,6 @@ def well_matched(vpt: Vpt) -> WellMatched:
                              if any((q, f) in wit for f in vpt.final)))
 
 
-def well_matched_summary(vpt: Vpt) -> frozenset[tuple[str, str]]:
-    return frozenset(well_matched(vpt).witnesses)
-
-
 def co_accessible(vpt: Vpt, config: Configuration) -> bool:
     """Exact test: can ``config`` be continued into an accepting run?"""
     wm = well_matched(vpt)
@@ -462,25 +456,6 @@ def co_accessible(vpt: Vpt, config: Configuration) -> bool:
         if not live:
             return False
     return config.state in live
-
-
-def accessible_configs(vpt: Vpt, max_height: int) -> set[Configuration]:
-    """Configurations reachable while never exceeding ``max_height``."""
-    idx = rule_index(vpt)
-    seen: set[Configuration] = set()
-    frontier = [Configuration(q, ()) for q in sorted(vpt.initial)]
-    seen.update(frontier)
-    while frontier:
-        cfg = frontier.pop()
-        for symbol in idx.symbols:
-            kind = idx.kind[symbol]
-            if kind is SymbolKind.CALL and len(cfg.stack) >= max_height:
-                continue
-            for nxt, _ in moves(idx, cfg, symbol, kind):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-    return seen
 
 
 # Annotations used by reduce(): a state carries the (stack symbol, obligation)

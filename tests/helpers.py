@@ -15,12 +15,16 @@ from vptstream.delay_algebra import delta, lcp
 from vptstream.streaming_eval import ROOT, MemoryReport, Status, memory_snapshot
 from vptstream.vpt_core import (
     CallRule,
+    Configuration,
     FstMachine,
     FstRule,
     InternalRule,
     ReturnRule,
     StructuredAlphabet,
+    SymbolKind,
     Vpt,
+    moves,
+    rule_index,
     trim_fst,
 )
 
@@ -175,6 +179,25 @@ def fst_twinning_violated(m: FstMachine, max_len: int = 10) -> bool:
     states = sorted(m.states)
     seg_dfs(0, {(a, b, a, b, (), ()) for a in states for b in states})
     return found[0]
+
+
+def accessible_configs(vpt: Vpt, max_height: int) -> set[Configuration]:
+    """Configurations reachable while never exceeding ``max_height``."""
+    idx = rule_index(vpt)
+    seen: set[Configuration] = set()
+    frontier = [Configuration(q, ()) for q in sorted(vpt.initial)]
+    seen.update(frontier)
+    while frontier:
+        cfg = frontier.pop()
+        for symbol in idx.symbols:
+            kind = idx.kind[symbol]
+            if kind is SymbolKind.CALL and len(cfg.stack) >= max_height:
+                continue
+            for nxt, _ in moves(idx, cfg, symbol, kind):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    return seen
 
 
 def snapshot_by_walk(state) -> MemoryReport:

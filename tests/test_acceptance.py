@@ -32,13 +32,13 @@ from vptstream import (
     verify_vpt_twinning_witness,
 )
 from vptstream.vpt_core import (
-    accessible_configs,
     initial_dconfigs,
     live_prefixes,
     update_dconfigs,
 )
 
 from helpers import (
+    accessible_configs,
     assert_dag_invariants,
     fst_twinning_violated,
     random_det_vpt,

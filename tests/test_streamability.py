@@ -90,6 +90,19 @@ def test_twinning_violated_by_pacing_loop():
     assert check_fst_twinning(m).outcome is Outcome.VIOLATED
 
 
+def test_twinning_violated_only_from_second_entry():
+    # (q, q) is entered first with delay ε, where the a-loop is silent, and
+    # only then with delay (ε, b), where it diverges: a search that marked
+    # state pairs instead of (pair, delay) nodes would miss the violation
+    m = fst([FstRule("i", "s", ("b",), "q"),
+             FstRule("i", "s", (), "q"),
+             FstRule("q", "a", ("a",), "q")], ["i"], ["q"])
+    v = check_fst_twinning(m)
+    assert v.outcome is Outcome.VIOLATED
+    assert (v.witness.u1, v.witness.u2) == (("s",), ("a",))
+    verify_fst_twinning_witness(m, v.witness)
+
+
 def test_twinning_tolerates_equal_output_fork():
     m = fst([FstRule("q0", "s", ("x",), "q1"),
              FstRule("q0", "s", ("x",), "q2"),

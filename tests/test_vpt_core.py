@@ -20,11 +20,10 @@ from vptstream import (
     serialize_vpt,
     step_runs,
     trim_fst,
-    well_matched_summary,
 )
-from vptstream.vpt_core import accessible_configs, live_prefixes
+from vptstream.vpt_core import live_prefixes, well_matched
 
-from helpers import random_nondet_vpt
+from helpers import accessible_configs, random_nondet_vpt
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +125,7 @@ def test_step_runs_branches(fig3_plain):
 # Reachability summaries
 
 def test_well_matched_summary(fig3_plain):
-    wm = well_matched_summary(fig3_plain)
+    wm = well_matched(fig3_plain).witnesses
     assert ("i", "i") in wm                      # empty word
     assert ("i", "p2") in wm                     # c r
     assert ("i", "q3") in wm                     # c c r rp
