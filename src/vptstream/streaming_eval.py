@@ -10,11 +10,16 @@ of its outgoing labels onto its incoming edges, and whatever reaches the root
 is the longest output prefix common to every candidate — which is exactly
 what can be emitted without betting on the future.
 
-A step costs the width of the levels it touches plus the label work, not the
-stack height: ``EvalDag`` indexes its nodes by depth, factorization visits
-only the depths that hold changed nodes, and a hoist that would climb a
-chain of single-child nodes with empty labels jumps to the chain's top
-through union-find style links.
+A step costs the width of the levels it touches plus the letters it moves,
+not the stack height and not the output held: ``EvalDag`` indexes its nodes
+by depth, factorization visits only the depths that hold changed nodes, and
+a hoist that would climb a chain of single-child nodes with empty labels
+jumps to the chain's top through union-find style links.  Each edge label is
+a list that belongs to that edge alone, so a hoist appends to the labels at
+the chain's top in place, a strip deletes a prefix in place, an only child's
+label moves up whole, and a fold extends the list of the edge it replaces.
+The fragments ``step`` and ``finish`` return and the residuals ``decode``
+lists are tuples.
 
 ``memory_snapshot`` reports the DAG's size and pending output, exact after
 every step.  ``out_neq`` is the longest pending residual over the candidate
@@ -68,7 +73,9 @@ class EvalDag:
     """Mutable layered DAG; ``depth`` tracks the current leaf level."""
 
     def __init__(self):
-        self.edges: dict[Node, dict[Node, Word]] = {ROOT: {}}
+        # every label is a list that belongs to its edge alone, so hoists,
+        # strips and folds edit it in place
+        self.edges: dict[Node, dict[Node, list[str]]] = {ROOT: {}}
         self.parents: dict[Node, set[Node]] = {}
         # the live (parented) nodes of every non-empty level
         self.at_depth: dict[int, set[Node]] = {}
@@ -97,7 +104,8 @@ class EvalDag:
     def leaves(self) -> list[Node]:
         return self.level(self.depth)
 
-    def add_edge(self, src: Node, dst: Node, label: Word) -> None:
+    def add_edge(self, src: Node, dst: Node, label: list[str]) -> None:
+        """Add src -> dst with ``label``, which the edge takes over."""
         slot = self.edges.setdefault(src, {})
         if dst in slot:
             if slot[dst] != label:
@@ -258,7 +266,7 @@ def start(vpt: Vpt, factorize: bool = True) -> EvalState:
         raise NoInitialStates("machine has no initial state")
     dag = EvalDag()
     for q0 in sorted(vpt.initial):
-        dag.add_edge(ROOT, Node(q0, None, 0), ())
+        dag.add_edge(ROOT, Node(q0, None, 0), [])
     return EvalState(dag=dag, scan=ScanState(), emitted_len=0,
                      status=Status.RUNNING, machine=vpt, factorize=factorize)
 
@@ -278,7 +286,7 @@ def update_call(dag: EvalDag, symbol: str, vpt: Vpt) -> EvalDag:
             orphans.append(leaf)
             continue
         for r in rules:
-            new_edges.append((leaf, Node(r.dst, r.push, depth + 1), r.out))
+            new_edges.append((leaf, Node(r.dst, r.push, depth + 1), [*r.out]))
     dag.cascade_remove(orphans)
     for src, dst, label in new_edges:
         if src in dag.parents:
@@ -297,6 +305,7 @@ def update_return(dag: EvalDag, symbol: str, vpt: Vpt) -> EvalDag:
     # leaf folds its parent edge, its rule output, and every grandparent edge
     # into one new edge landing beside the grandparent.
     new_edges = []
+    last_use = {}
     orphans = []
     for leaf in dag.leaves():
         rules = by_trigger.get((symbol, leaf.state, leaf.symbol or ""))
@@ -309,13 +318,13 @@ def update_return(dag: EvalDag, symbol: str, vpt: Vpt) -> EvalDag:
                 v1 = dag.edges[gp][parent]
                 for r in rules:
                     new_edges.append((gp, Node(r.dst, parent.symbol, depth - 1),
-                                      v1 + v0 + r.out))
+                                      v1, v0, r.out))
+                if len(v1) > _SHORT_LABEL:
+                    last_use[id(v1)] = len(new_edges) - 1
     dag.cascade_remove(orphans)
     dag.remove_level(depth)
     dag.remove_level(depth - 1)
-    for src, dst, label in new_edges:
-        if src is ROOT or src in dag.parents:
-            dag.add_edge(src, dst, label)
+    _add_folded(dag, new_edges, last_use)
     dag.depth = depth - 1
     return dag
 
@@ -325,6 +334,7 @@ def update_internal(dag: EvalDag, symbol: str, vpt: Vpt) -> EvalDag:
     by_trigger = rule_index(vpt).internals
 
     new_edges = []
+    last_use = {}
     orphans = []
     for leaf in dag.leaves():
         rules = by_trigger.get((symbol, leaf.state))
@@ -335,13 +345,39 @@ def update_internal(dag: EvalDag, symbol: str, vpt: Vpt) -> EvalDag:
             v0 = dag.edges[parent][leaf]
             for r in rules:
                 new_edges.append((parent, Node(r.dst, leaf.symbol, depth),
-                                  v0 + r.out))
+                                  v0, (), r.out))
+            if len(v0) > _SHORT_LABEL:
+                last_use[id(v0)] = len(new_edges) - 1
     dag.cascade_remove(orphans)
     dag.remove_level(depth)
-    for src, dst, label in new_edges:
-        if src is ROOT or src in dag.parents:
-            dag.add_edge(src, dst, label)
+    _add_folded(dag, new_edges, last_use)
     return dag
+
+
+# A fold copies a dying label of up to this many letters: cheaper than
+# tracking the label to its last use, which only a long one repays
+_SHORT_LABEL = 32
+
+
+def _add_folded(dag: EvalDag, new_edges: list, last_use: dict) -> None:
+    """Add each ``(src, dst, head, mid, out)`` as src -> dst labelled
+    head + mid + out, for the sources still alive.
+
+    ``head`` is the label of an edge the update has removed, and every edge
+    that folds it leaves the same source.  ``last_use`` maps each long head
+    (by ``id``) to the index of its last fold, which takes the list over and
+    extends it, so a fold costs the letters it appends, not those it keeps;
+    the other folds copy it first.  The old edges are off the counters by
+    now, so a reused list is counted once, as the new edge's label.
+    """
+    for i, (src, dst, head, mid, out) in enumerate(new_edges):
+        if src is ROOT or src in dag.parents:
+            if last_use and last_use.get(id(head)) == i:
+                head += mid
+                head += out
+            else:
+                head = [*head, *mid, *out]
+            dag.add_edge(src, dst, head)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +393,9 @@ def factorize_and_emit(dag: EvalDag) -> Word:
     max-heap that also takes the depths of parents a hoist reaches, settles
     all hoisting cascades.  A hoist lands on the in-edges of
     ``dag.chain_top(node)``, the labels it would otherwise have passed
-    through level by level being ε.
+    through level by level being ε.  An only child's label is the lcp
+    itself, so it moves up without a comparison and the edge keeps a fresh
+    empty list.
     """
     if not dag.alive:
         dag.dirty.clear()
@@ -374,12 +412,19 @@ def factorize_and_emit(dag: EvalDag) -> Word:
             out_edges = dag.edges[node]
             if not out_edges:
                 continue
-            common = lcp(list(out_edges.values()))
-            if not common:
-                continue
+            if len(out_edges) == 1:
+                # an only child's label moves up whole
+                (child, common), = out_edges.items()
+                if not common:
+                    continue
+                out_edges[child] = []
+            else:
+                common = lcp(list(out_edges.values()))
+                if not common:
+                    continue
+                for label in out_edges.values():
+                    del label[:len(common)]
             k = len(common)
-            for child in out_edges:
-                out_edges[child] = out_edges[child][k:]
             top = dag.chain_top(node)
             top_parents = dag.parents[top]
             dag.label_tokens += k * (len(top_parents) - len(out_edges))
@@ -398,8 +443,8 @@ def factorize_and_emit(dag: EvalDag) -> Word:
     emitted = lcp(list(root_edges.values()))
     if emitted:
         k = len(emitted)
-        for child in root_edges:
-            root_edges[child] = root_edges[child][k:]
+        for label in root_edges.values():
+            del label[:k]
         dag.label_tokens -= k * len(root_edges)
         dag.reach[ROOT] += k
     return emitted
@@ -464,7 +509,7 @@ def finish(state: EvalState) -> Optional[Word]:
             "accepting branches disagree on the remaining output; "
             "the machine is not functional")
     state.status = Status.FINISHED
-    fragment = labels[0]
+    fragment = tuple(labels[0])
     state.emitted_len += len(fragment)
     return fragment
 
@@ -484,7 +529,7 @@ def decode(dag: EvalDag) -> set[DConfiguration]:
             continue
         for child in dag.sorted_children(node):
             child_stack = stack + (child.symbol,) if child.symbol else stack
-            pending.append((child, child_stack, residual + children[child]))
+            pending.append((child, child_stack, (*residual, *children[child])))
     return result
 
 

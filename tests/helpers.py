@@ -244,11 +244,15 @@ def assert_dag_invariants(state) -> None:
     """Structural bounds on the run DAG: one level per pending call plus the
     bottom, and per-level width at most |states| * |stack symbols|.  Also the
     evaluator's bookkeeping: ``memory_snapshot`` equals the walk above, every
-    recorded parent is ROOT or a live node, the depth index matches a scan
-    of the nodes, chain links join live nodes and start where a link may
-    (single parent, only child, ε label), and after factorization every
-    node's out-labels have an empty lcp."""
+    label is a list that sits on one edge only (a list and a tuple with the
+    same letters compare unequal), every recorded parent is ROOT or a live
+    node, the depth index matches a scan of the nodes, chain links join live
+    nodes and start where a link may (single parent, only child, ε label),
+    and after factorization every node's out-labels have an empty lcp."""
     dag = state.dag
+    labels = [label for slot in dag.edges.values() for label in slot.values()]
+    assert all(type(label) is list for label in labels), labels
+    assert len({id(label) for label in labels}) == len(labels), labels
     assert memory_snapshot(state) == snapshot_by_walk(state), \
         (memory_snapshot(state), snapshot_by_walk(state))
     for node, ps in dag.parents.items():
@@ -268,7 +272,8 @@ def assert_dag_invariants(state) -> None:
         assert node in dag.parents and top in dag.parents, (node, top)
         (parent,) = dag.parents[node]
         assert parent is not ROOT and parent.depth >= top.depth, (node, top)
-        assert dag.edges[parent] == {node: ()}, (node, dag.edges[parent])
+        out = dag.edges[parent]
+        assert list(out) == [node] and out[node] == [], (node, out)
     if state.factorize and state.status is Status.RUNNING:
         for node in [ROOT, *dag.parents]:
             labels = list(dag.edges[node].values())

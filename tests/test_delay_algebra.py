@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -16,6 +17,48 @@ def test_lcp_examples():
     assert lcp([("a", "b"), ("a", "b")]) == ("a", "b")
     with pytest.raises(EmptySet):
         lcp([])
+
+
+def _lcp_by_loop(words):
+    best = tuple(words[0])
+    for word in words[1:]:
+        i = 0
+        while i < min(len(best), len(word)) and best[i] == word[i]:
+            i += 1
+        best = best[:i]
+    return best
+
+
+@st.composite
+def lcp_families(draw):
+    """1-4 lists and tuples around one base word: the base itself, a prefix
+    of it, or the base with one token changed in its later half.  Half of
+    the bases run to 10 000+ tokens."""
+    if draw(st.booleans()):
+        base = draw(st.lists(st.sampled_from("xyz"), max_size=40))
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        base = [rng.choice("xyz") for _ in range(draw(st.integers(10_000, 12_000)))]
+    words = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("equal", "prefix", "late mismatch")))
+        if kind == "equal":
+            word = list(base)
+        elif kind == "prefix" or not base:
+            word = base[:draw(st.integers(0, len(base)))]
+        else:
+            cut = draw(st.integers(len(base) // 2, len(base) - 1))
+            word = base[:cut] + ["w"] + base[cut + 1:]
+        words.append(draw(st.sampled_from((list, tuple)))(word))
+    return words
+
+
+@given(lcp_families())
+def test_lcp_matches_a_token_loop(words):
+    got = lcp(words)
+    assert type(got) is tuple
+    assert got == _lcp_by_loop(words)
+    assert lcp(iter(words)) == got
 
 
 def test_delta_examples():

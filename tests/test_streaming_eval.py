@@ -18,7 +18,7 @@ from vptstream import (
     start,
     step,
 )
-from vptstream.streaming_eval import Status
+from vptstream.streaming_eval import ROOT, Status
 from vptstream.vpt_core import live_prefixes, reduce, run_dconfigs
 
 from helpers import (
@@ -280,6 +280,67 @@ def test_deep_fig2_t1_seeded_returns(fig2_t1):
         assert run_stream(start(fig2_t1), word) == out, word
     word, out = word_and_output(1500)
     assert run_stream(start(fig2_t1), word) == out
+
+
+def _fig3_full_word(blocks, closing):
+    """Blocks c^k r^k, the last one closing on ``closing``, and the output:
+    a per c and c per r on the left branch (closing r), b and c on the
+    right one (closing rp)."""
+    word = [sym for k in blocks for sym in ["c"] * k + ["r"] * k]
+    word[-1] = closing
+    call_out = "a" if closing == "r" else "b"
+    return word, tuple(call_out if sym == "c" else "c" for sym in word)
+
+
+@pytest.mark.parametrize("closing", ["r", "rp"])
+def test_long_flat_fig3_full_holds_everything(fig3_full, closing):
+    # about 20 000 symbols at height <= 3 whose branch is decided by the
+    # last one: every label keeps growing, nothing leaves before the end
+    rng = random.Random(20_000)
+    blocks = []
+    while sum(blocks) < 10_000:
+        blocks.append(rng.choice((1, 2, 3)))
+    blocks.append(rng.choice((2, 3)))
+    word, out = _fig3_full_word(blocks, closing)
+    st = start(fig3_full)
+    for i, sym in enumerate(word[:-1], 1):
+        assert step(st, sym) == (), i
+        if i % 997 == 0:
+            assert_dag_invariants(st)  # memory_snapshot against the walk too
+    assert step(st, word[-1]) + finish(st) == out
+    assert memory_snapshot(st) == snapshot_by_walk(st)
+
+
+@pytest.mark.parametrize("closing", ["r", "rp"])
+def test_fig3_full_pumped_loop_then_the_deciding_block(fig3_full, closing):
+    word, out = _fig3_full_word([1] * 5000 + [2], closing)
+    assert run_stream(start(fig3_full), word) == out
+
+
+def test_hoist_appends_to_the_root_label_in_place(fig3_full):
+    st = start(fig3_full)
+    for sym in ["c", "r", "c", "r"]:
+        step(st, sym)
+    before = {top: (label, len(label)) for top, label in st.dag.edges[ROOT].items()}
+    assert step(st, "c") == ()  # at depth 0: each branch hoists its a or b
+    assert st.dag.edges[ROOT].keys() == before.keys()
+    for top, label in st.dag.edges[ROOT].items():
+        assert label is before[top][0]
+        assert len(label) == before[top][1] + 1
+
+
+def test_public_results_are_tuples(fig4, fig3_full):
+    st = start(fig4)
+    fragments = [step(st, sym) for sym in ["c", "c", "r", "r"]]
+    assert fragments == [(), (), ("a", "a", "c"), ("c",)]
+    assert all(type(f) is tuple for f in fragments)
+    st = start(fig3_full)
+    step(st, "c")
+    step(st, "r")
+    assert {dc.residual for dc in decode(st.dag)} == {("a", "c"), ("b", "c")}
+    assert all(type(dc.residual) is tuple for dc in decode(st.dag))
+    tail = finish(st)  # only p2 is final
+    assert type(tail) is tuple and tail == ("a", "c")
 
 
 def test_factorize_toggle_changes_nothing_observable(fig3_full):
