@@ -29,12 +29,12 @@ def lcp(words: Iterable[Sequence[str]]) -> Word:
 
     The words may be tuples or lists.  The first tokens are compared first,
     so a collection whose words part at once costs one comparison per word.
-    Otherwise each word is matched against the first token by token up to
-    its 8th token, then in slices of 8, 16, 32, ... tokens, compared in C;
-    the slice holding the first mismatch is bisected down to 8 tokens and
-    scanned.  A prefix of n shared tokens thus costs O(n) in C and O(log n)
-    Python steps per word.  The slices are the only temporaries; the result
-    is a new tuple (the first word itself when that is a whole tuple).
+    Otherwise each word is matched against the first from its second token
+    on in slices of 8, 16, 32, ... tokens, compared in C; the slice holding
+    the first mismatch is bisected down to 8 tokens and scanned.  A prefix of
+    n shared tokens thus costs O(n) in C and O(log n) Python steps per word.
+    The slices are the only temporaries; the result is a new tuple (the
+    first word itself when that is a whole tuple).
     """
     ws = words if type(words) is list else list(words)
     if len(ws) < 2:
@@ -60,12 +60,6 @@ def lcp(words: Iterable[Sequence[str]]) -> Word:
             n = len(w)
         # invariant: first[:i] == w[:i]
         i = 1
-        short = n if n < 8 else 8
-        while i < short and first[i] == w[i]:
-            i += 1
-        if i < short:
-            n = i
-            continue
         width = 8
         while i < n:
             j = i + width

@@ -319,8 +319,7 @@ def update_return(dag: EvalDag, symbol: str, vpt: Vpt) -> EvalDag:
                 for r in rules:
                     new_edges.append((gp, Node(r.dst, parent.symbol, depth - 1),
                                       v1, v0, r.out))
-                if len(v1) > _SHORT_LABEL:
-                    last_use[id(v1)] = len(new_edges) - 1
+                last_use[id(v1)] = len(new_edges) - 1
     dag.cascade_remove(orphans)
     dag.remove_level(depth)
     dag.remove_level(depth - 1)
@@ -346,17 +345,11 @@ def update_internal(dag: EvalDag, symbol: str, vpt: Vpt) -> EvalDag:
             for r in rules:
                 new_edges.append((parent, Node(r.dst, leaf.symbol, depth),
                                   v0, (), r.out))
-            if len(v0) > _SHORT_LABEL:
-                last_use[id(v0)] = len(new_edges) - 1
+            last_use[id(v0)] = len(new_edges) - 1
     dag.cascade_remove(orphans)
     dag.remove_level(depth)
     _add_folded(dag, new_edges, last_use)
     return dag
-
-
-# A fold copies a dying label of up to this many letters: cheaper than
-# tracking the label to its last use, which only a long one repays
-_SHORT_LABEL = 32
 
 
 def _add_folded(dag: EvalDag, new_edges: list, last_use: dict) -> None:
@@ -364,15 +357,15 @@ def _add_folded(dag: EvalDag, new_edges: list, last_use: dict) -> None:
     head + mid + out, for the sources still alive.
 
     ``head`` is the label of an edge the update has removed, and every edge
-    that folds it leaves the same source.  ``last_use`` maps each long head
-    (by ``id``) to the index of its last fold, which takes the list over and
+    that folds it leaves the same source.  ``last_use`` maps each head (by
+    ``id``) to the index of its last fold, which takes the list over and
     extends it, so a fold costs the letters it appends, not those it keeps;
     the other folds copy it first.  The old edges are off the counters by
     now, so a reused list is counted once, as the new edge's label.
     """
     for i, (src, dst, head, mid, out) in enumerate(new_edges):
         if src is ROOT or src in dag.parents:
-            if last_use and last_use.get(id(head)) == i:
+            if last_use[id(head)] == i:
                 head += mid
                 head += out
             else:

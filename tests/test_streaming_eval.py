@@ -19,7 +19,13 @@ from vptstream import (
     step,
 )
 from vptstream.streaming_eval import ROOT, Status
-from vptstream.vpt_core import live_prefixes, reduce, run_dconfigs
+from vptstream.vpt_core import (
+    initial_dconfigs,
+    live_prefixes,
+    reduce,
+    run_dconfigs,
+    update_dconfigs,
+)
 
 from helpers import (
     assert_dag_invariants,
@@ -191,6 +197,33 @@ def test_factorized_dag_decodes_like_the_plain_one():
             assert got == want, (m, sym)
             compared += 1
     assert compared > 3000  # the corpus is not degenerate
+
+
+def test_decode_matches_the_run_set_on_random_machines():
+    # a leaf with several rules folds the same dying label into several new
+    # edges, and only the last of them may take the list over: after every
+    # symbol the emitted prefix plus each decoded residual must be exactly
+    # the run set, on nondeterministic machines with internal symbols
+    rng = random.Random(5)
+    compared = 0
+    for _ in range(150):
+        m = random_nondet_vpt(rng)
+        st = start(m)
+        runs = initial_dconfigs(m)
+        emitted: tuple[str, ...] = ()
+        for sym in _call_heavy_run(m, rng, 24):
+            try:
+                emitted += step(st, sym)
+            except EvalDiagnostic:
+                break
+            runs = update_dconfigs(runs, sym, m)
+            if len(runs) > 256:
+                break
+            got = {(dc.state, dc.stack, emitted + dc.residual)
+                   for dc in decode(st.dag)}
+            assert got == set(runs), (m, sym)
+            compared += 1
+    assert compared > 1500  # the corpus is not degenerate
 
 
 def test_snapshot_counters_match_the_walk():
@@ -383,6 +416,29 @@ def test_partial_emission_can_precede_a_reject(fig3_plain):
     got = [step(st, s) for s in ["c", "c", "r", "rp"]]
     assert sum(got, ()) == ("b", "b", "c", "c")
     assert run_stream(st, ["c"]) is None   # no rule continues past q3
+
+
+@pytest.mark.parametrize("word", [["a"], ["c", "a"]])
+def test_internal_fold_into_two_edges_copies_before_it_reuses(word):
+    # both rules of the leaf fold the same dying label: the first new edge
+    # must copy it, or the second would inherit x and x would come out
+    m = parse_vpt("""
+calls: c
+returns: r
+internals: a
+states: s0 s1 s2
+initial: s0
+final: s1 s2
+stack: g
+trans s0 c - push g s0
+trans s0 a x int s1
+trans s0 a y int s2
+""")
+    st = start(m)
+    assert sum((step(st, sym) for sym in word), ()) == ()
+    assert {(dc.state, dc.residual) for dc in decode(st.dag)} == {
+        ("s1", ("x",)), ("s2", ("y",))}
+    assert_dag_invariants(st)
 
 
 def test_accepting_branch_disagreement_is_diagnosed():
