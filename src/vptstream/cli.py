@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import re
 import sys
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Iterable, Iterator, NoReturn, Optional, TextIO
 
 import click
 
@@ -88,6 +88,15 @@ def _join(word: Iterable[str]) -> str:
 def _cat(word: Iterable[str]) -> str:
     text = "".join(word)
     return text if text else "-"
+
+
+def _not_functional(conflict: CounterExample | NotFunctionalWitness) -> NoReturn:
+    """Print the conflict in the one wording `eval`, `check` and `enum` share,
+    and exit 1."""
+    click.echo(f"machine is not functional: input {_join(conflict.word)} has "
+               f"outputs {_join(conflict.out1)} and {_join(conflict.out2)}",
+               err=True)
+    sys.exit(1)
 
 
 @click.group()
@@ -176,11 +185,7 @@ def eval_cmd(path: str, no_factorize: bool, telemetry_path: Optional[str],
     if not unsafe:
         probe = check_functional_bounded(vpt, _FUNCTIONAL_PROBE_LEN)
         if isinstance(probe, CounterExample):
-            click.echo(
-                f"machine is not functional: input {_join(probe.word)} has "
-                f"outputs {_join(probe.out1)} and {_join(probe.out2)}",
-                err=True)
-            sys.exit(1)
+            _not_functional(probe)
 
     state = start(vpt, factorize=not no_factorize)
     emitter = _Emitter(sys.stdout)
@@ -272,8 +277,7 @@ def _report(name: str, verdict: Verdict) -> None:
         click.echo(f"  note: {verdict.diagnostics}")
     if verdict.bounds is not None:
         b = verdict.bounds
-        click.echo(f"  searched: max_height={b.max_height} "
-                   f"max_len={b.max_len} delay_cap={b.delay_cap}")
+        click.echo(f"  searched: max_height={b.max_height} max_len={b.max_len}")
     for line in _witness_lines(verdict.witness):
         click.echo(line)
 
@@ -303,9 +307,7 @@ def check(path: str, prop: str, max_height: int, max_len: int) -> None:
         else:
             verdicts = {"mtp": check_mtp(vpt, bounds)}
     except NotFunctionalWitness as exc:
-        click.echo(f"machine is not functional: input {_join(exc.word)} has "
-                   f"outputs {_join(exc.out1)} and {_join(exc.out2)}", err=True)
-        sys.exit(1)
+        _not_functional(exc)
     for name in verdicts:
         _report(name, verdicts[name])
     if any(v.outcome is Outcome.VIOLATED for v in verdicts.values()):
@@ -341,7 +343,11 @@ def enum_cmd(path: str, max_len: int) -> None:
     """List accepted words up to --max-len with their outputs, one
     `word output` pair per line (symbols concatenated, `-` for empty)."""
     vpt = _load(path)
-    for word, out in enumerate_domain(vpt, max_len):
+    try:
+        domain = enumerate_domain(vpt, max_len)
+    except NotFunctionalWitness as exc:
+        _not_functional(exc)
+    for word, out in domain:
         click.echo(f"{_cat(word)} {_cat(out)}")
 
 

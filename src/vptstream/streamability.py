@@ -10,7 +10,7 @@ u1·u2·u3·u4 whose loops u2 and u4 around a well-nested u3 change the delay
 between them; the horizontal property is its special case u3 = u4 = ε.  A
 Violated verdict carries a replayed, machine-checked witness, while
 exhausting the bounds yields NoWitnessUpTo — never Holds, since the search
-is not complete.
+is not complete — and names the height and length searched, nothing else.
 
 All searches run on the reduced machine (accessible implies co-accessible
 there, which the twinning premises need) and witnesses are projected back to
@@ -37,10 +37,10 @@ from .vpt_core import (
     NotFunctionalWitness,
     StateExplosion,
     Vpt,
+    access_words,
     check_functional_bounded,
     co_accessible,
     fst_of,
-    metrics,
     moves,
     reduce_with_map,
     rule_index,
@@ -67,11 +67,9 @@ class Outcome(enum.Enum):
 class SearchBounds:
     max_height: int = 6
     max_len: int = 24
-    delay_cap: Optional[int] = None  # None: 3·|Q|²·M of the searched machine
 
     def __post_init__(self):
-        if self.max_height < 0 or self.max_len < 0 \
-                or (self.delay_cap is not None and self.delay_cap < 0):
+        if self.max_height < 0 or self.max_len < 0:
             raise ValueError("search bounds must be non-negative")
 
 
@@ -270,29 +268,6 @@ def _ascend_edges(vpt: Vpt) -> dict[str, list[tuple[str, InputWord]]]:
     return edges
 
 
-def _access_words(vpt: Vpt) -> dict[str, InputWord]:
-    """Some input word reaching each forward-reachable state."""
-    wmw = well_matched(vpt).witnesses
-    words: dict[str, InputWord] = {q: () for q in sorted(vpt.initial)}
-    changed = True
-    while changed:
-        changed = False
-        for q in list(words):
-            for r in sorted(vpt.internal_rules):
-                if r.src == q and r.dst not in words:
-                    words[r.dst] = words[q] + (r.symbol,)
-                    changed = True
-            for r in sorted(vpt.call_rules):
-                if r.src == q and r.dst not in words:
-                    words[r.dst] = words[q] + (r.symbol,)
-                    changed = True
-            for (a, p), word in wmw.items():
-                if a == q and p not in words:
-                    words[p] = words[q] + word
-                    changed = True
-    return words
-
-
 def domain_height_bounded(vpt: Vpt):
     """Bounded(h_max) or Unbounded(pump witness); expects a reduced machine."""
     edges = _ascend_edges(vpt)
@@ -303,7 +278,7 @@ def domain_height_bounded(vpt: Vpt):
         found = _find_ascent_cycle(start, edges, color)
         if found is not None:
             state, cycle_word = found
-            access = _access_words(vpt)
+            access = access_words(vpt)
             return Unbounded(state=state, prefix=access.get(state, ()),
                              cycle=cycle_word)
 
@@ -401,45 +376,6 @@ def _wn_loop_states(vpt: Vpt) -> set[str]:
     return loops
 
 
-def _joint_pairs(vpt: Vpt) -> set[tuple[str, str]]:
-    """State pairs jointly reachable on a common input, stacks abstracted:
-    a return may pop any stack symbol, so this over-approximates."""
-    idx = rule_index(vpt)
-    pops = sorted(vpt.stack_alphabet)
-
-    def successors(q: str, symbol: str) -> list[str]:
-        kind = idx.kind[symbol]
-        if kind is SymbolKind.CALL:
-            return [r.dst for r in idx.calls.get((symbol, q), ())]
-        if kind is SymbolKind.INTERNAL:
-            return [r.dst for r in idx.internals.get((symbol, q), ())]
-        return [r.dst for g in pops for r in idx.returns.get((symbol, q, g), ())]
-
-    pairs = {(a, b) for a in vpt.initial for b in vpt.initial}
-    frontier = list(pairs)
-    while frontier:
-        (a, b) = frontier.pop()
-        for symbol in idx.symbols:
-            steps_b = successors(b, symbol)
-            for na in successors(a, symbol):
-                for nb in steps_b:
-                    if (na, nb) not in pairs:
-                        pairs.add((na, nb))
-                        frontier.append((na, nb))
-    return pairs
-
-
-def _delay_len(d: DelayPair) -> int:
-    return max(len(d.left), len(d.right))
-
-
-def _resolve_cap(bounds: SearchBounds, vpt: Vpt) -> int:
-    if bounds.delay_cap is not None:
-        return bounds.delay_cap
-    m = metrics(vpt)
-    return 3 * m.n ** 2 * max(m.M, 1)
-
-
 def _project_config(cfg: Configuration, state_map: dict[str, str],
                     sym_map: dict[str, str]) -> Configuration:
     return Configuration(state_map[cfg.state],
@@ -452,9 +388,8 @@ def check_htp(vpt: Vpt, bounds: Optional[SearchBounds] = None) -> Verdict:
 
     This is the matched search of ``check_mtp`` with u3 = u4 = ε: the loop
     closes as soon as u2 does.  It may only start on two states that each
-    admit a nonempty well-nested loop; when no jointly reachable pair of
-    such states exists, no witness of any size does and the search is
-    skipped."""
+    admit a nonempty well-nested loop; when no state admits one, no witness
+    of any size exists and the search is skipped."""
     return _twinning_search(vpt, bounds or SearchBounds(), horizontal=True)
 
 
@@ -466,33 +401,30 @@ def check_mtp(vpt: Vpt, bounds: Optional[SearchBounds] = None) -> Verdict:
 
 def _twinning_search(vpt: Vpt, bounds: SearchBounds, horizontal: bool) -> Verdict:
     reduced, state_map, sym_map = reduce_with_map(vpt)
-    cap = _resolve_cap(bounds, reduced)
-    eff = replace(bounds, delay_cap=cap)
     if not reduced.initial:
-        return Verdict(Outcome.NO_WITNESS_UP_TO, bounds=eff,
+        return Verdict(Outcome.NO_WITNESS_UP_TO, bounds=bounds,
                        diagnostics="empty domain")
     loopers = None
     if horizontal:
         loopers = _wn_loop_states(reduced)
-        if not loopers or not any(a in loopers and b in loopers
-                                  for (a, b) in _joint_pairs(reduced)):
-            return Verdict(Outcome.NO_WITNESS_UP_TO, bounds=eff, diagnostics=(
-                "no jointly reachable state pair admits a nonempty well-nested "
-                "loop, so no witness of any size exists"))
+        if not loopers:
+            return Verdict(Outcome.NO_WITNESS_UP_TO, bounds=bounds, diagnostics=(
+                "no state has a nonempty well-nested loop, so no witness of "
+                "any size exists"))
 
-    preds, final, exhaustive_to = _search(reduced, state_map, bounds, cap, loopers)
+    preds, final, exhaustive_to = _search(reduced, state_map, bounds, loopers)
     if final is not None:
         return _witness(vpt, state_map, sym_map, preds, final)
     if exhaustive_to is not None:
         return Verdict(Outcome.NO_WITNESS_UP_TO,
-                       bounds=replace(eff, max_len=exhaustive_to), diagnostics=(
+                       bounds=replace(bounds, max_len=exhaustive_to), diagnostics=(
                            "node budget exhausted; exhaustive only up to "
                            f"length {exhaustive_to}"))
-    return Verdict(Outcome.NO_WITNESS_UP_TO, bounds=eff)
+    return Verdict(Outcome.NO_WITNESS_UP_TO, bounds=bounds)
 
 
 def _search(reduced: Vpt, state_map: dict[str, str], bounds: SearchBounds,
-            cap: int, loopers: Optional[set[str]]):
+            loopers: Optional[set[str]]):
     """Breadth-first search over joint-run nodes, one layer per input length.
 
     A node is (phase, c1, c2, dA, dF, ah, floor, s1, s2): the phase says
@@ -507,6 +439,10 @@ def _search(reduced: Vpt, state_map: dict[str, str], bounds: SearchBounds,
 
     Horizontal mode (``loopers`` given) ends in phase 2, so u3 = u4 = ε,
     and enters phase 2 only on a pair of looping states.
+
+    The two bounds are the only limits: no stack grows past max_height and
+    no run reads more than max_len symbols, so no delay exceeds max_len·M
+    letters, M the longest rule output.
 
     The loop gates compare states of the caller's machine, not the reduced
     one: the reduction refines states by pop obligation, and a loop that is
@@ -568,13 +504,9 @@ def _search(reduced: Vpt, state_map: dict[str, str], bounds: SearchBounds,
                         continue
                     for (n2, o2) in moves2:
                         dF2 = delta_extend(dF, o1, o2)
-                        if _delay_len(dF2) > cap:
-                            continue
                         dA2 = dA
                         if phase == 3:
                             dA2 = delta_extend(dA, o1, o2)
-                            if _delay_len(dA2) > cap:
-                                continue
                         child = (phase, n1, n2, dA2, dF2, ah, floor, s1, s2)
                         if child in preds:
                             continue

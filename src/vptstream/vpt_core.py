@@ -13,11 +13,14 @@ it.  ``well_matched`` holds the well-matched relation (q, q' joined by a
 well-nested word) with a witness word per pair, plus the pop targets and
 finishing states derived from it; reduction, co-accessibility, the
 domain-height test and the twinning loop conditions all read it.
+``access_words`` is the one forward closure over it: forward trimming keeps
+the states it reaches, and pump witnesses start with the words it stores.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -607,33 +610,40 @@ def _sym_key(s: tuple[str, str, _Top]):
     return (s[0], s[1], s[2] is not None, s[2] or ("", ""))
 
 
+def access_words(vpt: Vpt) -> dict[str, InputWord]:
+    """One input word reaching each forward-reachable state.
+
+    A breadth-first worklist from the initial states (sorted): each state
+    tries its internal rules, then its call rules (each in sorted order),
+    then its well-matched summaries, and the first word to reach a state is
+    kept.  The keys are exactly the forward-reachable states."""
+    steps: dict[str, list[tuple[str, InputWord]]] = {}
+    for r in itertools.chain(sorted(vpt.internal_rules), sorted(vpt.call_rules)):
+        steps.setdefault(r.src, []).append((r.dst, (r.symbol,)))
+    for (q, p), word in well_matched(vpt).witnesses.items():
+        steps.setdefault(q, []).append((p, word))
+    words: dict[str, InputWord] = {q: () for q in sorted(vpt.initial)}
+    queue = deque(words)
+    while queue:
+        q = queue.popleft()
+        for p, word in steps.get(q, ()):
+            if p not in words:
+                words[p] = words[q] + word
+                queue.append(p)
+    return words
+
+
 def _forward_trim(vpt: Vpt) -> Vpt:
     """Drop states (and their rules) that no input can ever reach."""
-    wm = well_matched(vpt).witnesses
-    reachable: set[str] = set(vpt.initial)
-    changed = True
-    while changed:
-        changed = False
-        for r in vpt.internal_rules:
-            if r.src in reachable and r.dst not in reachable:
-                reachable.add(r.dst)
-                changed = True
-        for r in vpt.call_rules:
-            if r.src in reachable and r.dst not in reachable:
-                reachable.add(r.dst)
-                changed = True
-        for (q, x) in wm:
-            if q in reachable and x not in reachable:
-                reachable.add(x)
-                changed = True
+    reachable = frozenset(access_words(vpt))
     calls = frozenset(r for r in vpt.call_rules
                       if r.src in reachable and r.dst in reachable)
     live_syms = frozenset(r.push for r in calls)
     return Vpt(
         alphabet=vpt.alphabet,
-        states=frozenset(reachable),
-        initial=vpt.initial & frozenset(reachable),
-        final=vpt.final & frozenset(reachable),
+        states=reachable,
+        initial=vpt.initial & reachable,
+        final=vpt.final & reachable,
         stack_alphabet=live_syms,
         call_rules=calls,
         return_rules=frozenset(r for r in vpt.return_rules

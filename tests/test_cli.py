@@ -201,8 +201,7 @@ def test_check_all_reports_three_lines():
 def test_check_bounds_are_printed():
     res = invoke(["check", "builtin:fig4", "--property", "mtp",
                   "--max-len", "10", "--max-height", "3"])
-    assert "max_len=10" in res.output
-    assert "max_height=3" in res.output
+    assert "  searched: max_height=3 max_len=10" in res.output.splitlines()
 
 
 @pytest.mark.parametrize("args", [
@@ -251,6 +250,23 @@ def test_enum_marks_empty_output(tmp_path):
                  "trans s0 a - int s1\n")
     res = invoke(["enum", str(p), "--max-len", "2"])
     assert res.output.splitlines() == ["a -"]
+
+
+def test_enum_nonfunctional_machine_fails(tmp_path):
+    p = tmp_path / "nf.vpt"
+    p.write_text("calls: c\nreturns: r\nstates: p q\ninitial: p\n"
+                 "final: p\nstack: g\ntrans p c a push g q\n"
+                 "trans p c b push g q\ntrans q r - pop g p\n")
+    res = invoke(["enum", str(p), "--max-len", "4"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # no traceback
+    assert res.stderr.splitlines() == [
+        "machine is not functional: input c r has outputs a and b"]
+    # eval and check word the same conflict the same way
+    for args in (["eval", str(p)], ["check", str(p)]):
+        other = invoke(args, stdin="c r\n")
+        assert other.exit_code == 1
+        assert other.stderr == res.stderr
 
 
 def test_bench_streams_telemetry():

@@ -1,0 +1,80 @@
+"""Every module-level import in the package is used by its module.
+
+A name imported and never read is a leftover: it keeps a deleted feature's
+dependency alive and hides which module really needs what.  The one
+exception is a name that the traced benchmark (``perfbench/run.py``)
+patches on that module, since patching it there is the point of importing
+it.  A package's ``__all__`` counts as a use of the names it lists.
+"""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+import vptstream
+
+PACKAGE = Path(vptstream.__file__).resolve().parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
+RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """``name:line`` of every module-level import that nothing in the
+    module reads; ``from __future__`` imports are directives, not names."""
+    imported: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = alias.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = alias.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {c.value for c in ast.walk(node.value)
+                     if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    return [f"{name}:{line}" for name, line in imported.items() if name not in used]
+
+
+def _traced_names() -> dict[Path, set[str]]:
+    """Module file -> names the benchmark's tracer patches on that module."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", RUN_PY)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    traced: dict[Path, set[str]] = {}
+    for owner, attr, _span in run.eval_targets() + run.check_targets():
+        path = getattr(owner, "__file__", None)
+        if path is not None:
+            traced.setdefault(Path(path).resolve(), set()).add(attr)
+    return traced
+
+
+def test_the_scan_finds_unused_imports():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path as osp\n"
+        "import collections.abc\n"
+        "from typing import (Optional,\n"
+        "                    Iterable as It)\n"
+        "from .core import metrics, moves\n"
+        "__all__ = ['moves']\n"
+        "def f(x: Optional[int]) -> It:\n"
+        "    return collections.abc.Sized\n")
+    assert _unused_imports(tree) == ["os:2", "osp:3", "metrics:7"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert len(SOURCES) >= 7, SOURCES
+    traced = _traced_names()
+    assert "well_matched_witnesses" in traced[PACKAGE / "streamability.py"]
+    found = {}
+    for path in SOURCES:
+        unused = [entry for entry in _unused_imports(ast.parse(path.read_text()))
+                  if entry.split(":")[0] not in traced.get(path, ())]
+        if unused:
+            found[path.name] = unused
+    assert not found, found

@@ -221,6 +221,21 @@ def test_mtp_no_witness_on_fig4(fig4):
     assert v.bounds is not None
 
 
+def test_no_witness_bounds_are_the_bounds_searched(fig4):
+    # the early exit: fig4 has no state with a nonempty well-nested loop
+    bounds = SearchBounds(max_height=3, max_len=24)
+    v = check_htp(fig4, bounds)
+    assert v.outcome is Outcome.NO_WITNESS_UP_TO
+    assert v.diagnostics.startswith("no state has a nonempty well-nested loop")
+    assert v.bounds == bounds
+    # a search that runs to the length bound
+    bounds = SearchBounds(max_height=2, max_len=9)
+    v = check_mtp(fig4, bounds)
+    assert v.outcome is Outcome.NO_WITNESS_UP_TO
+    assert v.diagnostics == ""
+    assert v.bounds == bounds
+
+
 @pytest.mark.parametrize("search, machine, budget", [(check_htp, "fig3_full", 100),
                                                      (check_mtp, "fig4", 400)])
 def test_search_reports_node_budget(search, machine, budget, request, monkeypatch):
