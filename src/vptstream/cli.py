@@ -299,6 +299,8 @@ def check(path: str, prop: str, max_height: int, max_len: int) -> None:
     try:
         if prop == "all":
             report = classify_streamability(vpt, bounds)
+            click.echo("functional: no conflict up to length "
+                       f"{report.functional.max_len}")
             verdicts = {"bm": report.bm, "htp": report.hbm, "mtp": report.obm}
         elif prop == "bm":
             verdicts = {"bm": check_bm(vpt)}

@@ -10,8 +10,7 @@ decision procedure needs.  Both routes are kept and cross-tested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Word = tuple[str, ...]
 
@@ -81,21 +80,31 @@ def lcp(words: Iterable[Sequence[str]]) -> Word:
     return tuple(first) if n == len(first) else tuple(first[:n])
 
 
-@dataclass(frozen=True)
-class DelayPair:
-    """Suffix pair after removing the longest common prefix; lcp(left,right) = ε."""
-
+class _Pair(NamedTuple):
     left: Word
     right: Word
 
-    def __post_init__(self):
-        if self.left and self.right and self.left[0] == self.right[0]:
+
+class DelayPair(_Pair):
+    """Suffix pair after removing the longest common prefix; lcp(left,right) = ε.
+
+    A tuple underneath, so the twinning searches hash and compare delays in C;
+    the constructor still rejects a shared first token.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, left: Word, right: Word):
+        if left and right and left[0] == right[0]:
             raise ValueError("delay components must not share a first token")
+        return super().__new__(cls, left, right)
 
 
 def delta(u: Sequence[str], v: Sequence[str]) -> DelayPair:
     """Delay of ``u`` and ``v``: the suffixes beyond their common prefix."""
     u, v = tuple(u), tuple(v)
+    if not u or not v or u[0] != v[0]:
+        return DelayPair(u, v)
     k = len(lcp((u, v)))
     return DelayPair(u[k:], v[k:])
 

@@ -33,6 +33,7 @@ from .vpt_core import (
     CounterExample,
     FstMachine,
     FstRule,
+    FunctionalUpTo,
     InputWord,
     NotFunctionalWitness,
     StateExplosion,
@@ -126,9 +127,12 @@ class Unbounded:
 
 @dataclass(frozen=True)
 class StreamabilityReport:
+    """The three verdicts plus the functionality probe they rest on: no
+    conflict on any word up to ``functional.max_len``, nothing beyond."""
     bm: Verdict
     hbm: Verdict
     obm: Verdict
+    functional: FunctionalUpTo
 
 
 _NODE_BUDGET = 400_000
@@ -448,11 +452,33 @@ def _search(reduced: Vpt, state_map: dict[str, str], bounds: SearchBounds,
     one: the reduction refines states by pop obligation, and a loop that is
     closed upstairs may look open downstairs after refinement.
 
+    Nodes that differ only in phase, delays or loop marks share their
+    configurations, so ``succ`` steps each configuration once per search:
+    its moves within max_height, by symbol.  Both runs read it, since runs
+    on one word always have equal stack heights.  A step that appends no
+    output to either run leaves both delays as they are and skips
+    ``delta_extend``.  Children are still generated by symbol, then run 1's
+    move, then run 2's, so the search meets the same first witness.
+
     Returns (preds, closing node or None, the length up to which the search
     was exhaustive when the node budget ran out, else None).
     """
     idx = rule_index(reduced)
     max_height = bounds.max_height
+    returns = {s for s in idx.symbols if idx.kind[s] is SymbolKind.RETURN}
+
+    def successors(cfg: Configuration) -> dict[str, list[tuple[Configuration, Word]]]:
+        """Symbol -> moves of ``cfg`` within max_height, nonempty ones only,
+        in ``idx.symbols`` order."""
+        out = {}
+        for symbol in idx.symbols:
+            kept = [m for m in moves(idx, cfg, symbol, idx.kind[symbol])
+                    if len(m[0].stack) <= max_height]
+            if kept:
+                out[symbol] = kept
+        return out
+
+    succ: dict[Configuration, dict[str, list[tuple[Configuration, Word]]]] = {}
     last = 4 if loopers is None else 2
     empty = DelayPair((), ())
     preds: dict[tuple, Optional[tuple[tuple, Optional[str], Word, Word]]] = {}
@@ -491,22 +517,26 @@ def _search(reduced: Vpt, state_map: dict[str, str], bounds: SearchBounds,
                 if eps[0] == 4 and len(c1.stack) == ah and dA != dF:
                     return preds, eps, None
                 work.append(eps)
-            for symbol in idx.symbols:
-                kind = idx.kind[symbol]
-                if kind is SymbolKind.RETURN and len(c1.stack) <= floor:
+            steps1 = succ.get(c1)
+            if steps1 is None:
+                steps1 = succ[c1] = successors(c1)
+            steps2 = succ.get(c2)
+            if steps2 is None:
+                steps2 = succ[c2] = successors(c2)
+            at_floor = len(c1.stack) <= floor
+            for symbol, moves1 in steps1.items():
+                if at_floor and symbol in returns:
                     continue  # a pop here would dip below the loop
-                moves1 = moves(idx, c1, symbol, kind)
-                if not moves1:
+                moves2 = steps2.get(symbol)
+                if moves2 is None:
                     continue
-                moves2 = moves(idx, c2, symbol, kind)
                 for (n1, o1) in moves1:
-                    if len(n1.stack) > max_height:
-                        continue
                     for (n2, o2) in moves2:
-                        dF2 = delta_extend(dF, o1, o2)
-                        dA2 = dA
-                        if phase == 3:
-                            dA2 = delta_extend(dA, o1, o2)
+                        if o1 or o2:
+                            dF2 = delta_extend(dF, o1, o2)
+                            dA2 = delta_extend(dA, o1, o2) if phase == 3 else dA
+                        else:
+                            dF2, dA2 = dF, dA  # nothing appended, no delay moves
                         child = (phase, n1, n2, dA2, dF2, ah, floor, s1, s2)
                         if child in preds:
                             continue
@@ -618,4 +648,4 @@ def classify_streamability(vpt: Vpt,
                                         or obm.outcome is Outcome.VIOLATED):
         raise InconsistentVerdicts(
             "bounded memory holds but a twinning violation was found")
-    return StreamabilityReport(bm=bm, hbm=hbm, obm=obm)
+    return StreamabilityReport(bm=bm, hbm=hbm, obm=obm, functional=probe)

@@ -234,7 +234,12 @@ def moves(idx: RuleIndex, cfg: Configuration, symbol: str,
 def update_dconfigs(configs: Iterable[DConfiguration], symbol: str,
                     vpt: Vpt) -> set[DConfiguration]:
     """One naive step: every run candidate advances by every applicable rule."""
-    idx = rule_index(vpt)
+    return _advance(rule_index(vpt), configs, symbol)
+
+
+def _advance(idx: RuleIndex, configs: Iterable[DConfiguration],
+             symbol: str) -> set[DConfiguration]:
+    """``update_dconfigs`` on an index the caller looked up once."""
     kind = idx.kind.get(symbol)
     out: set[DConfiguration] = set()
     if kind is SymbolKind.CALL:
@@ -261,10 +266,11 @@ def update_dconfigs(configs: Iterable[DConfiguration], symbol: str,
 def run_dconfigs(vpt: Vpt, word: Iterable[str],
                  start: Optional[set[DConfiguration]] = None) -> set[DConfiguration]:
     configs = initial_dconfigs(vpt) if start is None else set(start)
+    idx = rule_index(vpt)
     for symbol in word:
         if not configs:
             return set()
-        configs = update_dconfigs(configs, symbol, vpt)
+        configs = _advance(idx, configs, symbol)
     return configs
 
 
@@ -298,8 +304,9 @@ def step_runs(vpt: Vpt, start: Configuration,
               word: Iterable[str]) -> frozenset[tuple[Configuration, Word]]:
     """All (end configuration, output) pairs of runs on ``word`` from ``start``."""
     configs = {DConfiguration(start.state, start.stack, ())}
+    idx = rule_index(vpt)
     for symbol in word:
-        configs = update_dconfigs(configs, symbol, vpt)
+        configs = _advance(idx, configs, symbol)
     return frozenset((Configuration(dc.state, dc.stack), dc.residual)
                      for dc in configs)
 
@@ -314,6 +321,7 @@ def live_prefixes(vpt: Vpt, max_len: int) -> Iterator[tuple[InputWord, set[DConf
     lexicographic order.  Yields (prefix, run set) including the empty prefix.
     """
     symbols = sorted(vpt.alphabet.symbols)
+    idx = rule_index(vpt)
     start = initial_dconfigs(vpt)
     if not start:
         return
@@ -327,24 +335,51 @@ def live_prefixes(vpt: Vpt, max_len: int) -> Iterator[tuple[InputWord, set[DConf
             stack.pop()
             continue
         stack[-1] = (prefix, configs, i + 1)
-        nxt = update_dconfigs(configs, symbols[i], vpt)
+        nxt = _advance(idx, configs, symbols[i])
         if nxt:
             child = prefix + (symbols[i],)
             yield child, nxt
             stack.append((child, nxt, 0))
 
 
+def _accepted_words(vpt: Vpt, max_len: int) -> Iterator[tuple[InputWord, list[Word]]]:
+    """Every word of length <= max_len that some run accepts, with the sorted
+    outputs of its accepting runs, in lexicographic order.
+
+    The depth-first walk of ``live_prefixes``, pruned exactly: a run holding
+    h stack symbols needs at least h more symbols (its returns) to accept, so
+    a prefix is extended only while some run's height is at most the symbols
+    left.  Every prefix of an accepted word of length <= max_len passes that
+    test (the run that accepts it does), so the pruned subtrees hold no such
+    word and the order of the words found is unchanged.
+    """
+    if not vpt.initial:
+        return
+    symbols = sorted(vpt.alphabet.symbols, reverse=True)  # popped smallest first
+    idx = rule_index(vpt)
+    final = vpt.final
+    todo = [((), initial_dconfigs(vpt))]
+    while todo:
+        word, configs = todo.pop()
+        outs = {dc.residual for dc in configs if not dc.stack and dc.state in final}
+        if outs:
+            yield word, sorted(outs)
+        left = max_len - len(word) - 1  # symbols left after one more
+        if left < 0:
+            continue
+        for symbol in symbols:
+            nxt = _advance(idx, configs, symbol)
+            if any(len(dc.stack) <= left for dc in nxt):
+                todo.append((word + (symbol,), nxt))
+
+
 def enumerate_domain(vpt: Vpt, max_len: int) -> list[tuple[InputWord, Word]]:
     """All accepted words of length <= max_len, lexicographic by word."""
     result = []
-    for prefix, configs in live_prefixes(vpt, max_len):
-        outs = sorted({dc.residual for dc in configs
-                       if not dc.stack and dc.state in vpt.final})
-        if not outs:
-            continue
+    for word, outs in _accepted_words(vpt, max_len):
         if len(outs) > 1:
-            raise NotFunctionalWitness(prefix, outs[0], outs[1])
-        result.append((prefix, outs[0]))
+            raise NotFunctionalWitness(word, outs[0], outs[1])
+        result.append((word, outs[0]))
     return result
 
 
@@ -361,12 +396,16 @@ class CounterExample:
 
 
 def check_functional_bounded(vpt: Vpt, max_len: int):
-    """Scan every domain word of length <= max_len for output conflicts."""
-    for prefix, configs in live_prefixes(vpt, max_len):
-        outs = sorted({dc.residual for dc in configs
-                       if not dc.stack and dc.state in vpt.final})
+    """Scan every domain word of length <= max_len for output conflicts.
+
+    Returns the first conflict in lexicographic order, or FunctionalUpTo.
+    The scan skips only prefixes that no run can complete within max_len
+    (see ``_accepted_words``), so it finds the same first conflict as a walk
+    over every live prefix.
+    """
+    for word, outs in _accepted_words(vpt, max_len):
         if len(outs) > 1:
-            return CounterExample(prefix, outs[0], outs[1])
+            return CounterExample(word, outs[0], outs[1])
     return FunctionalUpTo(max_len)
 
 
@@ -481,6 +520,9 @@ def reduce(vpt: Vpt) -> Vpt:
     return reduce_with_map(vpt)[0]
 
 
+# A classification reduces the caller's machine once per checker (BM, HTP,
+# MTP), so a few entries suffice.
+@lru_cache(maxsize=16)
 def reduce_with_map(vpt: Vpt) -> tuple[Vpt, dict[str, str], dict[str, str]]:
     """reduce() plus projections of new state/stack names onto the originals.
 
@@ -488,7 +530,8 @@ def reduce_with_map(vpt: Vpt) -> tuple[Vpt, dict[str, str], dict[str, str]]:
     when the symbol is popped; call rules only choose commitments that some
     well-matched continuation can honor, so no run can paint itself into a
     corner.  States gain the annotation of the current top so return rules can
-    check the commitment.
+    check the commitment.  The result is cached and shared by every caller,
+    so the two maps are read-only.
     """
     wm = well_matched(vpt)
     pop_to, can_finish = wm.pop_to, wm.can_finish

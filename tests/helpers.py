@@ -16,13 +16,16 @@ from vptstream.streaming_eval import ROOT, MemoryReport, Status, memory_snapshot
 from vptstream.vpt_core import (
     CallRule,
     Configuration,
+    CounterExample,
     FstMachine,
     FstRule,
+    FunctionalUpTo,
     InternalRule,
     ReturnRule,
     StructuredAlphabet,
     SymbolKind,
     Vpt,
+    live_prefixes,
     moves,
     rule_index,
     trim_fst,
@@ -93,6 +96,17 @@ def random_nondet_vpt(rng: random.Random) -> Vpt:
                call_rules=frozenset(calls),
                return_rules=frozenset(rets),
                internal_rules=frozenset(ints))
+
+
+def functional_by_scan(vpt: Vpt, max_len: int):
+    """The unpruned functionality probe, oracle for ``check_functional_bounded``:
+    every live prefix of length <= max_len, in lexicographic order."""
+    for prefix, configs in live_prefixes(vpt, max_len):
+        outs = sorted({dc.residual for dc in configs
+                       if not dc.stack and dc.state in vpt.final})
+        if len(outs) > 1:
+            return CounterExample(prefix, outs[0], outs[1])
+    return FunctionalUpTo(max_len)
 
 
 FST_SYMBOLS = ("s", "t")

@@ -196,6 +196,10 @@ def test_check_all_reports_three_lines():
     for marker in ("bm: Violated", "htp: NoWitnessUpTo", "mtp: NoWitnessUpTo"):
         assert marker in res.output
     assert "searched:" in res.output
+    # the probe's evidence: min(max_len, 10) with the default max_len of 24
+    assert "functional: no conflict up to length 10" in res.output.splitlines()
+    short = invoke(["check", "builtin:fig4", "--max-len", "6"])
+    assert "functional: no conflict up to length 6" in short.output.splitlines()
 
 
 def test_check_bounds_are_printed():

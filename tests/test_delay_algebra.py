@@ -68,6 +68,19 @@ def test_delta_examples():
     assert delta(("x", "y"), ("x",)) == DelayPair(("y",), ())
 
 
+def test_delay_pair_contract():
+    with pytest.raises(ValueError):
+        DelayPair(("a", "x"), ("a",))
+    d = DelayPair(("a",), ("b", "c"))
+    same = DelayPair(("a",), ("b", "c"))
+    assert d == same and hash(d) == hash(same)
+    assert len({d, same, delta(("z", "a"), ("z", "b", "c"))}) == 1
+    assert d != DelayPair(("b", "c"), ("a",))
+    assert (d.left, d.right) == (("a",), ("b", "c"))
+    assert repr(d) == "DelayPair(left=('a',), right=('b', 'c'))"
+    assert repr(DelayPair((), ())) == "DelayPair(left=(), right=())"
+
+
 def test_delta_extend_example():
     d = delta(("a",), ("b",))
     assert delta_extend(d, ("c",), ("c",)) == delta(("a", "c"), ("b", "c"))

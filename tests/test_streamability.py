@@ -5,6 +5,7 @@ import pytest
 from vptstream import streamability
 from vptstream import (
     Bounded,
+    DelayPair,
     FstMachine,
     FstRule,
     NotFunctionalWitness,
@@ -17,6 +18,7 @@ from vptstream import (
     check_htp,
     check_mtp,
     classify_streamability,
+    delta_extend,
     domain_height_bounded,
     parse_vpt,
     reduce,
@@ -219,6 +221,55 @@ def test_mtp_no_witness_on_fig4(fig4):
     v = check_mtp(fig4)
     assert v.outcome is Outcome.NO_WITNESS_UP_TO
     assert v.bounds is not None
+
+
+# Two branches told apart by the last return, like fig3_plain, but every call
+# after the first is preceded by an internal `a` that both runs read with no
+# output: the loops and u3 hold ε-output steps between emitting ones.
+SILENT_STEPS = parse_vpt("""
+calls: c
+returns: r rp
+internals: a
+states: i p1 p2 p3 q1 q2 q3 q4
+initial: i
+final: p3 q4
+stack: g
+trans i c x push g p1
+trans p1 a - int p2
+trans p2 c x push g p1
+trans p2 r y pop g p3
+trans p3 r y pop g p3
+trans i c z push g q1
+trans q1 a - int q2
+trans q2 c z push g q1
+trans q2 r y pop g q3
+trans q3 r y pop g q3
+trans q3 rp y pop g q4
+trans q2 rp y pop g q4
+""")
+
+
+def test_mtp_witness_through_silent_steps(monkeypatch):
+    extended = []
+
+    def recording(d, u2, v2):
+        extended.append((u2, v2))
+        return delta_extend(d, u2, v2)
+
+    monkeypatch.setattr(streamability, "delta_extend", recording)
+    v = check_mtp(SILENT_STEPS)
+    assert v.outcome is Outcome.VIOLATED
+    w = v.witness
+    assert (w.u1, w.u2, w.u3, w.u4) == (("c",), ("a", "c"), ("a", "c", "a", "r"), ("r",))
+    assert w.outs1 == (("x",), ("x",), ("x", "y"), ("y",))
+    assert w.outs2 == (("z",), ("z",), ("z", "y"), ("y",))
+    # dA (u1·u3) and dF (u1..u4) both had to skip the silent `a` steps
+    assert w.delay_before == DelayPair(("x", "x", "y"), ("z", "z", "y"))
+    assert w.delay_after == DelayPair(("x", "x", "x", "y", "y"),
+                                      ("z", "z", "z", "y", "y"))
+    verify_vpt_twinning_witness(SILENT_STEPS, w)
+    # a step with no output on either run leaves both delays as they are
+    assert extended and all(u2 or v2 for u2, v2 in extended)
 
 
 def test_no_witness_bounds_are_the_bounds_searched(fig4):

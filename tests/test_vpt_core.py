@@ -1,12 +1,17 @@
+import dataclasses
 import random
 
 import pytest
 
 from vptstream import (
+    CallRule,
     Configuration,
+    CounterExample,
+    FunctionalUpTo,
     NotFunctionalWitness,
     ParseError,
     ValidationError,
+    check_functional_bounded,
     co_accessible,
     enumerate_domain,
     fst_of,
@@ -23,7 +28,8 @@ from vptstream import (
 )
 from vptstream.vpt_core import live_prefixes, well_matched
 
-from helpers import accessible_configs, random_nondet_vpt
+from helpers import (accessible_configs, functional_by_scan, random_det_vpt,
+                     random_nondet_vpt)
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +116,64 @@ def test_enumerate_domain_is_lexicographic(fig3_plain):
         (("c", "c", "r", "rp"), ("b", "b", "c", "c")),
         (("c", "r"), ("a", "c")),
     ]
+
+
+def _probe_corpus():
+    """Seeded det and nondet machines, each also in a call-heavy variant with
+    one more call rule from every state, so runs climb as fast as they read."""
+    rng = random.Random(31)
+    for k in range(40):
+        m = (random_det_vpt if k % 2 else random_nondet_vpt)(rng)
+        yield m
+        extra = {CallRule(q, "c", rng.choice([(), ("x",)]),
+                          rng.choice(sorted(m.stack_alphabet)),
+                          rng.choice(sorted(m.states)))
+                 for q in sorted(m.states)}
+        yield dataclasses.replace(m, call_rules=m.call_rules | extra)
+
+
+def test_functional_probe_matches_unpruned_scan():
+    conflicts = 0
+    for m in _probe_corpus():
+        for n in range(11):
+            got = check_functional_bounded(m, n)
+            assert got == functional_by_scan(m, n), (m, n)
+            conflicts += isinstance(got, CounterExample)
+    assert conflicts  # the corpus exercises both outcomes
+
+
+def test_enumerate_domain_matches_unpruned_walk():
+    for m in _probe_corpus():
+        try:
+            got = enumerate_domain(m, 8)
+        except NotFunctionalWitness:
+            continue
+        want = []
+        for prefix, configs in live_prefixes(m, 8):
+            outs = {dc.residual for dc in configs
+                    if not dc.stack and dc.state in m.final}
+            want += [(prefix, out) for out in outs]
+        assert got == want, m
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_functional_probe_keeps_prefix_at_height_equal_to_symbols_left(k):
+    # the only conflict is c^k r^k: after c^k the runs hold k symbols with k
+    # symbols left, the one prefix height where pruning must not happen
+    lines = [f"trans p{i} c - push g p{i + 1}" for i in range(k)]
+    lines += [f"trans p{k} r x pop g a", f"trans p{k} r y pop g b",
+              "trans a r x pop g a", "trans b r y pop g b",
+              "trans p0 d - int p0"]
+    m = parse_vpt("calls: c\nreturns: r\ninternals: d\n"
+                  f"states: {' '.join(f'p{i}' for i in range(k + 1))} a b\n"
+                  "initial: p0\nfinal: a b\nstack: g\n" + "\n".join(lines) + "\n")
+    word = ("c",) * k + ("r",) * k
+    want = CounterExample(word, ("x",) * k, ("y",) * k)
+    assert check_functional_bounded(m, 2 * k) == want
+    assert check_functional_bounded(m, 2 * k - 1) == FunctionalUpTo(2 * k - 1)
+    assert check_functional_bounded(m, 2 * k + 3) == want
+    for n in (2 * k - 1, 2 * k):
+        assert check_functional_bounded(m, n) == functional_by_scan(m, n)
 
 
 def test_step_runs_branches(fig3_plain):
