@@ -263,67 +263,54 @@ def verify_fst_twinning_witness(fst: FstMachine, w: FstTwinWitness) -> None:
 def _ascend_edges(vpt: Vpt) -> dict[str, list[tuple[str, InputWord]]]:
     """q -> p whenever one call from q plus a well-matched walk lands on p one
     level higher; the word realizes the ascent."""
-    wmw = well_matched(vpt).witnesses
+    walks: dict[str, list[tuple[str, InputWord]]] = {}
+    for (a, p), word in sorted(well_matched(vpt).witnesses.items()):
+        walks.setdefault(a, []).append((p, word))
     edges: dict[str, list[tuple[str, InputWord]]] = {}
     for r in sorted(vpt.call_rules):
-        for (a, p), word in sorted(wmw.items()):
-            if a == r.dst:
-                edges.setdefault(r.src, []).append((p, (r.symbol,) + word))
+        for p, word in walks[r.dst]:
+            edges.setdefault(r.src, []).append((p, (r.symbol,) + word))
     return edges
 
 
 def domain_height_bounded(vpt: Vpt):
-    """Bounded(h_max) or Unbounded(pump witness); expects a reduced machine."""
+    """Bounded(h_max) or Unbounded(pump witness); expects a reduced machine.
+
+    A run's stack grows only by ascents, one call plus a well-matched walk
+    each, so the domain's heights are the lengths of ascent paths from the
+    states that initial states reach by well-matched words.  One depth-first
+    search from each unfinished state, in sorted order, walks the ascent
+    graph.  An edge onto the current path closes an ascent cycle, which a
+    reduced machine can reach and complete: Unbounded.  Otherwise each
+    finished state records the most ascents that start at it.
+    """
     edges = _ascend_edges(vpt)
-    color: dict[str, int] = {}
+    height: dict[str, int] = {}  # finished state -> most ascents from it
     for start in sorted(vpt.states):
-        if color.get(start, 0) != 0:
+        if start in height:
             continue
-        found = _find_ascent_cycle(start, edges, color)
-        if found is not None:
-            state, cycle_word = found
-            access = access_words(vpt)
-            return Unbounded(state=state, prefix=access.get(state, ()),
-                             cycle=cycle_word)
-
-    level = {p for (a, p) in well_matched(vpt).witnesses if a in vpt.initial}
-    h_max = 0
-    k = 0
-    while level:
-        nxt_states = {p for q in level for p, _ in edges.get(q, ())}
-        k += 1
-        if nxt_states:
-            h_max = k
-        if k > len(vpt.states) + 1:
-            raise AssertionError("ascent iteration exceeded |Q| without a cycle")
-        level = nxt_states
-    return Bounded(h_max=h_max)
-
-
-def _find_ascent_cycle(start: str, edges: dict[str, list[tuple[str, InputWord]]],
-                       color: dict[str, int]) -> Optional[tuple[str, InputWord]]:
-    """Iterative DFS; returns (state on cycle, input word realizing the cycle)."""
-    path: list[tuple[str, InputWord]] = [(start, ())]
-    iters = [iter(edges.get(start, ()))]
-    color[start] = 1
-    while iters:
-        advanced = False
-        for (nxt, word) in iters[-1]:
-            if color.get(nxt, 0) == 1:
-                idx = next(i for i, (s, _) in enumerate(path) if s == nxt)
-                cycle_word = sum((w for (_, w) in path[idx + 1:]), ()) + word
-                return (nxt, cycle_word)
-            if color.get(nxt, 0) == 0:
-                color[nxt] = 1
-                path.append((nxt, word))
-                iters.append(iter(edges.get(nxt, ())))
-                advanced = True
-                break
-        if not advanced:
-            state, _ = path.pop()
-            color[state] = 2
-            iters.pop()
-    return None
+        # path entries: (state, word of the edge into it, its edges left)
+        path = [(start, (), iter(edges.get(start, ())))]
+        at = {start: 0}  # state on the path -> its index
+        while path:
+            state, _, it = path[-1]
+            for nxt, word in it:
+                j = at.get(nxt)
+                if j is not None:
+                    cycle = sum((w for _, w, _ in path[j + 1:]), ()) + word
+                    return Unbounded(state=nxt, prefix=access_words(vpt).get(nxt, ()),
+                                     cycle=cycle)
+                if nxt not in height:
+                    at[nxt] = len(path)
+                    path.append((nxt, word, iter(edges.get(nxt, ()))))
+                    break
+            else:
+                path.pop()
+                del at[state]
+                height[state] = max((height[p] + 1 for p, _ in edges.get(state, ())),
+                                    default=0)
+    return Bounded(h_max=max((height[p] for (a, p) in well_matched(vpt).witnesses
+                              if a in vpt.initial), default=0))
 
 
 # ---------------------------------------------------------------------------

@@ -146,15 +146,10 @@ class EvalDag:
                     self.edge_count -= 1
                     self.label_tokens -= len(label)
                 self.dirty.add(p)
+        # the updates drop a level only after the level below it, and the
+        # cascade only childless nodes
         out = self.edges.pop(node, None)
-        if out:
-            # the updates drop a level only after the level below it, so a
-            # dropped node is childless; should it not be, its children lose
-            # this parent and the counters its out-edges
-            self.edge_count -= len(out)
-            for child, label in out.items():
-                self.label_tokens -= len(label)
-                self.parents[child].discard(node)
+        assert not out, node
         self.reach.pop(node, None)
         self.chain.pop(node, None)
         self.dirty.discard(node)
@@ -289,8 +284,8 @@ def update_call(dag: EvalDag, symbol: str, vpt: Vpt) -> EvalDag:
             new_edges.append((leaf, Node(r.dst, r.push, depth + 1), [*r.out]))
     dag.cascade_remove(orphans)
     for src, dst, label in new_edges:
-        if src in dag.parents:
-            dag.add_edge(src, dst, label)
+        assert src in dag.parents  # a leaf with rules: no cascade reaches it
+        dag.add_edge(src, dst, label)
     dag.depth = depth + 1
     return dag
 
@@ -354,7 +349,7 @@ def update_internal(dag: EvalDag, symbol: str, vpt: Vpt) -> EvalDag:
 
 def _add_folded(dag: EvalDag, new_edges: list, last_use: dict) -> None:
     """Add each ``(src, dst, head, mid, out)`` as src -> dst labelled
-    head + mid + out, for the sources still alive.
+    head + mid + out; every source is ROOT or a live node.
 
     ``head`` is the label of an edge the update has removed, and every edge
     that folds it leaves the same source.  ``last_use`` maps each head (by
@@ -364,13 +359,13 @@ def _add_folded(dag: EvalDag, new_edges: list, last_use: dict) -> None:
     now, so a reused list is counted once, as the new edge's label.
     """
     for i, (src, dst, head, mid, out) in enumerate(new_edges):
-        if src is ROOT or src in dag.parents:
-            if last_use[id(head)] == i:
-                head += mid
-                head += out
-            else:
-                head = [*head, *mid, *out]
-            dag.add_edge(src, dst, head)
+        assert src is ROOT or src in dag.parents  # above a surviving leaf
+        if last_use[id(head)] == i:
+            head += mid
+            head += out
+        else:
+            head = [*head, *mid, *out]
+        dag.add_edge(src, dst, head)
 
 
 # ---------------------------------------------------------------------------

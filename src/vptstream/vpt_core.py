@@ -13,8 +13,9 @@ it.  ``well_matched`` holds the well-matched relation (q, q' joined by a
 well-nested word) with a witness word per pair, plus the pop targets and
 finishing states derived from it; reduction, co-accessibility, the
 domain-height test and the twinning loop conditions all read it.
-``access_words`` is the one forward closure over it: forward trimming keeps
-the states it reaches, and pump witnesses start with the words it stores.
+``access_words`` is the one forward closure over it: pump witnesses start
+with the words it stores.  ``reduce`` needs no forward trim, because the one
+worklist that builds the reduced machine adds only states it can reach.
 """
 
 from __future__ import annotations
@@ -314,43 +315,16 @@ def step_runs(vpt: Vpt, start: Configuration,
 # ---------------------------------------------------------------------------
 # Enumeration oracles
 
-def live_prefixes(vpt: Vpt, max_len: int) -> Iterator[tuple[InputWord, set[DConfiguration]]]:
-    """Depth-first walk of all prefixes with at least one surviving run.
-
-    Children are explored in sorted symbol order, so words appear in
-    lexicographic order.  Yields (prefix, run set) including the empty prefix.
-    """
-    symbols = sorted(vpt.alphabet.symbols)
-    idx = rule_index(vpt)
-    start = initial_dconfigs(vpt)
-    if not start:
-        return
-    yield (), start
-    # explicit frames (prefix, configs, next symbol position) instead of
-    # nested generators: resuming a deep subtree stays O(1) per yield
-    stack: list[tuple[InputWord, set[DConfiguration], int]] = [((), start, 0)]
-    while stack:
-        prefix, configs, i = stack[-1]
-        if len(prefix) >= max_len or i == len(symbols):
-            stack.pop()
-            continue
-        stack[-1] = (prefix, configs, i + 1)
-        nxt = _advance(idx, configs, symbols[i])
-        if nxt:
-            child = prefix + (symbols[i],)
-            yield child, nxt
-            stack.append((child, nxt, 0))
-
-
 def _accepted_words(vpt: Vpt, max_len: int) -> Iterator[tuple[InputWord, list[Word]]]:
     """Every word of length <= max_len that some run accepts, with the sorted
     outputs of its accepting runs, in lexicographic order.
 
-    The depth-first walk of ``live_prefixes``, pruned exactly: a run holding
-    h stack symbols needs at least h more symbols (its returns) to accept, so
-    a prefix is extended only while some run's height is at most the symbols
-    left.  Every prefix of an accepted word of length <= max_len passes that
-    test (the run that accepts it does), so the pruned subtrees hold no such
+    A depth-first walk over the prefixes that some run survives, children
+    in sorted symbol order, pruned exactly: a run holding h stack symbols
+    needs at least h more symbols (its returns) to accept, so a prefix is
+    extended only while some run's height is at most the symbols left.
+    Every prefix of an accepted word of length <= max_len passes that test
+    (the run that accepts it does), so the pruned subtrees hold no such
     word and the order of the words found is unchanged.
     """
     if not vpt.initial:
@@ -532,9 +506,22 @@ def reduce_with_map(vpt: Vpt) -> tuple[Vpt, dict[str, str], dict[str, str]]:
     corner.  States gain the annotation of the current top so return rules can
     check the commitment.  The result is cached and shared by every caller,
     so the two maps are read-only.
+
+    One worklist adds the states and records each rule from a state as it
+    finds it; the machine is built from those records.  Every state it adds
+    is reachable, so no forward trim follows: a state enters ``states`` only
+    through ``add``, as an initial state, as the target of a recorded rule
+    from a state already there, or as a return landing (p, b).  A landing
+    follows a recorded call from some (q, b) onto (c.dst, (γ, p)) with p in
+    ``pop_to[(c.dst, γ)]``: a well-nested path leads from c.dst to a return
+    popping γ onto p, every state on it is live under (γ, p), and by
+    induction on its nesting the worklist records it and that return.
     """
     wm = well_matched(vpt)
     pop_to, can_finish = wm.pop_to, wm.can_finish
+    internals_from = _group(vpt.internal_rules, lambda r: r.src)
+    calls_from = _group(vpt.call_rules, lambda r: r.src)
+    returns_to = _group(vpt.return_rules, lambda r: (r.src, r.pop, r.dst))
 
     def live(q: str, t: _Top) -> bool:
         if t is None:
@@ -544,7 +531,9 @@ def reduce_with_map(vpt: Vpt) -> tuple[Vpt, dict[str, str], dict[str, str]]:
 
     states: set[tuple[str, _Top]] = set()
     frontier: list[tuple[str, _Top]] = []
-    call_out: set[tuple[tuple[str, _Top], CallRule, str]] = set()
+    internals: set[tuple[tuple[str, _Top], InternalRule]] = set()
+    calls: set[tuple[tuple[str, _Top], CallRule, str]] = set()
+    returns: set[tuple[tuple[str, _Top], ReturnRule]] = set()
     # A return popping gamma onto its commitment p lands on (p, below) for
     # every symbol (gamma, p, below) that some call materializes; whichever
     # of the two is found second makes the join.
@@ -560,71 +549,32 @@ def reduce_with_map(vpt: Vpt) -> tuple[Vpt, dict[str, str], dict[str, str]]:
         if q in can_finish:
             add((q, None))
     while frontier:
-        q, t = frontier.pop()
-        for r in vpt.internal_rules:
-            if r.src == q and live(r.dst, t):
+        st = frontier.pop()
+        q, t = st
+        for r in internals_from.get(q, ()):
+            if live(r.dst, t):
+                internals.add((st, r))
                 add((r.dst, t))
-        for r in vpt.call_rules:
-            if r.src != q:
-                continue
+        for r in calls_from.get(q, ()):
             for p in pop_to.get((r.dst, r.push), ()):
                 if not live(p, t):
                     continue
-                call_out.add(((q, t), r, p))
+                calls.add((st, r, p))
                 add((r.dst, (r.push, p)))
                 below = below_of.setdefault((r.push, p), set())
                 if t not in below:
                     below.add(t)
                     if (r.push, p) in landed:
                         add((p, t))
-        if t is not None and t not in landed and any(
-                r.src == q and r.pop == t[0] and r.dst == t[1]
-                for r in vpt.return_rules):
+        if t is not None and (q, *t) in returns_to:
+            returns.update((st, r) for r in returns_to[(q, *t)])
             landed.add(t)
-            for below in below_of.get(t, ()):
+            for below in below_of[t]:
                 add((t[1], below))
-    symbols = {(gamma, p, below) for (gamma, p), belows in below_of.items()
-               for below in belows}
 
-    state_name: dict[tuple[str, _Top], str] = {}
-    used_states: set[str] = set()
-    for st in sorted(states, key=_state_key):
-        name = _ann_state_name(*st)
-        while name in used_states:
-            name += "'"
-        state_name[st] = name
-        used_states.add(name)
-    sym_name: dict[tuple[str, str, _Top], str] = {}
-    used_syms: set[str] = set()
-    for s in sorted(symbols, key=_sym_key):
-        name = _ann_symbol_name(*s)
-        while name in used_syms:
-            name += "'"
-        sym_name[s] = name
-        used_syms.add(name)
-
-    new_calls = {CallRule(state_name[src], r.symbol, r.out,
-                          sym_name[(r.push, p, src[1])],
-                          state_name[(r.dst, (r.push, p))])
-                 for (src, r, p) in call_out}
-    new_returns = set()
-    for (q, t) in states:
-        if t is None:
-            continue
-        gamma, p = t
-        for r in vpt.return_rules:
-            if r.src == q and r.pop == gamma and r.dst == p:
-                for below in below_of[t]:
-                    new_returns.add(ReturnRule(state_name[(q, t)], r.symbol,
-                                               r.out, sym_name[(gamma, p, below)],
-                                               state_name[(p, below)]))
-    new_internals = set()
-    for (q, t) in states:
-        for r in vpt.internal_rules:
-            if r.src == q and (r.dst, t) in states:
-                new_internals.add(InternalRule(state_name[(q, t)], r.symbol,
-                                               r.out, state_name[(r.dst, t)]))
-
+    state_name = _fresh_names(states, _ann_key, _ann_state_name)
+    sym_name = _fresh_names({(gamma, p, below) for (gamma, p), belows in below_of.items()
+                             for below in belows}, _ann_key, _ann_symbol_name)
     reduced = Vpt(
         alphabet=vpt.alphabet,
         states=frozenset(state_name.values()),
@@ -633,24 +583,40 @@ def reduce_with_map(vpt: Vpt) -> tuple[Vpt, dict[str, str], dict[str, str]]:
         final=frozenset(state_name[(q, None)] for q in vpt.final
                         if (q, None) in states),
         stack_alphabet=frozenset(sym_name.values()),
-        call_rules=frozenset(new_calls),
-        return_rules=frozenset(new_returns),
-        internal_rules=frozenset(new_internals),
+        call_rules=frozenset(
+            CallRule(state_name[src], r.symbol, r.out, sym_name[(r.push, p, src[1])],
+                     state_name[(r.dst, (r.push, p))])
+            for src, r, p in calls),
+        return_rules=frozenset(
+            ReturnRule(state_name[src], r.symbol, r.out, sym_name[(*src[1], below)],
+                       state_name[(r.dst, below)])
+            for src, r in returns for below in below_of[src[1]]),
+        internal_rules=frozenset(
+            InternalRule(state_name[src], r.symbol, r.out, state_name[(r.dst, src[1])])
+            for src, r in internals),
     )
-    trimmed = _forward_trim(reduced)
-    state_map = {name: st[0] for st, name in state_name.items()
-                 if name in trimmed.states}
-    sym_map = {name: s[0] for s, name in sym_name.items()
-               if name in trimmed.stack_alphabet}
-    return trimmed, state_map, sym_map
+    return (reduced, {name: st[0] for st, name in state_name.items()},
+            {name: s[0] for s, name in sym_name.items()})
 
 
-def _state_key(st: tuple[str, _Top]):
-    return (st[0], st[1] is not None, st[1] or ("", ""))
+def _fresh_names(items: Iterable[tuple], key, name) -> dict[tuple, str]:
+    """``name(*item)`` for each item, taken in ``key`` order, with primes
+    appended until it differs from every earlier name."""
+    names: dict[tuple, str] = {}
+    used: set[str] = set()
+    for item in sorted(items, key=key):
+        fresh = name(*item)
+        while fresh in used:
+            fresh += "'"
+        names[item] = fresh
+        used.add(fresh)
+    return names
 
 
-def _sym_key(s: tuple[str, str, _Top]):
-    return (s[0], s[1], s[2] is not None, s[2] or ("", ""))
+def _ann_key(item: tuple):
+    """Sort key of an annotated state or symbol, whose last part may be None."""
+    *head, top = item
+    return (*head, top is not None, top or ("", ""))
 
 
 def access_words(vpt: Vpt) -> dict[str, InputWord]:
@@ -674,27 +640,6 @@ def access_words(vpt: Vpt) -> dict[str, InputWord]:
                 words[p] = words[q] + word
                 queue.append(p)
     return words
-
-
-def _forward_trim(vpt: Vpt) -> Vpt:
-    """Drop states (and their rules) that no input can ever reach."""
-    reachable = frozenset(access_words(vpt))
-    calls = frozenset(r for r in vpt.call_rules
-                      if r.src in reachable and r.dst in reachable)
-    live_syms = frozenset(r.push for r in calls)
-    return Vpt(
-        alphabet=vpt.alphabet,
-        states=reachable,
-        initial=vpt.initial & reachable,
-        final=vpt.final & reachable,
-        stack_alphabet=live_syms,
-        call_rules=calls,
-        return_rules=frozenset(r for r in vpt.return_rules
-                               if r.src in reachable and r.dst in reachable
-                               and r.pop in live_syms),
-        internal_rules=frozenset(r for r in vpt.internal_rules
-                                 if r.src in reachable and r.dst in reachable),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -742,23 +687,12 @@ def fst_of(vpt: Vpt, k: int, max_states: Optional[int] = None) -> FstMachine:
 
 def trim_fst(m: FstMachine) -> FstMachine:
     """Keep only states on some initial-to-final path (and their rules)."""
-    fwd: set[str] = set(m.initial)
-    changed = True
-    while changed:
-        changed = False
-        for r in m.rules:
-            if r.src in fwd and r.dst not in fwd:
-                fwd.add(r.dst)
-                changed = True
-    bwd: set[str] = set(m.final)
-    changed = True
-    while changed:
-        changed = False
-        for r in m.rules:
-            if r.dst in bwd and r.src not in bwd:
-                bwd.add(r.src)
-                changed = True
-    keep = frozenset(fwd & bwd)
+    succ: dict[str, list[str]] = {}
+    pred: dict[str, list[str]] = {}
+    for r in m.rules:
+        succ.setdefault(r.src, []).append(r.dst)
+        pred.setdefault(r.dst, []).append(r.src)
+    keep = frozenset(_closure(m.initial, succ) & _closure(m.final, pred))
     return FstMachine(
         alphabet=m.alphabet,
         states=keep,
@@ -766,6 +700,18 @@ def trim_fst(m: FstMachine) -> FstMachine:
         final=m.final & keep,
         rules=frozenset(r for r in m.rules if r.src in keep and r.dst in keep),
     )
+
+
+def _closure(seeds: Iterable[str], step: dict[str, list[str]]) -> set[str]:
+    """The seeds and every state that ``step`` edges lead to from them."""
+    seen = set(seeds)
+    todo = list(seen)
+    while todo:
+        for nxt in step.get(todo.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return seen
 
 
 # ---------------------------------------------------------------------------

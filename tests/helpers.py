@@ -10,6 +10,7 @@ run anyway.
 from __future__ import annotations
 
 import random
+from typing import Iterator
 
 from vptstream.delay_algebra import delta, lcp
 from vptstream.streaming_eval import ROOT, MemoryReport, Status, memory_snapshot
@@ -17,15 +18,18 @@ from vptstream.vpt_core import (
     CallRule,
     Configuration,
     CounterExample,
+    DConfiguration,
     FstMachine,
     FstRule,
     FunctionalUpTo,
+    InputWord,
     InternalRule,
     ReturnRule,
     StructuredAlphabet,
     SymbolKind,
     Vpt,
-    live_prefixes,
+    _advance,
+    initial_dconfigs,
     moves,
     rule_index,
     trim_fst,
@@ -98,6 +102,34 @@ def random_nondet_vpt(rng: random.Random) -> Vpt:
                internal_rules=frozenset(ints))
 
 
+def live_prefixes(vpt: Vpt, max_len: int) -> Iterator[tuple[InputWord, set[DConfiguration]]]:
+    """Depth-first walk of all prefixes with at least one surviving run.
+
+    Children are explored in sorted symbol order, so words appear in
+    lexicographic order.  Yields (prefix, run set) including the empty prefix.
+    """
+    symbols = sorted(vpt.alphabet.symbols)
+    idx = rule_index(vpt)
+    start = initial_dconfigs(vpt)
+    if not start:
+        return
+    yield (), start
+    # explicit frames (prefix, configs, next symbol position) instead of
+    # nested generators: resuming a deep subtree stays O(1) per yield
+    stack: list[tuple[InputWord, set[DConfiguration], int]] = [((), start, 0)]
+    while stack:
+        prefix, configs, i = stack[-1]
+        if len(prefix) >= max_len or i == len(symbols):
+            stack.pop()
+            continue
+        stack[-1] = (prefix, configs, i + 1)
+        nxt = _advance(idx, configs, symbols[i])
+        if nxt:
+            child = prefix + (symbols[i],)
+            yield child, nxt
+            stack.append((child, nxt, 0))
+
+
 def functional_by_scan(vpt: Vpt, max_len: int):
     """The unpruned functionality probe, oracle for ``check_functional_bounded``:
     every live prefix of length <= max_len, in lexicographic order."""
@@ -115,6 +147,12 @@ FST_OUTS = [(), (), (), ("x",), ("y",)]
 
 def random_fst(rng: random.Random) -> FstMachine:
     """Trimmed transducer with at most one nondeterministic fork."""
+    return trim_fst(random_untrimmed_fst(rng))
+
+
+def random_untrimmed_fst(rng: random.Random) -> FstMachine:
+    """``random_fst`` before trimming: some states may be unreachable or
+    lead to no final state."""
     n = rng.randint(2, 5)
     states = tuple(f"q{i}" for i in range(n))
     rules = set()
@@ -127,11 +165,10 @@ def random_fst(rng: random.Random) -> FstMachine:
         base = rng.choice(sorted(rules))
         rules.add(FstRule(base.src, base.symbol, rng.choice(FST_OUTS),
                           rng.choice(states)))
-    m = FstMachine(alphabet=FST_SYMBOLS, states=frozenset(states),
-                   initial=frozenset(rng.sample(states, rng.randint(1, 2))),
-                   final=frozenset(rng.sample(states, rng.randint(1, n))),
-                   rules=frozenset(rules))
-    return trim_fst(m)
+    return FstMachine(alphabet=FST_SYMBOLS, states=frozenset(states),
+                      initial=frozenset(rng.sample(states, rng.randint(1, 2))),
+                      final=frozenset(rng.sample(states, rng.randint(1, n))),
+                      rules=frozenset(rules))
 
 
 def fst_twinning_violated(m: FstMachine, max_len: int = 10) -> bool:

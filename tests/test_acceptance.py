@@ -33,7 +33,6 @@ from vptstream import (
 )
 from vptstream.vpt_core import (
     initial_dconfigs,
-    live_prefixes,
     update_dconfigs,
 )
 
@@ -41,6 +40,7 @@ from helpers import (
     accessible_configs,
     assert_dag_invariants,
     fst_twinning_violated,
+    live_prefixes,
     random_det_vpt,
     random_fst,
     random_nondet_vpt,

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -22,9 +23,12 @@ from vptstream import (
     domain_height_bounded,
     parse_vpt,
     reduce,
+    serialize_vpt,
     verify_fst_twinning_witness,
     verify_vpt_twinning_witness,
 )
+
+from helpers import live_prefixes, random_det_vpt, random_nondet_vpt
 
 FINITE = parse_vpt("""
 calls: c
@@ -144,6 +148,22 @@ def test_domain_height_unbounded_on_counting_machine(fig3_plain):
     shape = domain_height_bounded(reduce(fig3_plain))
     assert isinstance(shape, Unbounded)
     assert shape.cycle
+
+
+def test_domain_height_is_the_highest_stack_reached():
+    # in a reduced machine every live prefix extends to an accepted word,
+    # so the highest stack over the short prefixes is a domain height
+    rng = random.Random(7)
+    seen = set()
+    for i in range(1500):
+        r = reduce((random_det_vpt if i % 2 == 0 else random_nondet_vpt)(rng))
+        shape = domain_height_bounded(r)
+        if isinstance(shape, Bounded):
+            reached = max((len(dc.stack) for _, configs in live_prefixes(r, 12)
+                           for dc in configs), default=0)
+            assert shape.h_max == reached, serialize_vpt(r)
+            seen.add(reached)
+    assert seen == {0, 1, 2, 3}
 
 
 # ---------------------------------------------------------------------------

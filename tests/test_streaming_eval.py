@@ -21,7 +21,6 @@ from vptstream import (
 from vptstream.streaming_eval import ROOT, Status
 from vptstream.vpt_core import (
     initial_dconfigs,
-    live_prefixes,
     reduce,
     run_dconfigs,
     update_dconfigs,
@@ -29,6 +28,7 @@ from vptstream.vpt_core import (
 
 from helpers import (
     assert_dag_invariants,
+    live_prefixes,
     random_det_vpt,
     random_nondet_vpt,
     snapshot_by_walk,

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import deque
 
 import pytest
 
@@ -26,10 +27,10 @@ from vptstream import (
     step_runs,
     trim_fst,
 )
-from vptstream.vpt_core import live_prefixes, well_matched
+from vptstream.vpt_core import FstMachine, access_words, well_matched
 
-from helpers import (accessible_configs, functional_by_scan, random_det_vpt,
-                     random_nondet_vpt)
+from helpers import (accessible_configs, functional_by_scan, live_prefixes,
+                     random_det_vpt, random_nondet_vpt, random_untrimmed_fst)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +284,18 @@ def test_reduce_differential_on_random_machines():
                 assert co_accessible(r, cfg), cfg
 
 
+def test_reduction_reaches_every_state():
+    # the reduction keeps every state its worklist adds, with no forward
+    # trim after it, so each one must be reachable from an initial state
+    rng = random.Random(11)
+    corpus = [machines.load(name) for name in machines.names()]
+    corpus += [(random_det_vpt if i % 2 == 0 else random_nondet_vpt)(rng)
+               for i in range(400)]
+    for m in corpus:
+        r = reduce(m)
+        assert set(access_words(r)) == r.states, serialize_vpt(m)
+
+
 # ---------------------------------------------------------------------------
 # Height-bounded restriction to a transducer
 
@@ -313,6 +326,44 @@ trans s0 r - pop g s1
 """)
     fst = trim_fst(fst_of(m, 0))
     assert {r.symbol for r in fst.rules} == {"a"}
+
+
+def _trim_by_search(m: FstMachine) -> FstMachine:
+    """Oracle for ``trim_fst``, one state at a time: a state stays when a
+    breadth-first search from some initial state meets it and one from it
+    meets a final state."""
+    succ: dict[str, set[str]] = {}
+    for r in m.rules:
+        succ.setdefault(r.src, set()).add(r.dst)
+
+    def reached(q: str) -> set[str]:
+        seen, queue = {q}, deque([q])
+        while queue:
+            for nxt in succ.get(queue.popleft(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        return seen
+
+    keep = frozenset(q for q in m.states
+                     if any(q in reached(i) for i in m.initial)
+                     and reached(q) & m.final)
+    return FstMachine(alphabet=m.alphabet, states=keep, initial=m.initial & keep,
+                      final=m.final & keep,
+                      rules=frozenset(r for r in m.rules
+                                      if r.src in keep and r.dst in keep))
+
+
+def test_trim_fst_matches_per_state_search():
+    rng = random.Random(5)
+    corpus = [random_untrimmed_fst(rng) for _ in range(300)]
+    corpus += [fst_of(random_nondet_vpt(rng), 2) for _ in range(100)]
+    trimmed = 0
+    for m in corpus:
+        t = trim_fst(m)
+        assert t == _trim_by_search(m), m
+        trimmed += t != m
+    assert trimmed >= 100, trimmed
 
 
 def test_metrics(fig3_plain):
