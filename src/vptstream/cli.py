@@ -10,7 +10,8 @@ from __future__ import annotations
 import csv
 import re
 import sys
-from typing import Iterable, Iterator, NoReturn, Optional, TextIO
+from contextlib import nullcontext
+from typing import Callable, Iterable, Iterator, NoReturn, Optional, TextIO
 
 import click
 
@@ -29,7 +30,15 @@ from .streamability import (
     check_mtp,
     classify_streamability,
 )
-from .streaming_eval import EvalState, finish, memory_snapshot, start, step
+from .streaming_eval import (
+    EvalDiagnostic,
+    EvalState,
+    NoInitialStates,
+    finish,
+    memory_snapshot,
+    start,
+    step,
+)
 from .vpt_core import (
     CounterExample,
     NotFunctionalWitness,
@@ -151,15 +160,49 @@ class _Emitter:
     def emit(self, fragment: Word) -> None:
         if not fragment:
             return
-        for token in fragment:
-            self.out.write((" " if self.any else "") + token)
-            self.any = True
+        self.out.write((" " if self.any else "") + " ".join(fragment))
+        self.any = True
         self.out.flush()
 
     def close(self) -> None:
         if self.any:
             self.out.write("\n")
             self.out.flush()
+
+
+def _stream(vpt: Vpt, factorize: bool, symbols: Iterable[str],
+            emit: Callable[[Word], None], writer) -> None:
+    """Step the evaluator through ``symbols``, handing every fragment to
+    ``emit`` and, given a csv ``writer``, one telemetry row per symbol after
+    the header.  Rejection, and an evaluator error (no initial state, or two
+    runs that disagree on their output), print one stderr line and exit 1."""
+    try:
+        state = start(vpt, factorize=factorize)
+        if writer:
+            writer.writerow(TELEMETRY_COLUMNS)
+        position = 0
+        for position, symbol in enumerate(symbols, 1):
+            try:
+                fragment = step(state, symbol)
+            except UnknownSymbol:
+                break
+            emit(fragment)
+            if writer:
+                writer.writerow(_telemetry_row(state))
+            if state.reject_position is not None:
+                position = state.reject_position
+                break
+        else:
+            tail = finish(state)
+            if tail is not None:
+                emit(tail)
+                return
+            position, symbol = state.reject_position or position, "<end>"
+        problem = f"reject at position {position} (symbol {symbol!r})"
+    except (NoInitialStates, EvalDiagnostic) as exc:
+        problem = str(exc)
+    click.echo(problem, err=True)
+    sys.exit(1)
 
 
 @main.command("eval")
@@ -187,43 +230,13 @@ def eval_cmd(path: str, no_factorize: bool, telemetry_path: Optional[str],
         if isinstance(probe, CounterExample):
             _not_functional(probe)
 
-    state = start(vpt, factorize=not no_factorize)
     emitter = _Emitter(sys.stdout)
-    telemetry = None
-    writer = None
-    if telemetry_path:
-        telemetry = open(telemetry_path, "w", encoding="utf-8", newline="")
-        writer = csv.writer(telemetry)
-        writer.writerow(TELEMETRY_COLUMNS)
-
-    def reject(position: int, symbol: str) -> None:
-        if telemetry:
-            telemetry.close()
-        click.echo(f"reject at position {position} (symbol {symbol!r})",
-                   err=True)
-        sys.exit(1)
-
-    position = 0
-    try:
-        for symbol in _token_stream(sys.stdin, chars, xml):
-            position += 1
-            try:
-                fragment = step(state, symbol)
-            except UnknownSymbol:
-                reject(position, symbol)
-            emitter.emit(fragment)
-            if writer:
-                writer.writerow(_telemetry_row(state))
-            if state.reject_position is not None:
-                reject(state.reject_position, symbol)
-        tail = finish(state)
-        if tail is None:
-            reject(state.reject_position or position, "<end>")
-        emitter.emit(tail)
-        emitter.close()
-    finally:
-        if telemetry:
-            telemetry.close()
+    symbols = _token_stream(sys.stdin, chars, xml)
+    with (open(telemetry_path, "w", encoding="utf-8", newline="")
+          if telemetry_path else nullcontext()) as telemetry:
+        _stream(vpt, not no_factorize, symbols, emitter.emit,
+                csv.writer(telemetry) if telemetry else None)
+    emitter.close()
 
 
 # ---------------------------------------------------------------------------
@@ -386,26 +399,7 @@ def bench(path: str, family: str, n_max: int) -> None:
             raise click.UsageError("--n-max must be at least 1")
         symbols = _family_word(vpt, family, n_max)
 
-    state = start(vpt)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(TELEMETRY_COLUMNS)
-    position = 0
-    for symbol in symbols:
-        position += 1
-        try:
-            step(state, symbol)
-        except UnknownSymbol:
-            click.echo(f"reject at position {position} (symbol {symbol!r})",
-                       err=True)
-            sys.exit(1)
-        writer.writerow(_telemetry_row(state))
-        if state.reject_position is not None:
-            click.echo(f"reject at position {state.reject_position} "
-                       f"(symbol {symbol!r})", err=True)
-            sys.exit(1)
-    if finish(state) is None:
-        click.echo(f"reject at position {position} (end of input)", err=True)
-        sys.exit(1)
+    _stream(vpt, True, symbols, lambda fragment: None, csv.writer(sys.stdout))
 
 
 if __name__ == "__main__":

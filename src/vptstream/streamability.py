@@ -16,7 +16,9 @@ All searches run on the reduced machine (accessible implies co-accessible
 there, which the twinning premises need) and witnesses are projected back to
 the caller's machine and re-verified on it before being returned.  Every
 stage reads the one well-matched summary ``vpt_core.well_matched`` of the
-machine it works on, and steps configurations with ``vpt_core.moves``.
+machine it works on, and steps configurations within a height bound with
+``vpt_core.successors``.  Replays check through ``_require``, not ``assert``,
+so that ``python -O`` keeps them.
 """
 
 from __future__ import annotations
@@ -42,11 +44,11 @@ from .vpt_core import (
     check_functional_bounded,
     co_accessible,
     fst_of,
-    moves,
     reduce_with_map,
     rule_index,
     run_dconfigs,
     step_runs,
+    successors,
     trim_fst,
     well_matched,
     well_matched_witnesses,  # unused here: perfbench/run.py traces it by this name
@@ -233,28 +235,36 @@ def _fst_violation(m: FstMachine, steps: list[tuple[FstRule, FstRule]],
     return Verdict(Outcome.VIOLATED, witness=witness)
 
 
+def _require(ok: bool, what: str) -> None:
+    """A replay check: raise AssertionError(what) unless ``ok``."""
+    if not ok:
+        raise AssertionError(what)
+
+
 def verify_fst_twinning_witness(fst: FstMachine, w: FstTwinWitness) -> None:
     """Replay both runs rule by rule; raises AssertionError on any mismatch."""
     word = w.u1 + w.u2
     for rules, out_all in ((w.run1_rules, w.v1 + w.v2), (w.run2_rules, w.w1 + w.w2)):
-        assert len(rules) == len(word)
-        assert rules[0].src in fst.initial if rules else True
+        _require(len(rules) == len(word), "run length differs from u1·u2")
+        _require(not rules or rules[0].src in fst.initial,
+                 "run does not start in an initial state")
         collected: Word = ()
         for rule, symbol in zip(rules, word):
-            assert rule in fst.rules, f"rule {rule} not in machine"
-            assert rule.symbol == symbol
+            _require(rule in fst.rules, f"rule {rule} not in machine")
+            _require(rule.symbol == symbol, "rule reads another symbol than u1·u2")
             collected += rule.out
         for prev, nxt in zip(rules, rules[1:]):
-            assert prev.dst == nxt.src, "runs do not chain"
-        assert collected == out_all
+            _require(prev.dst == nxt.src, "runs do not chain")
+        _require(collected == out_all, "run output differs from the claimed output")
     k = len(w.u1)
     q_mid1 = w.run1_rules[k - 1].dst if k else w.run1_rules[0].src
     q_mid2 = w.run2_rules[k - 1].dst if k else w.run2_rules[0].src
-    assert w.run1_rules[-1].dst == q_mid1, "run 1 does not loop"
-    assert w.run2_rules[-1].dst == q_mid2, "run 2 does not loop"
-    assert delta(w.v1, w.w1) == w.delay_before
-    assert delta(w.v1 + w.v2, w.w1 + w.w2) == w.delay_after
-    assert w.delay_before != w.delay_after, "claimed delays are equal"
+    _require(w.run1_rules[-1].dst == q_mid1, "run 1 does not loop")
+    _require(w.run2_rules[-1].dst == q_mid2, "run 2 does not loop")
+    _require(delta(w.v1, w.w1) == w.delay_before, "delay_before is not the delay after u1")
+    _require(delta(w.v1 + w.v2, w.w1 + w.w2) == w.delay_after,
+             "delay_after is not the delay after u1·u2")
+    _require(w.delay_before != w.delay_after, "claimed delays are equal")
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +351,9 @@ def _verify_pump(vpt: Vpt, w: Unbounded) -> None:
     def heights(word: InputWord) -> list[int]:
         return [len(dc.stack) for dc in run_dconfigs(vpt, word)]
 
-    assert heights(w.prefix + w.cycle + w.cycle), "pump witness replay died"
-    assert max(heights(w.prefix + w.cycle)) > max(heights(w.prefix)), \
-        "pump witness does not ascend"
+    _require(bool(heights(w.prefix + w.cycle + w.cycle)), "pump witness replay died")
+    _require(max(heights(w.prefix + w.cycle)) > max(heights(w.prefix)),
+             "pump witness does not ascend")
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +451,8 @@ def _search(reduced: Vpt, state_map: dict[str, str], bounds: SearchBounds,
 
     Nodes that differ only in phase, delays or loop marks share their
     configurations, so ``succ`` steps each configuration once per search:
-    its moves within max_height, by symbol.  Both runs read it, since runs
-    on one word always have equal stack heights.  A step that appends no
+    its ``successors`` within max_height, by symbol.  Both runs read it,
+    since runs on one word always have equal stack heights.  A step that appends no
     output to either run leaves both delays as they are and skips
     ``delta_extend``.  Children are still generated by symbol, then run 1's
     move, then run 2's, so the search meets the same first witness.
@@ -453,17 +463,6 @@ def _search(reduced: Vpt, state_map: dict[str, str], bounds: SearchBounds,
     idx = rule_index(reduced)
     max_height = bounds.max_height
     returns = {s for s in idx.symbols if idx.kind[s] is SymbolKind.RETURN}
-
-    def successors(cfg: Configuration) -> dict[str, list[tuple[Configuration, Word]]]:
-        """Symbol -> moves of ``cfg`` within max_height, nonempty ones only,
-        in ``idx.symbols`` order."""
-        out = {}
-        for symbol in idx.symbols:
-            kept = [m for m in moves(idx, cfg, symbol, idx.kind[symbol])
-                    if len(m[0].stack) <= max_height]
-            if kept:
-                out[symbol] = kept
-        return out
 
     succ: dict[Configuration, dict[str, list[tuple[Configuration, Word]]]] = {}
     last = 4 if loopers is None else 2
@@ -506,10 +505,10 @@ def _search(reduced: Vpt, state_map: dict[str, str], bounds: SearchBounds,
                 work.append(eps)
             steps1 = succ.get(c1)
             if steps1 is None:
-                steps1 = succ[c1] = successors(c1)
+                steps1 = succ[c1] = successors(idx, c1, max_height)
             steps2 = succ.get(c2)
             if steps2 is None:
-                steps2 = succ[c2] = successors(c2)
+                steps2 = succ[c2] = successors(idx, c2, max_height)
             at_floor = len(c1.stack) <= floor
             for symbol, moves1 in steps1.items():
                 if at_floor and symbol in returns:
@@ -584,29 +583,30 @@ def verify_vpt_twinning_witness(vpt: Vpt, w: VptTwinWitness) -> None:
     """Replay both runs through the four segments on the given machine and
     re-check every premise plus the delay divergence; AssertionError on any
     mismatch."""
-    assert len(w.u2) + len(w.u4) >= 1, "both loops are empty"
-    assert is_well_nested(w.u3, vpt.alphabet), "u3 is not well-nested"
-    assert is_well_nested(w.u2 + w.u4, vpt.alphabet), "u2·u4 is not well-nested"
+    _require(len(w.u2) + len(w.u4) >= 1, "both loops are empty")
+    _require(is_well_nested(w.u3, vpt.alphabet), "u3 is not well-nested")
+    _require(is_well_nested(w.u2 + w.u4, vpt.alphabet), "u2·u4 is not well-nested")
     for init, cfgs, outs in ((w.init1, w.configs1, w.outs1),
                              (w.init2, w.configs2, w.outs2)):
-        assert init in vpt.initial
+        _require(init in vpt.initial, "run does not start in an initial state")
         A, B, C, D = cfgs
-        assert B.state == A.state, "ascent loop does not return to its state"
-        assert B.stack[: len(A.stack)] == A.stack, "ascent loop touched the base"
-        assert C.stack == B.stack, "u3 changed the stack"
-        assert D.state == C.state, "descent loop does not return to its state"
-        assert D.stack == A.stack, "descent loop did not restore the stack"
+        _require(B.state == A.state, "ascent loop does not return to its state")
+        _require(B.stack[: len(A.stack)] == A.stack, "ascent loop touched the base")
+        _require(C.stack == B.stack, "u3 changed the stack")
+        _require(D.state == C.state, "descent loop does not return to its state")
+        _require(D.stack == A.stack, "descent loop did not restore the stack")
         cur = Configuration(init, ())
         for word, out, target in zip((w.u1, w.u2, w.u3, w.u4), outs, cfgs):
-            results = step_runs(vpt, cur, word)
-            assert (target, out) in results, "segment replay failed"
+            _require((target, out) in step_runs(vpt, cur, word), "segment replay failed")
             cur = target
-        assert co_accessible(vpt, D), "end configuration is not co-accessible"
+        _require(co_accessible(vpt, D), "end configuration is not co-accessible")
     v1, v2, v3, v4 = w.outs1
     w1, w2, w3, w4 = w.outs2
-    assert delta(v1 + v3, w1 + w3) == w.delay_before
-    assert delta(v1 + v2 + v3 + v4, w1 + w2 + w3 + w4) == w.delay_after
-    assert w.delay_before != w.delay_after, "claimed delays are equal"
+    _require(delta(v1 + v3, w1 + w3) == w.delay_before,
+             "delay_before is not the delay over u1·u3")
+    _require(delta(v1 + v2 + v3 + v4, w1 + w2 + w3 + w4) == w.delay_after,
+             "delay_after is not the delay over u1·u2·u3·u4")
+    _require(w.delay_before != w.delay_after, "claimed delays are equal")
 
 
 # ---------------------------------------------------------------------------
@@ -623,12 +623,8 @@ def classify_streamability(vpt: Vpt,
     bm = check_bm(vpt)
 
     if hbm.outcome is Outcome.VIOLATED and obm.outcome is not Outcome.VIOLATED:
-        # any horizontal witness is a matched witness with empty u3/u4
-        try:
-            verify_vpt_twinning_witness(vpt, hbm.witness)
-        except AssertionError as exc:
-            raise InconsistentVerdicts(
-                f"horizontal witness did not transfer: {exc}") from exc
+        # any horizontal witness is a matched witness with empty u3/u4, and
+        # check_htp has replayed it on this machine already
         obm = Verdict(Outcome.VIOLATED, witness=hbm.witness,
                       diagnostics="transferred from the horizontal witness")
     if bm.outcome is Outcome.HOLDS and (hbm.outcome is Outcome.VIOLATED

@@ -8,8 +8,9 @@ run-enumeration semantics used as the oracle for the streaming evaluator;
 reach acceptance; ``fst_of`` flattens a machine up to a stack-height bound.
 
 Two per-machine tables serve every later stage.  ``rule_index`` groups the
-rules for one-step lookup, and ``moves`` takes one configuration step through
-it.  ``well_matched`` holds the well-matched relation (q, q' joined by a
+rules for one-step lookup; ``moves`` takes one configuration step through it,
+and ``successors`` the steps that stay within a stack-height bound.
+``well_matched`` holds the well-matched relation (q, q' joined by a
 well-nested word) with a witness word per pair, plus the pop targets and
 finishing states derived from it; reduction, co-accessibility, the
 domain-height test and the twinning loop conditions all read it.
@@ -232,6 +233,19 @@ def moves(idx: RuleIndex, cfg: Configuration, symbol: str,
     return out
 
 
+def successors(idx: RuleIndex, cfg: Configuration,
+               max_height: int) -> dict[str, list[tuple[Configuration, Word]]]:
+    """Symbol -> the ``moves`` of ``cfg`` that keep the stack within
+    ``max_height``, in ``idx.symbols`` order; symbols with none are left out."""
+    out = {}
+    for symbol in idx.symbols:
+        kept = [m for m in moves(idx, cfg, symbol, idx.kind[symbol])
+                if len(m[0].stack) <= max_height]
+        if kept:
+            out[symbol] = kept
+    return out
+
+
 def update_dconfigs(configs: Iterable[DConfiguration], symbol: str,
                     vpt: Vpt) -> set[DConfiguration]:
     """One naive step: every run candidate advances by every applicable rule."""
@@ -304,10 +318,7 @@ def naive_eval(vpt: Vpt, word: Iterable[str]) -> Optional[Word]:
 def step_runs(vpt: Vpt, start: Configuration,
               word: Iterable[str]) -> frozenset[tuple[Configuration, Word]]:
     """All (end configuration, output) pairs of runs on ``word`` from ``start``."""
-    configs = {DConfiguration(start.state, start.stack, ())}
-    idx = rule_index(vpt)
-    for symbol in word:
-        configs = _advance(idx, configs, symbol)
+    configs = run_dconfigs(vpt, word, {DConfiguration(start.state, start.stack, ())})
     return frozenset((Configuration(dc.state, dc.stack), dc.residual)
                      for dc in configs)
 
@@ -663,11 +674,8 @@ def fst_of(vpt: Vpt, k: int, max_states: Optional[int] = None) -> FstMachine:
     frontier = sorted(seen)
     while frontier:
         cfg = frontier.pop()
-        for symbol in idx.symbols:
-            kind = idx.kind[symbol]
-            if kind is SymbolKind.CALL and len(cfg.stack) >= k:
-                continue
-            for nxt, out in moves(idx, cfg, symbol, kind):
+        for symbol, kept in successors(idx, cfg, k).items():
+            for nxt, out in kept:
                 rules.add(FstRule(_cfg_name(cfg), symbol, out, _cfg_name(nxt)))
                 if nxt not in seen:
                     seen.add(nxt)

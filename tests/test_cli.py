@@ -172,6 +172,25 @@ def test_eval_chars_and_xml_conflict():
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("machine, word", [("fig4", "c c r r"),
+                                           ("fig4", "c c c r r r")])
+def test_eval_no_factorize_holds_output_to_the_end(tmp_path, machine, word):
+    outputs, columns = {}, {}
+    for flags in ([], ["--no-factorize"]):
+        telem = tmp_path / "t.csv"
+        res = invoke(["eval", f"builtin:{machine}", "--telemetry", str(telem)]
+                     + flags, stdin=word + "\n")
+        assert res.exit_code == 0
+        outputs[bool(flags)] = res.output
+        rows = list(csv.DictReader(io.StringIO(telem.read_text())))
+        columns[bool(flags)] = [int(row["emitted"]) for row in rows]
+    assert outputs[True] == outputs[False]
+    # by default some output leaves before the last symbol; without
+    # factorization none leaves until the end of input
+    assert any(columns[False][:-1])
+    assert columns[True] == [0] * len(columns[False])
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -296,3 +315,39 @@ def test_bench_rejecting_word_exits_one():
     res = invoke(["bench", "builtin:fig3_plain", "--family", "custom"],
                  stdin="r r\n")
     assert res.exit_code == 1
+
+
+EVAL_ERRORS = {
+    "no_initial": ("calls: c\nreturns: r\nstates: s0\nfinal: s0\nstack: g\n"
+                   "trans s0 c - push g s0\ntrans s0 r - pop g s0\n"),
+    # on `c r` two runs end in final states, one with output x, one with y
+    "disagree": ("calls: c\nreturns: r\nstates: i p q\ninitial: i\nfinal: p q\n"
+                 "stack: g\ntrans i c x push g p\ntrans i c y push g q\n"
+                 "trans p r - pop g p\ntrans q r - pop g q\n"),
+}
+DISAGREE_LINE = ("accepting branches disagree on the remaining output; "
+                 "the machine is not functional")
+
+
+@pytest.mark.parametrize("machine, args, message", [
+    ("no_initial", ["eval"], "machine has no initial state"),
+    ("no_initial", ["bench", "--family", "custom"], "machine has no initial state"),
+    ("disagree", ["eval", "--unsafe"], DISAGREE_LINE),
+    ("disagree", ["bench", "--family", "custom"], DISAGREE_LINE),
+])
+def test_evaluator_errors_exit_one_without_traceback(tmp_path, machine, args, message):
+    p = tmp_path / "m.vpt"
+    p.write_text(EVAL_ERRORS[machine])
+    res = invoke([args[0], str(p)] + args[1:], stdin="c r\n")
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # no traceback
+    assert "Traceback" not in res.output
+    assert res.stderr == message + "\n"
+
+
+def test_bench_end_of_input_reject_reads_like_eval():
+    word = "c c\n"
+    lines = [invoke(args, stdin=word).stderr for args in (
+        ["eval", "builtin:fig3_plain"],
+        ["bench", "builtin:fig3_plain", "--family", "custom"])]
+    assert lines == ["reject at position 2 (symbol '<end>')\n"] * 2

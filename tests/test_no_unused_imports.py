@@ -139,3 +139,11 @@ def test_the_scan_finds_unread_definitions():
 def test_every_definition_is_read_by_the_package():
     trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
     assert _unread_definitions(trees) == []
+
+
+def test_streamability_replays_use_no_assert_statement():
+    # `python -O` compiles `assert` away; a replay written as one would then
+    # accept any witness, so every check goes through `_require` instead
+    tree = ast.parse((PACKAGE / "streamability.py").read_text())
+    lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert lines == []

@@ -1,5 +1,9 @@
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -326,6 +330,55 @@ def test_vpt_witness_verifier_rejects_tampering(fig3_plain):
             fig3_plain, dataclasses.replace(w, delay_after=w.delay_before))
     with pytest.raises(AssertionError):
         verify_vpt_twinning_witness(fig3_plain, dataclasses.replace(w, u1=()))
+
+
+# Run in a fresh interpreter under -O, where `assert` statements are compiled
+# away: each replay is handed an altered witness and must still reject it.
+REPLAYS_UNDER_O = """
+import dataclasses, sys
+from vptstream import (FstMachine, FstRule, check_bm, check_fst_twinning,
+                       check_mtp, machines, verify_fst_twinning_witness,
+                       verify_vpt_twinning_witness)
+from vptstream.streamability import _verify_pump
+
+def replay(check, *args):
+    try:
+        check(*args)
+    except AssertionError as exc:
+        print("rejected:", exc)
+    else:
+        print("accepted")
+
+print("optimize", sys.flags.optimize)
+plain = machines.load("fig3_plain")
+w = check_mtp(plain).witness
+replay(verify_vpt_twinning_witness, plain,
+       dataclasses.replace(w, delay_after=w.delay_before))
+full = machines.load("fig3_full")
+pump = check_bm(full).witness
+replay(_verify_pump, full, dataclasses.replace(pump, cycle=()))
+m = FstMachine(alphabet=("s",), states=frozenset({"q0"}),
+               initial=frozenset({"q0"}), final=frozenset({"q0"}),
+               rules=frozenset({FstRule("q0", "s", ("x",), "q0"),
+                                FstRule("q0", "s", ("y",), "q0")}))
+w = check_fst_twinning(m).witness
+replay(verify_fst_twinning_witness, m, dataclasses.replace(w, w2=("z",)))
+"""
+
+
+def test_replays_reject_altered_witnesses_under_python_O():
+    src = str(Path(streamability.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-O", "-c", REPLAYS_UNDER_O],
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        "optimize 1",
+        "rejected: delay_after is not the delay over u1·u2·u3·u4",
+        "rejected: pump witness does not ascend",
+        "rejected: run output differs from the claimed output",
+    ]
 
 
 def test_search_verdicts_are_stable_under_renaming(fig3_plain):
