@@ -351,6 +351,8 @@ def _verify_pump(vpt: Vpt, w: Unbounded) -> None:
     def heights(word: InputWord) -> list[int]:
         return [len(dc.stack) for dc in run_dconfigs(vpt, word)]
 
+    _require(all(s in vpt.alphabet for s in w.prefix + w.cycle),
+             "pump witness reads a symbol outside the alphabet")
     _require(bool(heights(w.prefix + w.cycle + w.cycle)), "pump witness replay died")
     _require(max(heights(w.prefix + w.cycle)) > max(heights(w.prefix)),
              "pump witness does not ascend")
@@ -443,73 +445,131 @@ def _search(reduced: Vpt, state_map: dict[str, str], bounds: SearchBounds,
 
     The two bounds are the only limits: no stack grows past max_height and
     no run reads more than max_len symbols, so no delay exceeds max_len·M
-    letters, M the longest rule output.
+    letters, M the longest rule output.  The last layer takes its ε-steps
+    but reads no further symbol.
 
     The loop gates compare states of the caller's machine, not the reduced
     one: the reduction refines states by pop obligation, and a loop that is
     closed upstairs may look open downstairs after refinement.
 
-    Nodes that differ only in phase, delays or loop marks share their
-    configurations, so ``succ`` steps each configuration once per search:
-    its ``successors`` within max_height, by symbol.  Both runs read it,
-    since runs on one word always have equal stack heights.  A step that appends no
-    output to either run leaves both delays as they are and skips
-    ``delta_extend``.  Children are still generated by symbol, then run 1's
-    move, then run 2's, so the search meets the same first witness.
+    Configurations and delays are interned as small ints, one table each
+    per search, so a node is a flat tuple of ints plus s1/s2 and hashes
+    without walking stacks or delay words.  A configuration id keeps its
+    stack height, its state in the caller's machine, whether it may start a
+    horizontal loop, and, once first expanded, its ``successors`` within
+    max_height as symbol -> [(configuration id, output)]; both runs read
+    it, since runs on one word always have equal stack heights.  Delays
+    are interned by equality, so comparing two ids is comparing the delays,
+    and ``delta_extend`` runs once per distinct (delay, output, output)
+    triple; a step that appends no output to either run leaves both delays
+    as they are.  Children are generated by symbol, then run 1's move, then
+    run 2's, so the search meets the same first witness as one over the
+    objects themselves.
 
-    Returns (preds, closing node or None, the length up to which the search
-    was exhaustive when the node budget ran out, else None).
+    Returns (the closing node's discovery chain as node -> (previous node,
+    symbol or None for an ε-step, output 1, output 2), in Configuration and
+    DelayPair form; the closing node or None; the length up to which the
+    search was exhaustive when the node budget ran out, else None).
     """
     idx = rule_index(reduced)
     max_height = bounds.max_height
     returns = {s for s in idx.symbols if idx.kind[s] is SymbolKind.RETURN}
 
-    succ: dict[Configuration, dict[str, list[tuple[Configuration, Word]]]] = {}
+    config_id: dict[Configuration, int] = {}
+    configs: list[Configuration] = []
+    height: list[int] = []
+    caller: list[str] = []        # state_map of the configuration's state
+    loops: list[bool] = []        # may enter phase 2
+    succ: list[Optional[dict[str, list[tuple[int, Word]]]]] = []
+
+    def config(cfg: Configuration) -> int:
+        i = config_id.get(cfg)
+        if i is None:
+            i = config_id[cfg] = len(configs)
+            configs.append(cfg)
+            height.append(len(cfg.stack))
+            caller.append(state_map[cfg.state])
+            loops.append(loopers is None or cfg.state in loopers)
+            succ.append(None)
+        return i
+
+    def expand(i: int) -> dict[str, list[tuple[int, Word]]]:
+        succ[i] = table = {symbol: [(config(c), o) for c, o in moves]
+                           for symbol, moves in
+                           successors(idx, configs[i], max_height).items()}
+        return table
+
+    delays: list[DelayPair] = [DelayPair((), ())]
+    delay_id: dict[DelayPair, int] = {delays[0]: 0}
+    extended: dict[tuple[int, Word, Word], int] = {}
+
+    def extend(d: int, o1: Word, o2: Word) -> int:
+        grown = delta_extend(delays[d], o1, o2)
+        e = delay_id.get(grown)
+        if e is None:
+            e = delay_id[grown] = len(delays)
+            delays.append(grown)
+        extended[d, o1, o2] = e
+        return e
+
+    def chain(final: tuple) -> tuple[dict, tuple]:
+        def objects(n: tuple) -> tuple:
+            phase, i1, i2, a, f, *rest = n
+            return (phase, configs[i1], configs[i2],
+                    None if a is None else delays[a], delays[f], *rest)
+        out: dict = {}
+        n = final
+        while preds[n] is not None:
+            prev, symbol, o1, o2 = preds[n]
+            out[objects(n)] = (objects(prev), symbol, o1, o2)
+            n = prev
+        out[objects(n)] = None
+        return out, objects(final)
+
     last = 4 if loopers is None else 2
-    empty = DelayPair((), ())
     preds: dict[tuple, Optional[tuple[tuple, Optional[str], Word, Word]]] = {}
     layer: deque[tuple] = deque()
-    for i1 in sorted(reduced.initial):
-        for i2 in sorted(reduced.initial):
-            node = (1, Configuration(i1, ()), Configuration(i2, ()),
-                    None, empty, 0, 0, None, None)
+    for q1 in sorted(reduced.initial):
+        for q2 in sorted(reduced.initial):
+            node = (1, config(Configuration(q1, ())), config(Configuration(q2, ())),
+                    None, 0, 0, 0, None, None)
             preds[node] = None
             layer.append(node)
 
     for length in range(bounds.max_len + 1):
         if not layer:
             break
+        reads = length < bounds.max_len
         nxt_layer: deque[tuple] = deque()
         work = layer
         while work:
             node = work.popleft()
-            phase, c1, c2, dA, dF, ah, floor, s1, s2 = node
+            phase, i1, i2, a, f, ah, floor, s1, s2 = node
             eps = None
             if phase == 1:
-                if loopers is None or (c1.state in loopers and c2.state in loopers):
-                    h = len(c1.stack)
-                    eps = (2, c1, c2, dF, dF, h, h,
-                           state_map[c1.state], state_map[c2.state])
+                if loops[i1] and loops[i2]:
+                    h = height[i1]
+                    eps = (2, i1, i2, f, f, h, h, caller[i1], caller[i2])
             elif phase == 2:
-                if phase < last and state_map[c1.state] == s1 \
-                        and state_map[c2.state] == s2:
-                    eps = (3, c1, c2, dA, dF, ah, len(c1.stack), None, None)
-            elif phase == 3 and len(c1.stack) == floor:
-                eps = (4, c1, c2, dA, dF, ah, ah,
-                       state_map[c1.state], state_map[c2.state])
+                if phase < last and caller[i1] == s1 and caller[i2] == s2:
+                    eps = (3, i1, i2, a, f, ah, height[i1], None, None)
+            elif phase == 3 and height[i1] == floor:
+                eps = (4, i1, i2, a, f, ah, ah, caller[i1], caller[i2])
             if eps is not None and eps not in preds:
                 preds[eps] = (node, None, (), ())
                 # entering phase 4 keeps the states, so only height and delay
-                if eps[0] == 4 and len(c1.stack) == ah and dA != dF:
-                    return preds, eps, None
+                if eps[0] == 4 and height[i1] == ah and a != f:
+                    return (*chain(eps), None)
                 work.append(eps)
-            steps1 = succ.get(c1)
+            if not reads:
+                continue
+            steps1 = succ[i1]
             if steps1 is None:
-                steps1 = succ[c1] = successors(idx, c1, max_height)
-            steps2 = succ.get(c2)
+                steps1 = expand(i1)
+            steps2 = succ[i2]
             if steps2 is None:
-                steps2 = succ[c2] = successors(idx, c2, max_height)
-            at_floor = len(c1.stack) <= floor
+                steps2 = expand(i2)
+            at_floor = height[i1] <= floor
             for symbol, moves1 in steps1.items():
                 if at_floor and symbol in returns:
                     continue  # a pop here would dip below the loop
@@ -519,23 +579,29 @@ def _search(reduced: Vpt, state_map: dict[str, str], bounds: SearchBounds,
                 for (n1, o1) in moves1:
                     for (n2, o2) in moves2:
                         if o1 or o2:
-                            dF2 = delta_extend(dF, o1, o2)
-                            dA2 = delta_extend(dA, o1, o2) if phase == 3 else dA
+                            f2 = extended.get((f, o1, o2))
+                            if f2 is None:
+                                f2 = extend(f, o1, o2)
+                            if phase == 3:
+                                a2 = extended.get((a, o1, o2))
+                                if a2 is None:
+                                    a2 = extend(a, o1, o2)
+                            else:
+                                a2 = a
                         else:
-                            dF2, dA2 = dF, dA  # nothing appended, no delay moves
-                        child = (phase, n1, n2, dA2, dF2, ah, floor, s1, s2)
+                            f2, a2 = f, a  # nothing appended, no delay moves
+                        child = (phase, n1, n2, a2, f2, ah, floor, s1, s2)
                         if child in preds:
                             continue
                         preds[child] = (node, symbol, o1, o2)
-                        if phase == last and len(n1.stack) == ah \
-                                and state_map[n1.state] == s1 \
-                                and state_map[n2.state] == s2 and dA2 != dF2:
-                            return preds, child, None
+                        if phase == last and height[n1] == ah and caller[n1] == s1 \
+                                and caller[n2] == s2 and a2 != f2:
+                            return (*chain(child), None)
                         if len(preds) > _NODE_BUDGET:
-                            return preds, None, max(length - 1, 0)
+                            return {}, None, max(length - 1, 0)
                         nxt_layer.append(child)
         layer = nxt_layer
-    return preds, None, None
+    return {}, None, None
 
 
 def _witness(original: Vpt, state_map, sym_map, preds, final) -> Verdict:
@@ -583,6 +649,8 @@ def verify_vpt_twinning_witness(vpt: Vpt, w: VptTwinWitness) -> None:
     """Replay both runs through the four segments on the given machine and
     re-check every premise plus the delay divergence; AssertionError on any
     mismatch."""
+    _require(all(s in vpt.alphabet for s in w.u1 + w.u2 + w.u3 + w.u4),
+             "witness reads a symbol outside the alphabet")
     _require(len(w.u2) + len(w.u4) >= 1, "both loops are empty")
     _require(is_well_nested(w.u3, vpt.alphabet), "u3 is not well-nested")
     _require(is_well_nested(w.u2 + w.u4, vpt.alphabet), "u2·u4 is not well-nested")

@@ -5,21 +5,27 @@
 ``SearchBounds(3, 24)``.  The four builtins and a seeded sample of the rest
 must reproduce them exactly: a verdict that weakens, strengthens or flips
 is a change of behaviour that needs a reason.  The sample is drawn by the
-seed alone, never by cost.
+seed alone, never by cost.  On the same machines, every twinning witness is
+pumped through the evaluator, which must show the unbounded memory the
+witness claims.
 """
 
 import importlib.util
 import json
 import random
 import sys
+from functools import lru_cache
 from pathlib import Path
 
-from vptstream import NotFunctionalWitness, SearchBounds, classify_streamability, parse_vpt
+from vptstream import (NotFunctionalWitness, SearchBounds, classify_streamability, parse_vpt,
+                       reduce)
+from vptstream.streaming_eval import Status, memory_snapshot, start, step
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SAMPLE_SEED = 9
 SAMPLE_SIZE = 60
 BOUNDS = SearchBounds(max_height=3, max_len=24)
+PUMPS = (0, 2, 4, 8)
 
 
 def _load_gen():
@@ -30,15 +36,10 @@ def _load_gen():
     return module
 
 
-def _verdict_code(text: str) -> str:
-    try:
-        report = classify_streamability(parse_vpt(text), BOUNDS)
-    except NotFunctionalWitness:
-        return "NF"
-    return "".join(v.outcome.value[0] for v in (report.bm, report.hbm, report.obm))
-
-
-def test_pool_sample_reproduces_recorded_verdicts():
+@lru_cache(maxsize=None)
+def _sample():
+    """(gen module, [(label, digest, verdict, text)]): the builtins, then
+    SAMPLE_SIZE other pool machines drawn by SAMPLE_SEED."""
     gen = _load_gen()
     recorded = json.loads((PERFBENCH / "check_pool.json").read_text())
     assert recorded["bounds"] == {"max_height": BOUNDS.max_height,
@@ -47,13 +48,69 @@ def test_pool_sample_reproduces_recorded_verdicts():
     rows = recorded["machines"]
     builtins = [row for row in rows if row[0].startswith("builtin:")]
     rest = [row for row in rows if not row[0].startswith("builtin:")]
-    sample = builtins + random.Random(SAMPLE_SEED).sample(rest, SAMPLE_SIZE)
     assert len(builtins) == 4
+    sample = builtins + random.Random(SAMPLE_SEED).sample(rest, SAMPLE_SIZE)
+    return gen, [(label, digest, verdict, texts[label])
+                 for label, digest, verdict, _cost_ms in sample]
+
+
+@lru_cache(maxsize=None)
+def _report(text: str):
+    """The classification of one machine text, or None if not functional."""
+    try:
+        return classify_streamability(parse_vpt(text), BOUNDS)
+    except NotFunctionalWitness:
+        return None
+
+
+def _verdict_code(text: str) -> str:
+    report = _report(text)
+    if report is None:
+        return "NF"
+    return "".join(v.outcome.value[0] for v in (report.bm, report.hbm, report.obm))
+
+
+def test_pool_sample_reproduces_recorded_verdicts():
+    gen, sample = _sample()
     changed = {}
-    for label, digest, verdict, _cost_ms in sample:
-        text = texts[label]
+    for label, digest, verdict, text in sample:
         assert gen.text_digest(text) == digest, f"{label}: the pool generator changed"
         got = _verdict_code(text)
         if got != verdict:
             changed[label] = f"recorded {verdict}, now {got}"
     assert not changed, changed
+
+
+def _pumped_memory(evaluator_vpt, w, k: int) -> tuple[int, int]:
+    """(hc, out_neq) after streaming u1·u2^k·u3·u4^k, which stays alive."""
+    state = start(evaluator_vpt)
+    for symbol in w.u1 + w.u2 * k + w.u3 + w.u4 * k:
+        step(state, symbol)
+    assert state.status is Status.RUNNING
+    report = memory_snapshot(state)
+    return report.hc, report.out_neq
+
+
+def test_twinning_witnesses_pump_the_evaluator_memory():
+    # u2·u4 changes the delay between two runs that stay alive, so pumping
+    # it returns to one height while the output held back keeps growing
+    _, sample = _sample()
+    pumped = 0
+    disagree = {}
+    for label, _digest, _verdict, text in sample:
+        report = _report(text)
+        if report is None:
+            continue
+        vpt = parse_vpt(text)
+        reduced = reduce(vpt)
+        for name, verdict in (("htp", report.hbm), ("mtp", report.obm)):
+            if verdict.witness is None:
+                continue
+            memory = [_pumped_memory(reduced, verdict.witness, k) for k in PUMPS]
+            pumped += 1
+            heights = {hc for hc, _ in memory}
+            held = [out_neq for _, out_neq in memory]
+            if len(heights) != 1 or any(a >= b for a, b in zip(held, held[1:])):
+                disagree[label, name] = memory
+    assert pumped
+    assert not disagree, disagree

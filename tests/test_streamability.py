@@ -296,6 +296,65 @@ def test_mtp_witness_through_silent_steps(monkeypatch):
     assert extended and all(u2 or v2 for u2, v2 in extended)
 
 
+def test_length_bound_is_exact(fig3_plain, fig3_full):
+    # the shortest witnesses read 5 (fig3_plain, MTP) and 4 (fig3_full,
+    # HTP) symbols: one symbol less of length bound finds nothing
+    for search, machine, n in ((check_mtp, fig3_plain, 5), (check_htp, fig3_full, 4)):
+        short = search(machine, SearchBounds(max_height=6, max_len=n - 1))
+        assert short.outcome is Outcome.NO_WITNESS_UP_TO
+        assert short.bounds.max_len == n - 1
+        v = search(machine, SearchBounds(max_height=6, max_len=n))
+        assert v.outcome is Outcome.VIOLATED
+        w = v.witness
+        assert len(w.u1 + w.u2 + w.u3 + w.u4) == n
+
+
+# The first witness of each search at SearchBounds(3, 24), as
+# (u1, u2, u3, u4, init1, init2, outs1, outs2); None where there is none.
+FIRST_WITNESSES = {
+    ("fig2_t1", "htp"): None,
+    ("fig2_t1", "mtp"): (("c",), ("c",), ("c", "r1"), ("r1",), "q0", "q0",
+                         (("a",), ("a",), ("a",), ()), (("b",), ("a",), ("a",), ())),
+    ("fig3_plain", "htp"): None,
+    ("fig3_plain", "mtp"): (("c",), ("c",), ("c", "r"), ("r",), "i", "i",
+                            (("a",), ("a",), ("a", "c"), ("c",)),
+                            (("b",), ("b",), ("b", "c"), ("c",))),
+    ("fig3_full", "htp"): (("c", "r"), ("c", "r"), (), (), "i", "i",
+                           (("a", "c"), ("a", "c"), (), ()),
+                           (("b", "c"), ("b", "c"), (), ())),
+    ("fig3_full", "mtp"): ((), (), ("c", "r"), ("c", "r"), "i", "i",
+                           ((), (), ("a", "c"), ("a", "c")),
+                           ((), (), ("b", "c"), ("b", "c"))),
+}
+
+
+@pytest.mark.parametrize("machine, prop", sorted(FIRST_WITNESSES))
+def test_first_witness_is_pinned(machine, prop, request):
+    search = {"htp": check_htp, "mtp": check_mtp}[prop]
+    v = search(request.getfixturevalue(machine), SearchBounds(max_height=3, max_len=24))
+    expected = FIRST_WITNESSES[machine, prop]
+    if expected is None:
+        assert v.outcome is Outcome.NO_WITNESS_UP_TO
+        return
+    assert v.outcome is Outcome.VIOLATED
+    w = v.witness
+    assert (w.u1, w.u2, w.u3, w.u4, w.init1, w.init2, w.outs1, w.outs2) == expected
+
+
+@pytest.mark.parametrize("machine", ["fig2_t1", "fig3_full"])
+def test_search_extends_each_delay_once(machine, request, monkeypatch):
+    seen = []
+
+    def counting(d, u2, v2):
+        seen.append((d, tuple(u2), tuple(v2)))
+        return delta_extend(d, u2, v2)
+
+    monkeypatch.setattr(streamability, "delta_extend", counting)
+    check_mtp(request.getfixturevalue(machine), SearchBounds(max_height=3, max_len=24))
+    assert seen
+    assert len(set(seen)) == len(seen)
+
+
 def test_no_witness_bounds_are_the_bounds_searched(fig4):
     # the early exit: fig4 has no state with a nonempty well-nested loop
     bounds = SearchBounds(max_height=3, max_len=24)
@@ -332,6 +391,16 @@ def test_vpt_witness_verifier_rejects_tampering(fig3_plain):
         verify_vpt_twinning_witness(fig3_plain, dataclasses.replace(w, u1=()))
 
 
+def test_replays_reject_symbols_outside_the_alphabet(fig3_plain, fig3_full):
+    w = check_mtp(fig3_plain).witness
+    with pytest.raises(AssertionError, match="outside the alphabet"):
+        verify_vpt_twinning_witness(fig3_plain, dataclasses.replace(w, u1=("zz",) + w.u1))
+    pump = check_bm(fig3_full).witness
+    with pytest.raises(AssertionError, match="outside the alphabet"):
+        streamability._verify_pump(fig3_full,
+                                   dataclasses.replace(pump, cycle=("zz",) + pump.cycle))
+
+
 # Run in a fresh interpreter under -O, where `assert` statements are compiled
 # away: each replay is handed an altered witness and must still reject it.
 REPLAYS_UNDER_O = """
@@ -354,6 +423,7 @@ plain = machines.load("fig3_plain")
 w = check_mtp(plain).witness
 replay(verify_vpt_twinning_witness, plain,
        dataclasses.replace(w, delay_after=w.delay_before))
+replay(verify_vpt_twinning_witness, plain, dataclasses.replace(w, u1=("zz",) + w.u1))
 full = machines.load("fig3_full")
 pump = check_bm(full).witness
 replay(_verify_pump, full, dataclasses.replace(pump, cycle=()))
@@ -376,6 +446,7 @@ def test_replays_reject_altered_witnesses_under_python_O():
     assert res.stdout.splitlines() == [
         "optimize 1",
         "rejected: delay_after is not the delay over u1·u2·u3·u4",
+        "rejected: witness reads a symbol outside the alphabet",
         "rejected: pump witness does not ascend",
         "rejected: run output differs from the claimed output",
     ]
