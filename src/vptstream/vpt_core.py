@@ -25,7 +25,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .delay_algebra import Word
 from .nested_words import StructuredAlphabet, SymbolKind, classify
@@ -326,9 +326,8 @@ def step_runs(vpt: Vpt, start: Configuration,
 # ---------------------------------------------------------------------------
 # Enumeration oracles
 
-def _accepted_words(vpt: Vpt, max_len: int) -> Iterator[tuple[InputWord, list[Word]]]:
-    """Every word of length <= max_len that some run accepts, with the sorted
-    outputs of its accepting runs, in lexicographic order.
+def enumerate_domain(vpt: Vpt, max_len: int) -> list[tuple[InputWord, Word]]:
+    """All accepted words of length <= max_len, lexicographic by word.
 
     A depth-first walk over the prefixes that some run survives, children
     in sorted symbol order, pruned exactly: a run holding h stack symbols
@@ -336,19 +335,24 @@ def _accepted_words(vpt: Vpt, max_len: int) -> Iterator[tuple[InputWord, list[Wo
     extended only while some run's height is at most the symbols left.
     Every prefix of an accepted word of length <= max_len passes that test
     (the run that accepts it does), so the pruned subtrees hold no such
-    word and the order of the words found is unchanged.
+    word and the order of the words found is unchanged.  Raises
+    NotFunctionalWitness at the first word with two accepting outputs.
     """
+    result: list[tuple[InputWord, Word]] = []
     if not vpt.initial:
-        return
+        return result
     symbols = sorted(vpt.alphabet.symbols, reverse=True)  # popped smallest first
     idx = rule_index(vpt)
     final = vpt.final
     todo = [((), initial_dconfigs(vpt))]
     while todo:
         word, configs = todo.pop()
-        outs = {dc.residual for dc in configs if not dc.stack and dc.state in final}
+        outs = sorted({dc.residual for dc in configs
+                       if not dc.stack and dc.state in final})
+        if len(outs) > 1:
+            raise NotFunctionalWitness(word, outs[0], outs[1])
         if outs:
-            yield word, sorted(outs)
+            result.append((word, outs[0]))
         left = max_len - len(word) - 1  # symbols left after one more
         if left < 0:
             continue
@@ -356,15 +360,6 @@ def _accepted_words(vpt: Vpt, max_len: int) -> Iterator[tuple[InputWord, list[Wo
             nxt = _advance(idx, configs, symbol)
             if any(len(dc.stack) <= left for dc in nxt):
                 todo.append((word + (symbol,), nxt))
-
-
-def enumerate_domain(vpt: Vpt, max_len: int) -> list[tuple[InputWord, Word]]:
-    """All accepted words of length <= max_len, lexicographic by word."""
-    result = []
-    for word, outs in _accepted_words(vpt, max_len):
-        if len(outs) > 1:
-            raise NotFunctionalWitness(word, outs[0], outs[1])
-        result.append((word, outs[0]))
     return result
 
 
@@ -384,13 +379,96 @@ def check_functional_bounded(vpt: Vpt, max_len: int):
     """Scan every domain word of length <= max_len for output conflicts.
 
     Returns the first conflict in lexicographic order, or FunctionalUpTo.
-    The scan skips only prefixes that no run can complete within max_len
-    (see ``_accepted_words``), so it finds the same first conflict as a walk
-    over every live prefix.
+
+    A depth-first walk over input prefixes, children in sorted symbol
+    order (so words are met in lexicographic order), that explores each
+    distinct subtree once.  A prefix holds its runs as (configuration,
+    residual) pairs, the residual being the run's output so far, reduced
+    exactly in two ways.  A run holding more stack symbols than the symbols
+    left cannot accept in time, and neither can any run it leads to, so it
+    is dropped; a prefix with no run left is not extended, the pruning of
+    ``enumerate_domain``.  Then the longest common prefix p of the
+    residuals is stripped: every accepted output below is p followed by a
+    suffix that depends only on the stripped pairs, so two outputs below
+    differ iff their stripped forms differ, and the order of outputs is
+    kept.  Which words below a prefix conflict is therefore a function of
+    the reduced runs and the symbols left, and that pair is the memo key.
+    The first conflict ends the search, so the memo is just the set of
+    keys whose subtree was explored without one; a prefix whose key is in
+    it is skipped whole.  A conflict is reported with the prefix's full
+    word and the two smallest of its ``naive_outputs``: a dropped run
+    accepts no word of the bound, so these are the outputs of the runs kept.
+
+    Configurations get small int ids, once per probe, each keeping its
+    stack height, whether it accepts, and, once first expanded, its
+    ``successors`` as symbol -> [(id, output)]; so ``moves`` runs at most
+    once per (configuration, symbol).  The height cap max_len // 2 loses
+    nothing: a run at height h after k symbols has h <= k and must also
+    have h <= max_len - k to be kept.
     """
-    for word, outs in _accepted_words(vpt, max_len):
-        if len(outs) > 1:
+    idx = rule_index(vpt)
+    cap = max_len // 2
+    config_id: dict[Configuration, int] = {}
+    configs: list[Configuration] = []
+    height: list[int] = []
+    accepts: list[bool] = []
+    succ: list[Optional[dict[str, list[tuple[int, Word]]]]] = []
+
+    def config(cfg: Configuration) -> int:
+        i = config_id.get(cfg)
+        if i is None:
+            i = config_id[cfg] = len(configs)
+            configs.append(cfg)
+            height.append(len(cfg.stack))
+            accepts.append(not cfg.stack and cfg.state in vpt.final)
+            succ.append(None)
+        return i
+
+    def expand(i: int) -> dict[str, list[tuple[int, Word]]]:
+        succ[i] = table = {symbol: [(config(c), o) for c, o in steps]
+                           for symbol, steps in
+                           successors(idx, configs[i], cap).items()}
+        return table
+
+    # a prefix is (word, memo key, runs); once its children are pushed, its
+    # key follows them as (None, key, None), to be marked done when popped
+    root = frozenset((config(Configuration(q, ())), ()) for q in vpt.initial)
+    done: set[tuple[int, frozenset]] = set()
+    todo: list = [((), (max_len, root), root)]
+    while todo:
+        word, key, runs = todo.pop()
+        if word is None:
+            done.add(key)
+            continue
+        if key in done:
+            continue
+        if len(runs) > 1 and len({r for i, r in runs if accepts[i]}) > 1:
+            outs = sorted(naive_outputs(vpt, word))
             return CounterExample(word, outs[0], outs[1])
+        left = key[0] - 1  # symbols left after one more
+        grown: dict[str, set[tuple[int, Word]]] = {}
+        if left >= 0:
+            for i, r in runs:
+                table = succ[i]
+                if table is None:
+                    table = expand(i)
+                for symbol, steps in table.items():
+                    for j, o in steps:
+                        if height[j] <= left:
+                            grown.setdefault(symbol, set()).add((j, r + o))
+        todo.append((None, key, None))
+        for symbol in sorted(grown, reverse=True):  # popped smallest first
+            nxt = grown[symbol]
+            if len(nxt) == 1:  # the common case; its residual strips to ε
+                child = frozenset((j, ()) for j, _ in nxt)
+            else:
+                lo = min(r for _, r in nxt)  # the lcp of a set is that of
+                hi = max(r for _, r in nxt)  # its least and greatest members
+                cut = 0
+                while cut < len(lo) and lo[cut] == hi[cut]:
+                    cut += 1
+                child = frozenset((j, r[cut:]) for j, r in nxt)
+            todo.append(((*word, symbol), (left, child), child))
     return FunctionalUpTo(max_len)
 
 

@@ -27,7 +27,8 @@ from vptstream import (
     step_runs,
     trim_fst,
 )
-from vptstream.vpt_core import FstMachine, access_words, well_matched
+from vptstream import vpt_core
+from vptstream.vpt_core import FstMachine, access_words, moves, well_matched
 
 from helpers import (accessible_configs, functional_by_scan, live_prefixes,
                      random_det_vpt, random_nondet_vpt, random_untrimmed_fst)
@@ -133,14 +134,143 @@ def _probe_corpus():
         yield dataclasses.replace(m, call_rules=m.call_rules | extra)
 
 
+# Two pool machines (perfbench/gen.py check_pool, mutant785 and mutant71)
+# in the shape of fig4: the first call forks an a-run and a b-run whose
+# residuals diverge at once and stay apart while the calls go on.
+MUTANT785 = """calls: c
+returns: r rp
+internals: a b
+states: i p1 p2 p3 q1 q2 q3
+initial: i
+final: p2 p3 q3
+stack: g
+trans i c a push g p1
+trans i c b push g q1
+trans p1 c a push g p1
+trans p1 r c pop g p2
+trans p2 c a push g p1
+trans p2 r c pop g p2
+trans p2 r c pop g p3
+trans q1 c b push g q1
+trans q1 r c pop g q2
+trans q1 rp a pop g i
+trans q2 c b push g q1
+trans q2 r c pop g q2
+trans q2 rp c pop g q3
+"""
+MUTANT71 = """calls: c
+returns: r rp
+internals: a b
+states: i p1 p2 p3 q1 q2 q3
+initial: i
+final: p2 p3 q3
+stack: g
+trans i c a push g p1
+trans i c b push g q1
+trans p1 c a push g p1
+trans p1 r c pop g p2
+trans p1 rp b pop g q2
+trans p2 c a push g p1
+trans p2 r c pop g p2
+trans p2 r c pop g p3
+trans q1 c b push g q1
+trans q1 r c pop g q2
+trans q2 c b push g q1
+trans q2 r c pop g q2
+trans q2 rp c pop g q3
+"""
+
+# Two runs that print the same letters until the last return, so every
+# conflict's outputs share a nonempty prefix (x y^k): the probe must report
+# them in full, not what is left after the common prefix.
+SHARED_PREFIX_CONFLICT = """calls: c
+returns: r
+internals: a
+states: s0 s1 s2 f
+initial: s0
+final: f
+stack: g
+trans s0 c x push g s1
+trans s0 c x push g s2
+trans s1 a y int s1
+trans s2 a y int s2
+trans s1 r u pop g f
+trans s2 r v pop g f
+"""
+
+
 def test_functional_probe_matches_unpruned_scan():
     conflicts = 0
-    for m in _probe_corpus():
+    extra = [parse_vpt(t) for t in (MUTANT785, MUTANT71, SHARED_PREFIX_CONFLICT)]
+    for m in [*_probe_corpus(), *extra]:
         for n in range(11):
             got = check_functional_bounded(m, n)
             assert got == functional_by_scan(m, n), (m, n)
             conflicts += isinstance(got, CounterExample)
     assert conflicts  # the corpus exercises both outcomes
+
+
+def test_functional_probe_agrees_with_enumerate_domain():
+    for m in _probe_corpus():
+        for n in range(9):
+            got = check_functional_bounded(m, n)
+            if isinstance(got, CounterExample):
+                with pytest.raises(NotFunctionalWitness) as exc:
+                    enumerate_domain(m, n)
+                assert (exc.value.word, exc.value.out1, exc.value.out2) == (
+                    got.word, got.out1, got.out2), (m, n)
+            else:
+                assert got == FunctionalUpTo(n)
+                enumerate_domain(m, n)
+
+
+def _counting_moves(monkeypatch) -> list:
+    seen = []
+
+    def counting(idx, cfg, symbol, kind):
+        seen.append((cfg, symbol))
+        return moves(idx, cfg, symbol, kind)
+
+    monkeypatch.setattr(vpt_core, "moves", counting)
+    return seen
+
+
+@pytest.mark.parametrize("machine", ["fig2_t1", "fig3_full", "mutant785"])
+def test_functional_probe_steps_each_configuration_once(machine, monkeypatch):
+    m = parse_vpt(MUTANT785) if machine == "mutant785" else machines.load(machine)
+    seen = _counting_moves(monkeypatch)
+    check_functional_bounded(m, 10)
+    assert seen
+    assert len(set(seen)) == len(seen)
+
+
+# Pool machine random282: deterministic, two states, one stack symbol.
+RANDOM282 = """calls: c d
+returns: r
+internals: i
+states: q0 q1
+initial: q0
+final: q1
+stack: g
+trans q0 c ab push g q1
+trans q0 d - push g q1
+trans q0 r b pop g q0
+trans q1 d ba push g q1
+trans q1 i - int q1
+trans q1 r bb pop g q1
+"""
+
+
+def test_functional_probe_steps_are_bounded_by_configurations(monkeypatch):
+    # a run of height h after k of 10 symbols has h <= k and h <= 10 - k,
+    # so only configurations of height <= 5 are ever stepped: at most
+    # 4 symbols x 7 configurations = 28 steps, where a walk that steps
+    # every live prefix takes 22 876
+    m = parse_vpt(RANDOM282)
+    bound = len(m.alphabet.symbols) * len(accessible_configs(m, 5))
+    seen = _counting_moves(monkeypatch)
+    assert check_functional_bounded(m, 10) == FunctionalUpTo(10)
+    assert 0 < len(seen) <= bound
 
 
 def test_enumerate_domain_matches_unpruned_walk():
