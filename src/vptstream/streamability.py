@@ -11,6 +11,13 @@ between them; the horizontal property is its special case u3 = u4 = ε.  A
 Violated verdict carries a replayed, machine-checked witness, while
 exhausting the bounds yields NoWitnessUpTo — never Holds, since the search
 is not complete — and names the height and length searched, nothing else.
+The search skips the joint runs whose delay is still (ε, ε) and can never
+move, because no step with two different outputs is reachable from their
+states at their height (the squared-machine view of Béal, Carton, Prieur
+and Sakarovitch, "Squaring transducers", 2003); no verdict changes, as
+``_search`` argues.  Since a horizontal witness is also a matched one,
+``classify_streamability`` runs the matched search first and skips the
+horizontal one when the matched search ran to its bounds without a witness.
 
 All searches run on the reduced machine (accessible implies co-accessible
 there, which the twinning premises need) and witnesses are projected back to
@@ -402,7 +409,11 @@ def check_mtp(vpt: Vpt, bounds: Optional[SearchBounds] = None) -> Verdict:
     return _twinning_search(vpt, bounds or SearchBounds(), horizontal=False)
 
 
-def _twinning_search(vpt: Vpt, bounds: SearchBounds, horizontal: bool) -> Verdict:
+def _twinning_search(vpt: Vpt, bounds: SearchBounds, horizontal: bool,
+                     search: bool = True) -> Verdict:
+    """One property's verdict; ``search=False`` runs only the early exits and
+    otherwise answers what a search that ran to the bounds without a witness
+    answers."""
     reduced, state_map, sym_map = reduce_with_map(vpt)
     if not reduced.initial:
         return Verdict(Outcome.NO_WITNESS_UP_TO, bounds=bounds,
@@ -415,6 +426,8 @@ def _twinning_search(vpt: Vpt, bounds: SearchBounds, horizontal: bool) -> Verdic
                 "no state has a nonempty well-nested loop, so no witness of "
                 "any size exists"))
 
+    if not search:
+        return Verdict(Outcome.NO_WITNESS_UP_TO, bounds=bounds)
     preds, final, exhaustive_to = _search(reduced, state_map, bounds, loopers)
     if final is not None:
         return _witness(vpt, state_map, sym_map, preds, final)
@@ -466,6 +479,26 @@ def _search(reduced: Vpt, state_map: dict[str, str], bounds: SearchBounds,
     run 2's, so the search meets the same first witness as one over the
     objects themselves.
 
+    A node whose delays are both ε (dF is ε and dA is None or ε) at two
+    configurations whose states and height ``_still_triples`` finds unable
+    to reach a joint step with two different outputs is never enqueued,
+    nor is anything below it, and no root is enqueued when no initial
+    pair can diverge:
+
+    - From (ε, ε), two equal outputs give (ε, ε) again, and such a triple
+      only steps to triples of its kind, so every node below a dropped one
+      keeps dA = dF = ε.  Both closing tests need dA != dF, so nothing
+      below a dropped node can close.
+    - Every node the search keeps was first discovered, in the search
+      without the cut, by a node it keeps too: a dropped node's children
+      are all dropped.  So each kept node keeps its discoverer, its
+      ``preds`` entry and its place in its layer, and the first closing
+      node and its chain, the witness, are the same.
+    - The cut search enqueues a subset of the nodes, so it hits the node
+      budget at the same layer or later, and only where the uncut search
+      ran out of nodes can it reach further or find a witness, which is
+      replayed as every witness is.
+
     Returns (the closing node's discovery chain as node -> (previous node,
     symbol or None for an ε-step, output 1, output 2), in Configuration and
     DelayPair form; the closing node or None; the length up to which the
@@ -478,6 +511,7 @@ def _search(reduced: Vpt, state_map: dict[str, str], bounds: SearchBounds,
     config_id: dict[Configuration, int] = {}
     configs: list[Configuration] = []
     height: list[int] = []
+    state: list[str] = []
     caller: list[str] = []        # state_map of the configuration's state
     loops: list[bool] = []        # may enter phase 2
     succ: list[Optional[dict[str, list[tuple[int, Word]]]]] = []
@@ -488,6 +522,7 @@ def _search(reduced: Vpt, state_map: dict[str, str], bounds: SearchBounds,
             i = config_id[cfg] = len(configs)
             configs.append(cfg)
             height.append(len(cfg.stack))
+            state.append(cfg.state)
             caller.append(state_map[cfg.state])
             loops.append(loopers is None or cfg.state in loopers)
             succ.append(None)
@@ -527,10 +562,13 @@ def _search(reduced: Vpt, state_map: dict[str, str], bounds: SearchBounds,
         return out, objects(final)
 
     last = 4 if loopers is None else 2
+    still = _still_triples(reduced, max_height)
     preds: dict[tuple, Optional[tuple[tuple, Optional[str], Word, Word]]] = {}
     layer: deque[tuple] = deque()
     for q1 in sorted(reduced.initial):
         for q2 in sorted(reduced.initial):
+            if (q1, q2, 0) in still:
+                continue
             node = (1, config(Configuration(q1, ())), config(Configuration(q2, ())),
                     None, 0, 0, 0, None, None)
             preds[node] = None
@@ -590,6 +628,8 @@ def _search(reduced: Vpt, state_map: dict[str, str], bounds: SearchBounds,
                                 a2 = a
                         else:
                             f2, a2 = f, a  # nothing appended, no delay moves
+                        if not f2 and not a2 and (state[n1], state[n2], height[n1]) in still:
+                            continue  # both delays ε, and they can never move
                         child = (phase, n1, n2, a2, f2, ah, floor, s1, s2)
                         if child in preds:
                             continue
@@ -602,6 +642,56 @@ def _search(reduced: Vpt, state_map: dict[str, str], bounds: SearchBounds,
                         nxt_layer.append(child)
         layer = nxt_layer
     return {}, None, None
+
+
+def _still_triples(vpt: Vpt, max_height: int) -> set[tuple[str, str, int]]:
+    """The triples (state, state, height) of two runs on one input from which
+    no joint step with two different outputs can be reached, among those
+    reachable from two initial states at height 0.
+
+    A joint step is two rules that read one symbol, keeping the height
+    within ``max_height``; pops are not matched against the stacks.  Every
+    step the search takes from two configurations is a joint step of their
+    states and height, so a delay of (ε, ε) at such a triple stays (ε, ε).
+    One pass from the initial pairs marks the triples with a step of two
+    different outputs and keeps the edges of the others; one backward
+    worklist then marks every triple that reaches a marked one.  There are
+    at most |Q|²·(max_height + 1) triples, whatever the length bound.
+    """
+    by_src: dict[str, dict[str, set[tuple[str, Word, int]]]] = {}
+    for rules, rise in ((vpt.call_rules, 1), (vpt.return_rules, -1),
+                        (vpt.internal_rules, 0)):
+        for r in rules:
+            by_src.setdefault(r.src, {}).setdefault(r.symbol, set()).add(
+                (r.dst, r.out, rise))
+    seen = {(q1, q2, 0) for q1 in vpt.initial for q2 in vpt.initial}
+    todo = list(seen)
+    back: dict[tuple[str, str, int], list[tuple[str, str, int]]] = {}
+    moving: set[tuple[str, str, int]] = set()
+    while todo:
+        node = todo.pop()
+        q1, q2, h = node
+        moves2 = by_src.get(q2, {})
+        for symbol, moves1 in by_src.get(q1, {}).items():
+            for d2, o2, rise in moves2.get(symbol, ()):
+                if not 0 <= h + rise <= max_height:
+                    continue
+                for d1, o1, _ in moves1:
+                    child = (d1, d2, h + rise)
+                    if o1 != o2:
+                        moving.add(node)
+                    else:
+                        back.setdefault(child, []).append(node)
+                    if child not in seen:
+                        seen.add(child)
+                        todo.append(child)
+    work = list(moving)
+    while work:
+        for node in back.get(work.pop(), ()):
+            if node not in moving:
+                moving.add(node)
+                work.append(node)
+    return seen - moving
 
 
 def _witness(original: Vpt, state_map, sym_map, preds, final) -> Verdict:
@@ -686,8 +776,14 @@ def classify_streamability(vpt: Vpt,
     probe = check_functional_bounded(vpt, min(bounds.max_len, 10))
     if isinstance(probe, CounterExample):
         raise NotFunctionalWitness(probe.word, probe.out1, probe.out2)
-    hbm = check_htp(vpt, bounds)
     obm = check_mtp(vpt, bounds)
+    if obm.outcome is Outcome.NO_WITNESS_UP_TO and obm.bounds == bounds:
+        # the matched search closes any horizontal witness two ε-steps after
+        # the horizontal one would, at the same length, so a matched search
+        # that ran to its bounds without a witness leaves none to find here
+        hbm = _twinning_search(vpt, bounds, horizontal=True, search=False)
+    else:
+        hbm = check_htp(vpt, bounds)
     bm = check_bm(vpt)
 
     if hbm.outcome is Outcome.VIOLATED and obm.outcome is not Outcome.VIOLATED:

@@ -31,11 +31,37 @@ from vptstream.vpt_core import (
     _advance,
     initial_dconfigs,
     moves,
+    parse_vpt,
     rule_index,
     trim_fst,
 )
 
 VPT_OUTS = [(), ("x",), ("y",), ("x", "y")]
+
+# Two branches told apart by the last return, like fig3_plain, but every call
+# after the first is preceded by an internal `a` that both runs read with no
+# output: the loops and u3 hold ε-output steps between emitting ones.
+SILENT_STEPS = parse_vpt("""
+calls: c
+returns: r rp
+internals: a
+states: i p1 p2 p3 q1 q2 q3 q4
+initial: i
+final: p3 q4
+stack: g
+trans i c x push g p1
+trans p1 a - int p2
+trans p2 c x push g p1
+trans p2 r y pop g p3
+trans p3 r y pop g p3
+trans i c z push g q1
+trans q1 a - int q2
+trans q2 c z push g q1
+trans q2 r y pop g q3
+trans q3 r y pop g q3
+trans q3 rp y pop g q4
+trans q2 rp y pop g q4
+""")
 
 
 def random_det_vpt(rng: random.Random) -> Vpt:

@@ -7,7 +7,9 @@ must reproduce them exactly: a verdict that weakens, strengthens or flips
 is a change of behaviour that needs a reason.  The sample is drawn by the
 seed alone, never by cost.  On the same machines, every twinning witness is
 pumped through the evaluator, which must show the unbounded memory the
-witness claims.
+witness claims.  The same machines guard the two shortcuts of the twinning
+searches: skipping joint runs whose delay can never move, and taking the
+horizontal verdict from an exhausted matched search.
 """
 
 import importlib.util
@@ -17,9 +19,13 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
-from vptstream import (NotFunctionalWitness, SearchBounds, classify_streamability, parse_vpt,
-                       reduce)
+import pytest
+
+from vptstream import (NotFunctionalWitness, Outcome, SearchBounds, check_htp, check_mtp,
+                       classify_streamability, parse_vpt, reduce, streamability)
 from vptstream.streaming_eval import Status, memory_snapshot, start, step
+
+from helpers import SILENT_STEPS
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SAMPLE_SEED = 9
@@ -114,3 +120,62 @@ def test_twinning_witnesses_pump_the_evaluator_memory():
                 disagree[label, name] = memory
     assert pumped
     assert not disagree, disagree
+
+
+def _reaches_as_far(pruned, unpruned) -> bool:
+    """The pruned search's verdict is the unpruned one's, or, where the
+    latter ran out of nodes, a replayed witness or a longer exhaustive run."""
+    if unpruned.diagnostics.startswith("node budget"):
+        return (pruned.outcome is Outcome.VIOLATED
+                or pruned.bounds.max_len >= unpruned.bounds.max_len)
+    return pruned == unpruned
+
+
+@pytest.mark.parametrize("bounds", [BOUNDS, SearchBounds(max_height=2, max_len=5)])
+def test_pruned_searches_match_the_unpruned_ones(bounds, monkeypatch):
+    # with no triple counted as still, the search enqueues every node
+    _, sample = _sample()
+    machines = [(label, parse_vpt(text)) for label, _, _, text in sample]
+    machines.append(("SILENT_STEPS", SILENT_STEPS))
+
+    def verdicts():
+        return {(label, search.__name__): search(vpt, bounds)
+                for label, vpt in machines for search in (check_htp, check_mtp)}
+
+    pruned = verdicts()
+    monkeypatch.setattr(streamability, "_still_triples", lambda *args: set())
+    unpruned = verdicts()
+    differ = {key: (pruned[key], unpruned[key]) for key in pruned
+              if not _reaches_as_far(pruned[key], unpruned[key])}
+    assert not differ, differ
+    assert sum(v.outcome is Outcome.VIOLATED for v in pruned.values()) > 10
+
+
+def _htp_verdicts():
+    """(labels whose classification's HTP verdict differs from check_htp's,
+    number of classifications whose matched search ran out of nodes)."""
+    _, sample = _sample()
+    differ, ran_out = [], 0
+    for label, _digest, _verdict, text in sample:
+        vpt = parse_vpt(text)
+        try:
+            report = classify_streamability(vpt, BOUNDS)
+        except NotFunctionalWitness:
+            continue
+        ran_out += report.obm.bounds is not None and report.obm.bounds != BOUNDS
+        if report.hbm != check_htp(vpt, BOUNDS):
+            differ.append(label)
+    return differ, ran_out
+
+
+def test_classification_htp_verdict_is_check_htp():
+    assert _htp_verdicts() == ([], 0)
+
+
+def test_htp_is_searched_when_the_matched_search_runs_out(monkeypatch):
+    # at 400 nodes many matched searches stop early: their NoWitnessUpTo
+    # covers shorter words than the horizontal search may still reach
+    monkeypatch.setattr(streamability, "_NODE_BUDGET", 400)
+    differ, ran_out = _htp_verdicts()
+    assert differ == []
+    assert ran_out > 0

@@ -32,7 +32,7 @@ from vptstream import (
     verify_vpt_twinning_witness,
 )
 
-from helpers import live_prefixes, random_det_vpt, random_nondet_vpt
+from helpers import SILENT_STEPS, live_prefixes, random_det_vpt, random_nondet_vpt
 
 FINITE = parse_vpt("""
 calls: c
@@ -247,32 +247,6 @@ def test_mtp_no_witness_on_fig4(fig4):
     assert v.bounds is not None
 
 
-# Two branches told apart by the last return, like fig3_plain, but every call
-# after the first is preceded by an internal `a` that both runs read with no
-# output: the loops and u3 hold ε-output steps between emitting ones.
-SILENT_STEPS = parse_vpt("""
-calls: c
-returns: r rp
-internals: a
-states: i p1 p2 p3 q1 q2 q3 q4
-initial: i
-final: p3 q4
-stack: g
-trans i c x push g p1
-trans p1 a - int p2
-trans p2 c x push g p1
-trans p2 r y pop g p3
-trans p3 r y pop g p3
-trans i c z push g q1
-trans q1 a - int q2
-trans q2 c z push g q1
-trans q2 r y pop g q3
-trans q3 r y pop g q3
-trans q3 rp y pop g q4
-trans q2 rp y pop g q4
-""")
-
-
 def test_mtp_witness_through_silent_steps(monkeypatch):
     extended = []
 
@@ -355,6 +329,71 @@ def test_search_extends_each_delay_once(machine, request, monkeypatch):
     assert len(set(seen)) == len(seen)
 
 
+# random5 of the benchmark pool: deterministic, so the two runs of every
+# joint run are one run and always emit the same output.
+SAME_OUTPUTS = parse_vpt("""
+calls: c
+returns: r s
+internals: i
+states: q0 q1 q2
+initial: q0
+final: q1 q2
+stack: g
+trans q0 c b push g q1
+trans q0 i a int q2
+trans q1 c b push g q2
+trans q1 r a pop g q1
+trans q1 s a pop g q2
+trans q2 s aa pop g q0
+""")
+
+
+def test_search_skips_runs_whose_delay_never_moves(monkeypatch):
+    seen = []
+
+    def counting(d, u2, v2):
+        seen.append((d, u2, v2))
+        return delta_extend(d, u2, v2)
+
+    monkeypatch.setattr(streamability, "delta_extend", counting)
+    bounds = SearchBounds(max_height=3, max_len=24)
+    v = check_mtp(SAME_OUTPUTS, bounds)
+    assert v.outcome is Outcome.NO_WITNESS_UP_TO
+    assert v.bounds == bounds and v.diagnostics == ""
+    assert seen == []
+
+
+# Both runs read `a` by one rule, then the call forks them apart, outputs x
+# and y, one level up, and the return joins them again.
+FORK_ON_CALL = parse_vpt("""
+calls: c
+returns: r
+internals: a
+states: s0 s1 s2 s3 s4
+initial: s0
+final: s4
+stack: g
+trans s0 a z int s1
+trans s1 c x push g s2
+trans s1 c y push g s3
+trans s2 r w pop g s4
+trans s3 r w pop g s4
+""")
+
+
+def test_still_triples_are_those_that_cannot_reach_two_outputs():
+    # (s0, s0, 0) diverges only through (s1, s1, 0): the backward closure;
+    # after the fork only equal outputs are left
+    assert streamability._still_triples(FORK_ON_CALL, 1) == {
+        ("s2", "s2", 1), ("s2", "s3", 1), ("s3", "s2", 1), ("s3", "s3", 1),
+        ("s4", "s4", 0)}
+    # at height bound 0 the call is never taken, so no delay can move
+    assert streamability._still_triples(FORK_ON_CALL, 0) == {("s0", "s0", 0), ("s1", "s1", 0)}
+    assert check_mtp(FORK_ON_CALL, SearchBounds(max_height=0, max_len=24)) == \
+        streamability.Verdict(Outcome.NO_WITNESS_UP_TO,
+                              bounds=SearchBounds(max_height=0, max_len=24))
+
+
 def test_no_witness_bounds_are_the_bounds_searched(fig4):
     # the early exit: fig4 has no state with a nonempty well-nested loop
     bounds = SearchBounds(max_height=3, max_len=24)
@@ -370,7 +409,7 @@ def test_no_witness_bounds_are_the_bounds_searched(fig4):
     assert v.bounds == bounds
 
 
-@pytest.mark.parametrize("search, machine, budget", [(check_htp, "fig3_full", 100),
+@pytest.mark.parametrize("search, machine, budget", [(check_htp, "fig3_full", 80),
                                                      (check_mtp, "fig4", 400)])
 def test_search_reports_node_budget(search, machine, budget, request, monkeypatch):
     monkeypatch.setattr(streamability, "_NODE_BUDGET", budget)
