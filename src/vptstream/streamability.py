@@ -23,9 +23,9 @@ All searches run on the reduced machine (accessible implies co-accessible
 there, which the twinning premises need) and witnesses are projected back to
 the caller's machine and re-verified on it before being returned.  Every
 stage reads the one well-matched summary ``vpt_core.well_matched`` of the
-machine it works on, and steps configurations within a height bound with
-``vpt_core.successors``.  Replays check through ``_require``, not ``assert``,
-so that ``python -O`` keeps them.
+machine it works on, and walks configurations within a height bound through
+one ``vpt_core.ConfigGraph``.  Replays check through ``_require``, not
+``assert``, so that ``python -O`` keeps them.
 """
 
 from __future__ import annotations
@@ -33,11 +33,13 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 from .delay_algebra import DelayPair, Word, delta, delta_extend
 from .nested_words import SymbolKind, is_well_nested
 from .vpt_core import (
+    ConfigGraph,
     Configuration,
     CounterExample,
     FstMachine,
@@ -52,10 +54,8 @@ from .vpt_core import (
     co_accessible,
     fst_of,
     reduce_with_map,
-    rule_index,
     run_dconfigs,
     step_runs,
-    successors,
     trim_fst,
     well_matched,
     well_matched_witnesses,  # unused here: perfbench/run.py traces it by this name
@@ -428,9 +428,9 @@ def _twinning_search(vpt: Vpt, bounds: SearchBounds, horizontal: bool,
 
     if not search:
         return Verdict(Outcome.NO_WITNESS_UP_TO, bounds=bounds)
-    preds, final, exhaustive_to = _search(reduced, state_map, bounds, loopers)
-    if final is not None:
-        return _witness(vpt, state_map, sym_map, preds, final)
+    steps, exhaustive_to = _search(reduced, state_map, bounds, loopers)
+    if steps is not None:
+        return _witness(vpt, state_map, sym_map, steps)
     if exhaustive_to is not None:
         return Verdict(Outcome.NO_WITNESS_UP_TO,
                        bounds=replace(bounds, max_len=exhaustive_to), diagnostics=(
@@ -465,19 +465,16 @@ def _search(reduced: Vpt, state_map: dict[str, str], bounds: SearchBounds,
     one: the reduction refines states by pop obligation, and a loop that is
     closed upstairs may look open downstairs after refinement.
 
-    Configurations and delays are interned as small ints, one table each
-    per search, so a node is a flat tuple of ints plus s1/s2 and hashes
-    without walking stacks or delay words.  A configuration id keeps its
-    stack height, its state in the caller's machine, whether it may start a
-    horizontal loop, and, once first expanded, its ``successors`` within
-    max_height as symbol -> [(configuration id, output)]; both runs read
-    it, since runs on one word always have equal stack heights.  Delays
-    are interned by equality, so comparing two ids is comparing the delays,
-    and ``delta_extend`` runs once per distinct (delay, output, output)
-    triple; a step that appends no output to either run leaves both delays
-    as they are.  Children are generated by symbol, then run 1's move, then
-    run 2's, so the search meets the same first witness as one over the
-    objects themselves.
+    Configurations are the ids of one ``ConfigGraph`` per search, capped at
+    max_height, and delays are interned as small ints too, so a node is a
+    flat tuple of ints plus s1/s2 and hashes without walking stacks or
+    delay words.  Both runs read the one graph, since runs on one word
+    always have equal stack heights.  Delays are interned by equality, so
+    comparing two ids is comparing the delays, and ``delta_extend`` runs
+    once per distinct (delay, output, output) triple; a step that appends
+    no output to either run leaves both delays as they are.  Children are
+    generated by symbol, then run 1's move, then run 2's, so the search
+    meets the same first witness as one over the objects themselves.
 
     A node whose delays are both ε (dF is ε and dA is None or ε) at two
     configurations whose states and height ``_still_triples`` finds unable
@@ -499,40 +496,17 @@ def _search(reduced: Vpt, state_map: dict[str, str], bounds: SearchBounds,
       ran out of nodes can it reach further or find a witness, which is
       replayed as every witness is.
 
-    Returns (the closing node's discovery chain as node -> (previous node,
-    symbol or None for an ε-step, output 1, output 2), in Configuration and
-    DelayPair form; the closing node or None; the length up to which the
-    search was exhaustive when the node budget ran out, else None).
+    Returns (the steps from the root to the closing node, each the node
+    it leads to as (phase, Configuration, Configuration) followed by its
+    symbol, None for an ε-step or the root, and the two outputs, or None
+    when no loop closes; the length up to which the search was exhaustive
+    when the node budget ran out, else None).
     """
-    idx = rule_index(reduced)
-    max_height = bounds.max_height
+    graph = ConfigGraph(reduced, bounds.max_height)
+    idx = graph.idx
+    height, state, succ = graph.height, graph.state, graph.succ
     returns = {s for s in idx.symbols if idx.kind[s] is SymbolKind.RETURN}
-
-    config_id: dict[Configuration, int] = {}
-    configs: list[Configuration] = []
-    height: list[int] = []
-    state: list[str] = []
-    caller: list[str] = []        # state_map of the configuration's state
-    loops: list[bool] = []        # may enter phase 2
-    succ: list[Optional[dict[str, list[tuple[int, Word]]]]] = []
-
-    def config(cfg: Configuration) -> int:
-        i = config_id.get(cfg)
-        if i is None:
-            i = config_id[cfg] = len(configs)
-            configs.append(cfg)
-            height.append(len(cfg.stack))
-            state.append(cfg.state)
-            caller.append(state_map[cfg.state])
-            loops.append(loopers is None or cfg.state in loopers)
-            succ.append(None)
-        return i
-
-    def expand(i: int) -> dict[str, list[tuple[int, Word]]]:
-        succ[i] = table = {symbol: [(config(c), o) for c, o in moves]
-                           for symbol, moves in
-                           successors(idx, configs[i], max_height).items()}
-        return table
+    may_loop = reduced.states if loopers is None else loopers
 
     delays: list[DelayPair] = [DelayPair((), ())]
     delay_id: dict[DelayPair, int] = {delays[0]: 0}
@@ -547,31 +521,25 @@ def _search(reduced: Vpt, state_map: dict[str, str], bounds: SearchBounds,
         extended[d, o1, o2] = e
         return e
 
-    def chain(final: tuple) -> tuple[dict, tuple]:
-        def objects(n: tuple) -> tuple:
-            phase, i1, i2, a, f, *rest = n
-            return (phase, configs[i1], configs[i2],
-                    None if a is None else delays[a], delays[f], *rest)
-        out: dict = {}
-        n = final
-        while preds[n] is not None:
+    def chain(n: Optional[tuple]) -> list[tuple]:
+        steps = []
+        while n is not None:
             prev, symbol, o1, o2 = preds[n]
-            out[objects(n)] = (objects(prev), symbol, o1, o2)
+            steps.append((n[0], graph.configs[n[1]], graph.configs[n[2]], symbol, o1, o2))
             n = prev
-        out[objects(n)] = None
-        return out, objects(final)
+        return steps[::-1]
 
     last = 4 if loopers is None else 2
-    still = _still_triples(reduced, max_height)
-    preds: dict[tuple, Optional[tuple[tuple, Optional[str], Word, Word]]] = {}
+    still = _still_triples(reduced, bounds.max_height)
+    preds: dict[tuple, tuple[Optional[tuple], Optional[str], Word, Word]] = {}
     layer: deque[tuple] = deque()
     for q1 in sorted(reduced.initial):
         for q2 in sorted(reduced.initial):
             if (q1, q2, 0) in still:
                 continue
-            node = (1, config(Configuration(q1, ())), config(Configuration(q2, ())),
+            node = (1, graph.id(Configuration(q1, ())), graph.id(Configuration(q2, ())),
                     None, 0, 0, 0, None, None)
-            preds[node] = None
+            preds[node] = (None, None, (), ())
             layer.append(node)
 
     for length in range(bounds.max_len + 1):
@@ -585,28 +553,29 @@ def _search(reduced: Vpt, state_map: dict[str, str], bounds: SearchBounds,
             phase, i1, i2, a, f, ah, floor, s1, s2 = node
             eps = None
             if phase == 1:
-                if loops[i1] and loops[i2]:
+                if state[i1] in may_loop and state[i2] in may_loop:
                     h = height[i1]
-                    eps = (2, i1, i2, f, f, h, h, caller[i1], caller[i2])
+                    eps = (2, i1, i2, f, f, h, h, state_map[state[i1]], state_map[state[i2]])
             elif phase == 2:
-                if phase < last and caller[i1] == s1 and caller[i2] == s2:
+                if phase < last and state_map[state[i1]] == s1 \
+                        and state_map[state[i2]] == s2:
                     eps = (3, i1, i2, a, f, ah, height[i1], None, None)
             elif phase == 3 and height[i1] == floor:
-                eps = (4, i1, i2, a, f, ah, ah, caller[i1], caller[i2])
+                eps = (4, i1, i2, a, f, ah, ah, state_map[state[i1]], state_map[state[i2]])
             if eps is not None and eps not in preds:
                 preds[eps] = (node, None, (), ())
                 # entering phase 4 keeps the states, so only height and delay
                 if eps[0] == 4 and height[i1] == ah and a != f:
-                    return (*chain(eps), None)
+                    return chain(eps), None
                 work.append(eps)
             if not reads:
                 continue
             steps1 = succ[i1]
             if steps1 is None:
-                steps1 = expand(i1)
+                steps1 = graph.steps(i1)
             steps2 = succ[i2]
             if steps2 is None:
-                steps2 = expand(i2)
+                steps2 = graph.steps(i2)
             at_floor = height[i1] <= floor
             for symbol, moves1 in steps1.items():
                 if at_floor and symbol in returns:
@@ -634,17 +603,20 @@ def _search(reduced: Vpt, state_map: dict[str, str], bounds: SearchBounds,
                         if child in preds:
                             continue
                         preds[child] = (node, symbol, o1, o2)
-                        if phase == last and height[n1] == ah and caller[n1] == s1 \
-                                and caller[n2] == s2 and a2 != f2:
-                            return (*chain(child), None)
+                        if phase == last and height[n1] == ah and a2 != f2 \
+                                and state_map[state[n1]] == s1 and state_map[state[n2]] == s2:
+                            return chain(child), None
                         if len(preds) > _NODE_BUDGET:
-                            return {}, None, max(length - 1, 0)
+                            return None, max(length - 1, 0)
                         nxt_layer.append(child)
         layer = nxt_layer
-    return {}, None, None
+    return None, None
 
 
-def _still_triples(vpt: Vpt, max_height: int) -> set[tuple[str, str, int]]:
+# classify_streamability runs the matched and the horizontal search on one
+# reduced machine at one height bound, so a few entries suffice.
+@lru_cache(maxsize=16)
+def _still_triples(vpt: Vpt, max_height: int) -> frozenset[tuple[str, str, int]]:
     """The triples (state, state, height) of two runs on one input from which
     no joint step with two different outputs can be reached, among those
     reachable from two initial states at height 0.
@@ -691,34 +663,28 @@ def _still_triples(vpt: Vpt, max_height: int) -> set[tuple[str, str, int]]:
             if node not in moving:
                 moving.add(node)
                 work.append(node)
-    return seen - moving
+    return frozenset(seen - moving)
 
 
-def _witness(original: Vpt, state_map, sym_map, preds, final) -> Verdict:
-    """Read u1..u4 off the discovery chain of ``final``: each symbol belongs
-    to the phase of the node it leads to, and the ε-steps into phases 2, 3
-    and 4 mark the configurations after u1, u2 and u3 (a horizontal loop
-    closes in phase 2, so its u3 and u4 are empty and end where u2 does)."""
-    steps = []
-    node = final
-    while preds[node] is not None:
-        prev, sym, o1, o2 = preds[node]
-        steps.append((node, sym, o1, o2))
-        node = prev
-    init1, init2 = node[1].state, node[2].state
+def _witness(original: Vpt, state_map, sym_map, steps: list[tuple]) -> Verdict:
+    """Read u1..u4 off the steps from the root to the closing node: each
+    symbol belongs to the phase of the node it leads to, and the ε-steps
+    into phases 2, 3 and 4 mark the configurations after u1, u2 and u3 (a
+    horizontal loop closes in phase 2, so its u3 and u4 are empty and end
+    where u2 does)."""
     u = {k: () for k in (1, 2, 3, 4)}
     v = dict(u)
     w = dict(u)
     marks = {}
-    for (node, sym, o1, o2) in reversed(steps):
-        phase = node[0]
+    for phase, c1, c2, sym, o1, o2 in steps:
         if sym is None:
-            marks[phase] = (node[1], node[2])
+            marks[phase] = (c1, c2)
         else:
             u[phase] += (sym,)
             v[phase] += o1
             w[phase] += o2
-    end = final[1:3]
+    init1, init2 = steps[0][1].state, steps[0][2].state
+    end = steps[-1][1:3]
     A, B, C, D = ([_project_config(c, state_map, sym_map) for c in pair]
                   for pair in (marks[2], marks.get(3, end), marks.get(4, end), end))
     witness = VptTwinWitness(

@@ -8,8 +8,10 @@ run-enumeration semantics used as the oracle for the streaming evaluator;
 reach acceptance; ``fst_of`` flattens a machine up to a stack-height bound.
 
 Two per-machine tables serve every later stage.  ``rule_index`` groups the
-rules for one-step lookup; ``moves`` takes one configuration step through it,
-and ``successors`` the steps that stay within a stack-height bound.
+rules for one-step lookup, and ``moves`` takes one configuration step through
+it.  ``ConfigGraph`` is the one walk of configurations under a stack-height
+bound: the functional probe, the twinning searches and ``fst_of`` number
+configurations through it and step each at most once.
 ``well_matched`` holds the well-matched relation (q, q' joined by a
 well-nested word) with a witness word per pair, plus the pop targets and
 finishing states derived from it; reduction, co-accessibility, the
@@ -233,17 +235,48 @@ def moves(idx: RuleIndex, cfg: Configuration, symbol: str,
     return out
 
 
-def successors(idx: RuleIndex, cfg: Configuration,
-               max_height: int) -> dict[str, list[tuple[Configuration, Word]]]:
-    """Symbol -> the ``moves`` of ``cfg`` that keep the stack within
-    ``max_height``, in ``idx.symbols`` order; symbols with none are left out."""
-    out = {}
-    for symbol in idx.symbols:
-        kept = [m for m in moves(idx, cfg, symbol, idx.kind[symbol])
-                if len(m[0].stack) <= max_height]
-        if kept:
-            out[symbol] = kept
-    return out
+class ConfigGraph:
+    """The configurations of one machine that hold at most ``cap`` stack
+    symbols, numbered in the order they are met, each stepped at most once.
+
+    ``id(cfg)`` interns a configuration; ``configs``, ``height`` and
+    ``state`` hold each id's configuration, stack height and state, and
+    ``ids`` maps back.  ``succ[i]`` is None until ``steps(i)`` fills it with
+    symbol -> [(id, output)]: the ``moves`` of configuration i that keep the
+    stack within ``cap``, in ``idx.symbols`` order, symbols with none left
+    out.  A walk that calls ``steps`` only where ``succ`` is None runs
+    ``moves`` at most once per (configuration, symbol).
+    """
+
+    def __init__(self, vpt: Vpt, cap: int):
+        self.idx = rule_index(vpt)
+        self.cap = cap
+        self.ids: dict[Configuration, int] = {}
+        self.configs: list[Configuration] = []
+        self.height: list[int] = []
+        self.state: list[str] = []
+        self.succ: list[Optional[dict[str, list[tuple[int, Word]]]]] = []
+
+    def id(self, cfg: Configuration) -> int:
+        i = self.ids.get(cfg)
+        if i is None:
+            i = self.ids[cfg] = len(self.configs)
+            self.configs.append(cfg)
+            self.height.append(len(cfg.stack))
+            self.state.append(cfg.state)
+            self.succ.append(None)
+        return i
+
+    def steps(self, i: int) -> dict[str, list[tuple[int, Word]]]:
+        idx, cfg = self.idx, self.configs[i]
+        table = {}
+        for symbol in idx.symbols:
+            kept = [(self.id(c), o) for c, o in moves(idx, cfg, symbol, idx.kind[symbol])
+                    if len(c.stack) <= self.cap]
+            if kept:
+                table[symbol] = kept
+        self.succ[i] = table
+        return table
 
 
 def update_dconfigs(configs: Iterable[DConfiguration], symbol: str,
@@ -399,40 +432,18 @@ def check_functional_bounded(vpt: Vpt, max_len: int):
     word and the two smallest of its ``naive_outputs``: a dropped run
     accepts no word of the bound, so these are the outputs of the runs kept.
 
-    Configurations get small int ids, once per probe, each keeping its
-    stack height, whether it accepts, and, once first expanded, its
-    ``successors`` as symbol -> [(id, output)]; so ``moves`` runs at most
-    once per (configuration, symbol).  The height cap max_len // 2 loses
-    nothing: a run at height h after k symbols has h <= k and must also
-    have h <= max_len - k to be kept.
+    Runs name their configurations by ``ConfigGraph`` ids, one graph per
+    probe.  Its height cap max_len // 2 loses nothing: a run at height h
+    after k symbols has h <= k and must also have h <= max_len - k to be
+    kept.
     """
-    idx = rule_index(vpt)
-    cap = max_len // 2
-    config_id: dict[Configuration, int] = {}
-    configs: list[Configuration] = []
-    height: list[int] = []
-    accepts: list[bool] = []
-    succ: list[Optional[dict[str, list[tuple[int, Word]]]]] = []
-
-    def config(cfg: Configuration) -> int:
-        i = config_id.get(cfg)
-        if i is None:
-            i = config_id[cfg] = len(configs)
-            configs.append(cfg)
-            height.append(len(cfg.stack))
-            accepts.append(not cfg.stack and cfg.state in vpt.final)
-            succ.append(None)
-        return i
-
-    def expand(i: int) -> dict[str, list[tuple[int, Word]]]:
-        succ[i] = table = {symbol: [(config(c), o) for c, o in steps]
-                           for symbol, steps in
-                           successors(idx, configs[i], cap).items()}
-        return table
+    graph = ConfigGraph(vpt, max_len // 2)
+    height, state, succ = graph.height, graph.state, graph.succ
+    final = vpt.final
 
     # a prefix is (word, memo key, runs); once its children are pushed, its
     # key follows them as (None, key, None), to be marked done when popped
-    root = frozenset((config(Configuration(q, ())), ()) for q in vpt.initial)
+    root = frozenset((graph.id(Configuration(q, ())), ()) for q in vpt.initial)
     done: set[tuple[int, frozenset]] = set()
     todo: list = [((), (max_len, root), root)]
     while todo:
@@ -442,7 +453,8 @@ def check_functional_bounded(vpt: Vpt, max_len: int):
             continue
         if key in done:
             continue
-        if len(runs) > 1 and len({r for i, r in runs if accepts[i]}) > 1:
+        if len(runs) > 1 and len({r for i, r in runs
+                                  if not height[i] and state[i] in final}) > 1:
             outs = sorted(naive_outputs(vpt, word))
             return CounterExample(word, outs[0], outs[1])
         left = key[0] - 1  # symbols left after one more
@@ -451,7 +463,7 @@ def check_functional_bounded(vpt: Vpt, max_len: int):
             for i, r in runs:
                 table = succ[i]
                 if table is None:
-                    table = expand(i)
+                    table = graph.steps(i)
                 for symbol, steps in table.items():
                     for j, o in steps:
                         if height[j] <= left:
@@ -741,33 +753,32 @@ def _cfg_name(cfg: Configuration) -> str:
 def fst_of(vpt: Vpt, k: int, max_states: Optional[int] = None) -> FstMachine:
     """Finite-state restriction of ``vpt`` to stack heights <= k.
 
-    States are the reachable configurations; only rules that stay within the
+    States are the reachable configurations, the ids of one ``ConfigGraph``
+    walked in the order they are met; only rules that stay within the
     height bound are kept.  Raises StateExplosion past ``max_states``.
     """
     if k < 0:
         raise ValueError("height bound must be >= 0")
-    idx = rule_index(vpt)
-    rules: set[FstRule] = set()
-    seen: set[Configuration] = {Configuration(q, ()) for q in sorted(vpt.initial)}
-    frontier = sorted(seen)
-    while frontier:
-        cfg = frontier.pop()
-        for symbol, kept in successors(idx, cfg, k).items():
-            for nxt, out in kept:
-                rules.add(FstRule(_cfg_name(cfg), symbol, out, _cfg_name(nxt)))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    if max_states is not None and len(seen) > max_states:
-                        raise StateExplosion(
-                            f"height-{k} flattening exceeded {max_states} configurations")
-                    frontier.append(nxt)
+    graph = ConfigGraph(vpt, k)
+    for q in sorted(vpt.initial):
+        graph.id(Configuration(q, ()))
+    i = 0
+    while i < len(graph.configs):
+        graph.steps(i)
+        if max_states is not None and len(graph.configs) > max_states:
+            raise StateExplosion(
+                f"height-{k} flattening exceeded {max_states} configurations")
+        i += 1
+    names = [_cfg_name(c) for c in graph.configs]
     return FstMachine(
         alphabet=frozenset(vpt.alphabet.symbols),
-        states=frozenset(_cfg_name(c) for c in seen),
+        states=frozenset(names),
         initial=frozenset(_cfg_name(Configuration(q, ())) for q in vpt.initial),
         final=frozenset(_cfg_name(Configuration(q, ())) for q in vpt.final
-                        if Configuration(q, ()) in seen),
-        rules=frozenset(rules),
+                        if Configuration(q, ()) in graph.ids),
+        rules=frozenset(FstRule(names[i], symbol, out, names[j])
+                        for i, table in enumerate(graph.succ)
+                        for symbol, kept in table.items() for j, out in kept),
     )
 
 

@@ -11,8 +11,12 @@ from vptstream import (
     FunctionalUpTo,
     NotFunctionalWitness,
     ParseError,
+    SearchBounds,
+    StateExplosion,
     ValidationError,
     check_functional_bounded,
+    check_htp,
+    check_mtp,
     co_accessible,
     enumerate_domain,
     fst_of,
@@ -237,11 +241,22 @@ def _counting_moves(monkeypatch) -> list:
 
 @pytest.mark.parametrize("machine", ["fig2_t1", "fig3_full", "mutant785"])
 def test_functional_probe_steps_each_configuration_once(machine, monkeypatch):
+    # the probe, both twinning searches and the flattening each walk one
+    # ConfigGraph, which steps a configuration at most once per symbol; the
+    # flattening's budget makes one that ignores the height bound fail
+    # rather than run on
     m = parse_vpt(MUTANT785) if machine == "mutant785" else machines.load(machine)
     seen = _counting_moves(monkeypatch)
-    check_functional_bounded(m, 10)
-    assert seen
-    assert len(set(seen)) == len(seen)
+    bounds = SearchBounds(max_height=3, max_len=24)
+    walks = {"fst_of": lambda: fst_of(reduce(m), 3, max_states=1000),
+             "probe": lambda: check_functional_bounded(m, 10),
+             "mtp": lambda: check_mtp(m, bounds),
+             "htp": lambda: check_htp(m, bounds)}
+    for name, walk in walks.items():
+        seen.clear()
+        walk()
+        assert seen or name == "htp", name
+        assert len(set(seen)) == len(seen), name
 
 
 # Pool machine random282: deterministic, two states, one stack symbol.
@@ -456,6 +471,25 @@ trans s0 r - pop g s1
 """)
     fst = trim_fst(fst_of(m, 0))
     assert {r.symbol for r in fst.rules} == {"a"}
+
+
+@pytest.mark.parametrize("name", machines.names())
+def test_fst_of_state_budget_counts_configurations(name):
+    # the budget admits exactly the reachable configurations: n of them
+    # fit in max_states=n, and max_states=n-1 raises
+    m = reduce(machines.load(name))
+    checked = 0
+    for k in range(4):
+        flat = fst_of(m, k, max_states=1000)
+        n = len(flat.states)
+        if n <= 1:
+            continue
+        assert fst_of(m, k, max_states=n) == flat
+        with pytest.raises(StateExplosion) as exc:
+            fst_of(m, k, max_states=n - 1)
+        assert str(exc.value) == f"height-{k} flattening exceeded {n - 1} configurations"
+        checked += 1
+    assert checked
 
 
 def _trim_by_search(m: FstMachine) -> FstMachine:
