@@ -45,6 +45,7 @@ from .vpt_core import (
     ParseError,
     ValidationError,
     Vpt,
+    _FUNCTIONAL_PROBE_LEN,
     check_functional_bounded,
     enumerate_domain,
     parse_vpt,
@@ -54,9 +55,6 @@ from .vpt_core import (
 
 TELEMETRY_COLUMNS = ("pos", "symbol", "hc", "nodes", "edges",
                      "label_tokens", "out_neq", "emitted")
-
-_FUNCTIONAL_PROBE_LEN = 8
-
 
 def _telemetry_row(state: EvalState) -> tuple:
     """The memory snapshot after the last step, in TELEMETRY_COLUMNS order."""

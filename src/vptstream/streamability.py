@@ -49,6 +49,9 @@ from .vpt_core import (
     NotFunctionalWitness,
     StateExplosion,
     Vpt,
+    _FUNCTIONAL_PROBE_LEN,
+    _closure,
+    _group,
     access_words,
     check_functional_bounded,
     co_accessible,
@@ -145,6 +148,7 @@ class StreamabilityReport:
 
 
 _NODE_BUDGET = 400_000
+_CONFIG_BUDGET = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +187,7 @@ def check_fst_twinning(fst: FstMachine,
     m = trim_fst(fst)
     if not m.initial or not m.rules:
         return Verdict(Outcome.HOLDS, diagnostics="no two runs exist")
-    by_symbol: dict[tuple[str, str], list[FstRule]] = {}
-    for r in sorted(m.rules):
-        by_symbol.setdefault((r.src, r.symbol), []).append(r)
+    by_symbol = _group(m.rules, lambda r: (r.src, r.symbol))
     symbols = sorted({r.symbol for r in m.rules})
 
     def expansions(node: tuple[str, str, DelayPair]):
@@ -333,7 +335,7 @@ def domain_height_bounded(vpt: Vpt):
 # ---------------------------------------------------------------------------
 # BM
 
-def check_bm(vpt: Vpt, config_budget: int = 200_000) -> Verdict:
+def check_bm(vpt: Vpt) -> Verdict:
     """Exact: bounded domain height plus twinning of the height-capped FST."""
     reduced, state_map, _ = reduce_with_map(vpt)
     shape = domain_height_bounded(reduced)
@@ -343,8 +345,8 @@ def check_bm(vpt: Vpt, config_budget: int = 200_000) -> Verdict:
         return Verdict(Outcome.VIOLATED, witness=shape,
                        diagnostics="domain height is unbounded")
     try:
-        flat = fst_of(reduced, shape.h_max, max_states=config_budget)
-        verdict = check_fst_twinning(flat, node_budget=config_budget)
+        flat = fst_of(reduced, shape.h_max, max_states=_CONFIG_BUDGET)
+        verdict = check_fst_twinning(flat, node_budget=_CONFIG_BUDGET)
     except StateExplosion as exc:
         return Verdict(Outcome.UNKNOWN, diagnostics=str(exc))
     if verdict.outcome is Outcome.VIOLATED:
@@ -626,9 +628,10 @@ def _still_triples(vpt: Vpt, max_height: int) -> frozenset[tuple[str, str, int]]
     step the search takes from two configurations is a joint step of their
     states and height, so a delay of (ε, ε) at such a triple stays (ε, ε).
     One pass from the initial pairs marks the triples with a step of two
-    different outputs and keeps the edges of the others; one backward
-    worklist then marks every triple that reaches a marked one.  There are
-    at most |Q|²·(max_height + 1) triples, whatever the length bound.
+    different outputs and keeps the edges of the others reversed; their
+    ``_closure`` from the marked triples holds every triple that reaches a
+    marked one.  There are at most |Q|²·(max_height + 1) triples, whatever
+    the length bound.
     """
     by_src: dict[str, dict[str, set[tuple[str, Word, int]]]] = {}
     for rules, rise in ((vpt.call_rules, 1), (vpt.return_rules, -1),
@@ -657,13 +660,7 @@ def _still_triples(vpt: Vpt, max_height: int) -> frozenset[tuple[str, str, int]]
                     if child not in seen:
                         seen.add(child)
                         todo.append(child)
-    work = list(moving)
-    while work:
-        for node in back.get(work.pop(), ()):
-            if node not in moving:
-                moving.add(node)
-                work.append(node)
-    return frozenset(seen - moving)
+    return frozenset(seen - _closure(moving, back))
 
 
 def _witness(original: Vpt, state_map, sym_map, steps: list[tuple]) -> Verdict:
@@ -739,7 +736,7 @@ def verify_vpt_twinning_witness(vpt: Vpt, w: VptTwinWitness) -> None:
 def classify_streamability(vpt: Vpt,
                            bounds: Optional[SearchBounds] = None) -> StreamabilityReport:
     bounds = bounds or SearchBounds()
-    probe = check_functional_bounded(vpt, min(bounds.max_len, 10))
+    probe = check_functional_bounded(vpt, min(bounds.max_len, _FUNCTIONAL_PROBE_LEN))
     if isinstance(probe, CounterExample):
         raise NotFunctionalWitness(probe.word, probe.out1, probe.out2)
     obm = check_mtp(vpt, bounds)

@@ -273,7 +273,6 @@ def update_call(dag: EvalDag, symbol: str, vpt: Vpt) -> EvalDag:
     depth = dag.depth
     by_trigger = rule_index(vpt).calls
 
-    new_edges = []
     orphans = []
     for leaf in dag.leaves():
         rules = by_trigger.get((symbol, leaf.state))
@@ -281,11 +280,8 @@ def update_call(dag: EvalDag, symbol: str, vpt: Vpt) -> EvalDag:
             orphans.append(leaf)
             continue
         for r in rules:
-            new_edges.append((leaf, Node(r.dst, r.push, depth + 1), [*r.out]))
+            dag.add_edge(leaf, Node(r.dst, r.push, depth + 1), [*r.out])
     dag.cascade_remove(orphans)
-    for src, dst, label in new_edges:
-        assert src in dag.parents  # a leaf with rules: no cascade reaches it
-        dag.add_edge(src, dst, label)
     dag.depth = depth + 1
     return dag
 

@@ -27,7 +27,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional
+from typing import Hashable, Iterable, NamedTuple, Optional
 
 from .delay_algebra import Word
 from .nested_words import StructuredAlphabet, SymbolKind, classify
@@ -408,6 +408,11 @@ class CounterExample:
     out2: Word
 
 
+# The length up to which `eval` and `check` look for an output conflict
+# before they trust a machine to be functional.
+_FUNCTIONAL_PROBE_LEN = 10
+
+
 def check_functional_bounded(vpt: Vpt, max_len: int):
     """Scan every domain word of length <= max_len for output conflicts.
 
@@ -496,9 +501,7 @@ def well_matched_witnesses(vpt: Vpt) -> dict[tuple[str, str], InputWord]:
     wit: dict[tuple[str, str], InputWord] = {(q, q): () for q in sorted(vpt.states)}
     int_rules = sorted(vpt.internal_rules)
     call_rules = sorted(vpt.call_rules)
-    ret_by_pop: dict[str, list[ReturnRule]] = {}
-    for r in sorted(vpt.return_rules):
-        ret_by_pop.setdefault(r.pop, []).append(r)
+    ret_by_pop = _group(vpt.return_rules, lambda r: r.pop)
 
     changed = True
     while changed:
@@ -546,9 +549,7 @@ class WellMatched(NamedTuple):
 @lru_cache(maxsize=16)
 def well_matched(vpt: Vpt) -> WellMatched:
     wit = well_matched_witnesses(vpt)
-    ret_by_src: dict[str, list[ReturnRule]] = {}
-    for r in vpt.return_rules:
-        ret_by_src.setdefault(r.src, []).append(r)
+    ret_by_src = _group(vpt.return_rules, lambda r: r.src)
     pop_to: dict[tuple[str, str], set[str]] = {}
     for (q, x) in wit:
         for r in ret_by_src.get(x, ()):
@@ -612,11 +613,12 @@ def reduce_with_map(vpt: Vpt) -> tuple[Vpt, dict[str, str], dict[str, str]]:
     finds it; the machine is built from those records.  Every state it adds
     is reachable, so no forward trim follows: a state enters ``states`` only
     through ``add``, as an initial state, as the target of a recorded rule
-    from a state already there, or as a return landing (p, b).  A landing
-    follows a recorded call from some (q, b) onto (c.dst, (γ, p)) with p in
-    ``pop_to[(c.dst, γ)]``: a well-nested path leads from c.dst to a return
-    popping γ onto p, every state on it is live under (γ, p), and by
-    induction on its nesting the worklist records it and that return.
+    from a state already there, or as the landing (p, t) of a recorded call
+    from (q, t) onto (c.dst, (γ, p)).  The call commits to p only if p is in
+    ``pop_to[(c.dst, γ)]``, so a well-nested path leads from c.dst to a
+    return popping γ onto p; every state on it is live under (γ, p), and by
+    induction on its nesting the worklist records it and that return.  So
+    the landing is reachable, and the worklist adds it with the call.
     """
     wm = well_matched(vpt)
     pop_to, can_finish = wm.pop_to, wm.can_finish
@@ -635,11 +637,7 @@ def reduce_with_map(vpt: Vpt) -> tuple[Vpt, dict[str, str], dict[str, str]]:
     internals: set[tuple[tuple[str, _Top], InternalRule]] = set()
     calls: set[tuple[tuple[str, _Top], CallRule, str]] = set()
     returns: set[tuple[tuple[str, _Top], ReturnRule]] = set()
-    # A return popping gamma onto its commitment p lands on (p, below) for
-    # every symbol (gamma, p, below) that some call materializes; whichever
-    # of the two is found second makes the join.
     below_of: dict[tuple[str, str], set[_Top]] = {}
-    landed: set[tuple[str, str]] = set()
 
     def add(st: tuple[str, _Top]) -> None:
         if st not in states:
@@ -662,16 +660,10 @@ def reduce_with_map(vpt: Vpt) -> tuple[Vpt, dict[str, str], dict[str, str]]:
                     continue
                 calls.add((st, r, p))
                 add((r.dst, (r.push, p)))
-                below = below_of.setdefault((r.push, p), set())
-                if t not in below:
-                    below.add(t)
-                    if (r.push, p) in landed:
-                        add((p, t))
+                below_of.setdefault((r.push, p), set()).add(t)
+                add((p, t))
         if t is not None and (q, *t) in returns_to:
             returns.update((st, r) for r in returns_to[(q, *t)])
-            landed.add(t)
-            for below in below_of[t]:
-                add((t[1], below))
 
     state_name = _fresh_names(states, _ann_key, _ann_state_name)
     sym_name = _fresh_names({(gamma, p, below) for (gamma, p), belows in below_of.items()
@@ -799,8 +791,8 @@ def trim_fst(m: FstMachine) -> FstMachine:
     )
 
 
-def _closure(seeds: Iterable[str], step: dict[str, list[str]]) -> set[str]:
-    """The seeds and every state that ``step`` edges lead to from them."""
+def _closure(seeds: Iterable[Hashable], step: dict[Hashable, list]) -> set:
+    """The seeds and every node that ``step`` edges lead to from them."""
     seen = set(seeds)
     todo = list(seen)
     while todo:

@@ -118,6 +118,20 @@ def test_eval_refuses_nonfunctional_machine(tmp_path):
     assert "functional" in res.stderr
 
 
+def test_eval_probe_reaches_length_ten(tmp_path):
+    # the two runs part only on the ninth a, so the conflict has length 9
+    chain = "".join(f"trans q{i} a - int q{i + 1}\n" for i in range(8))
+    p = tmp_path / "late.vpt"
+    p.write_text("internals: a\nstates: " + " ".join(f"q{i}" for i in range(10))
+                 + "\ninitial: q0\nfinal: q9\n" + chain
+                 + "trans q8 a x int q9\ntrans q8 a y int q9\n")
+    res = invoke(["eval", str(p)], stdin="a\n")
+    assert res.exit_code == 1
+    # the line `check` prints for the same conflict
+    assert res.stderr.splitlines() == [
+        "machine is not functional: input a a a a a a a a a has outputs x and y"]
+
+
 def test_eval_chars_mode(tmp_path):
     res = invoke(["eval", "builtin:fig3_plain", "--chars"], stdin="ccrr\n")
     # single-character symbols line up with --chars tokenization

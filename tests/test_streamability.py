@@ -193,8 +193,9 @@ def test_bm_violated_by_twinning_at_bounded_height():
     assert "restriction" in v.diagnostics
 
 
-def test_bm_unknown_when_restriction_explodes():
-    v = check_bm(FINITE, config_budget=1)
+def test_bm_unknown_when_restriction_explodes(monkeypatch):
+    monkeypatch.setattr(streamability, "_CONFIG_BUDGET", 1)
+    v = check_bm(FINITE)
     assert v.outcome is Outcome.UNKNOWN
 
 
