@@ -19,12 +19,15 @@ and Sakarovitch, "Squaring transducers", 2003); no verdict changes, as
 ``classify_streamability`` runs the matched search first and skips the
 horizontal one when the matched search ran to its bounds without a witness.
 
-All searches run on the reduced machine (accessible implies co-accessible
-there, which the twinning premises need) and witnesses are projected back to
-the caller's machine and re-verified on it before being returned.  Every
-stage reads the one well-matched summary ``vpt_core.well_matched`` of the
-machine it works on, and walks configurations within a height bound through
-one ``vpt_core.ConfigGraph``.  Replays check through ``_require``, not
+The twinning premises need a reduced machine, one where every accessible
+configuration is co-accessible.  The searches need only that property, so
+they walk the caller's machine over its live configurations, those that
+can still accept, and their witnesses are in the caller's names already;
+each is re-verified on the caller's machine before being returned.  BM and
+the searches' early exits work on the reduction.  Every stage reads the one
+well-matched summary ``vpt_core.well_matched`` of the machine it works on,
+and walks configurations within a height bound through one
+``vpt_core.ConfigGraph``.  Replays check through ``_require``, not
 ``assert``, so that ``python -O`` keeps them.
 """
 
@@ -388,12 +391,6 @@ def _wn_loop_states(vpt: Vpt) -> set[str]:
     return loops
 
 
-def _project_config(cfg: Configuration, state_map: dict[str, str],
-                    sym_map: dict[str, str]) -> Configuration:
-    return Configuration(state_map[cfg.state],
-                         tuple(sym_map[g] for g in cfg.stack))
-
-
 def check_htp(vpt: Vpt, bounds: Optional[SearchBounds] = None) -> Verdict:
     """Search for two runs on a common input looping (each on its own
     configuration) around a common well-nested word with diverging delay.
@@ -416,13 +413,13 @@ def _twinning_search(vpt: Vpt, bounds: SearchBounds, horizontal: bool,
     """One property's verdict; ``search=False`` runs only the early exits and
     otherwise answers what a search that ran to the bounds without a witness
     answers."""
-    reduced, state_map, sym_map = reduce_with_map(vpt)
+    reduced, state_map, _ = reduce_with_map(vpt)
     if not reduced.initial:
         return Verdict(Outcome.NO_WITNESS_UP_TO, bounds=bounds,
                        diagnostics="empty domain")
     loopers = None
     if horizontal:
-        loopers = _wn_loop_states(reduced)
+        loopers = {state_map[q] for q in _wn_loop_states(reduced)}
         if not loopers:
             return Verdict(Outcome.NO_WITNESS_UP_TO, bounds=bounds, diagnostics=(
                 "no state has a nonempty well-nested loop, so no witness of "
@@ -430,9 +427,9 @@ def _twinning_search(vpt: Vpt, bounds: SearchBounds, horizontal: bool,
 
     if not search:
         return Verdict(Outcome.NO_WITNESS_UP_TO, bounds=bounds)
-    steps, exhaustive_to = _search(reduced, state_map, bounds, loopers)
+    steps, exhaustive_to = _search(vpt, bounds, loopers)
     if steps is not None:
-        return _witness(vpt, state_map, sym_map, steps)
+        return _witness(vpt, steps)
     if exhaustive_to is not None:
         return Verdict(Outcome.NO_WITNESS_UP_TO,
                        bounds=replace(bounds, max_len=exhaustive_to), diagnostics=(
@@ -441,8 +438,7 @@ def _twinning_search(vpt: Vpt, bounds: SearchBounds, horizontal: bool,
     return Verdict(Outcome.NO_WITNESS_UP_TO, bounds=bounds)
 
 
-def _search(reduced: Vpt, state_map: dict[str, str], bounds: SearchBounds,
-            loopers: Optional[set[str]]):
+def _search(vpt: Vpt, bounds: SearchBounds, loopers: Optional[set[str]]):
     """Breadth-first search over joint-run nodes, one layer per input length.
 
     A node is (phase, c1, c2, dA, dF, ah, floor, s1, s2): the phase says
@@ -456,16 +452,28 @@ def _search(reduced: Vpt, state_map: dict[str, str], bounds: SearchBounds,
     height in states s1/s2 with dA != dF, which needs u2·u4 nonempty.
 
     Horizontal mode (``loopers`` given) ends in phase 2, so u3 = u4 = ε,
-    and enters phase 2 only on a pair of looping states.
+    and enters phase 2 only on a pair of states with a nonempty
+    well-nested loop.
 
     The two bounds are the only limits: no stack grows past max_height and
     no run reads more than max_len symbols, so no delay exceeds max_len·M
     letters, M the longest rule output.  The last layer takes its ε-steps
     but reads no further symbol.
 
-    The loop gates compare states of the caller's machine, not the reduced
-    one: the reduction refines states by pop obligation, and a loop that is
-    closed upstairs may look open downstairs after refinement.
+    The search walks the caller's machine over the live configurations of
+    its ``ConfigGraph``, from the live initial ones, and so meets exactly
+    the projections of the reduction's joint runs.  A run of the reduction
+    is a run of the caller's machine on the same input, with the same
+    outputs and heights, through configurations that can still accept.
+    Conversely a run through live configurations extends to an accepting
+    run, which the reduction keeps under some choice of pop obligations,
+    and the two runs of a joint run lift one at a time.  The loop gates
+    read the caller's states; ``loopers``, projected from the reduction,
+    holds a state met in a live configuration iff the reduction's state
+    under it has a nonempty well-nested loop.  So the nodes are those of a
+    search of the reduction read in the caller's names, which the
+    reduction holds once per choice of pop obligations.  Children may come
+    in another order, so the witness may be another of the same length.
 
     Configurations are the ids of one ``ConfigGraph`` per search, capped at
     max_height, and delays are interned as small ints too, so a node is a
@@ -504,11 +512,11 @@ def _search(reduced: Vpt, state_map: dict[str, str], bounds: SearchBounds,
     when no loop closes; the length up to which the search was exhaustive
     when the node budget ran out, else None).
     """
-    graph = ConfigGraph(reduced, bounds.max_height)
+    graph = ConfigGraph(vpt, bounds.max_height)
     idx = graph.idx
     height, state, succ = graph.height, graph.state, graph.succ
     returns = {s for s in idx.symbols if idx.kind[s] is SymbolKind.RETURN}
-    may_loop = reduced.states if loopers is None else loopers
+    may_loop = vpt.states if loopers is None else loopers
 
     delays: list[DelayPair] = [DelayPair((), ())]
     delay_id: dict[DelayPair, int] = {delays[0]: 0}
@@ -532,15 +540,16 @@ def _search(reduced: Vpt, state_map: dict[str, str], bounds: SearchBounds,
         return steps[::-1]
 
     last = 4 if loopers is None else 2
-    still = _still_triples(reduced, bounds.max_height)
+    still = _still_triples(vpt, bounds.max_height)
+    roots = [i for i in (graph.id(Configuration(q, ())) for q in sorted(vpt.initial))
+             if graph.live[i]]
     preds: dict[tuple, tuple[Optional[tuple], Optional[str], Word, Word]] = {}
     layer: deque[tuple] = deque()
-    for q1 in sorted(reduced.initial):
-        for q2 in sorted(reduced.initial):
-            if (q1, q2, 0) in still:
+    for i1 in roots:
+        for i2 in roots:
+            if (state[i1], state[i2], 0) in still:
                 continue
-            node = (1, graph.id(Configuration(q1, ())), graph.id(Configuration(q2, ())),
-                    None, 0, 0, 0, None, None)
+            node = (1, i1, i2, None, 0, 0, 0, None, None)
             preds[node] = (None, None, (), ())
             layer.append(node)
 
@@ -557,13 +566,12 @@ def _search(reduced: Vpt, state_map: dict[str, str], bounds: SearchBounds,
             if phase == 1:
                 if state[i1] in may_loop and state[i2] in may_loop:
                     h = height[i1]
-                    eps = (2, i1, i2, f, f, h, h, state_map[state[i1]], state_map[state[i2]])
+                    eps = (2, i1, i2, f, f, h, h, state[i1], state[i2])
             elif phase == 2:
-                if phase < last and state_map[state[i1]] == s1 \
-                        and state_map[state[i2]] == s2:
+                if phase < last and state[i1] == s1 and state[i2] == s2:
                     eps = (3, i1, i2, a, f, ah, height[i1], None, None)
             elif phase == 3 and height[i1] == floor:
-                eps = (4, i1, i2, a, f, ah, ah, state_map[state[i1]], state_map[state[i2]])
+                eps = (4, i1, i2, a, f, ah, ah, state[i1], state[i2])
             if eps is not None and eps not in preds:
                 preds[eps] = (node, None, (), ())
                 # entering phase 4 keeps the states, so only height and delay
@@ -606,7 +614,7 @@ def _search(reduced: Vpt, state_map: dict[str, str], bounds: SearchBounds,
                             continue
                         preds[child] = (node, symbol, o1, o2)
                         if phase == last and height[n1] == ah and a2 != f2 \
-                                and state_map[state[n1]] == s1 and state_map[state[n2]] == s2:
+                                and state[n1] == s1 and state[n2] == s2:
                             return chain(child), None
                         if len(preds) > _NODE_BUDGET:
                             return None, max(length - 1, 0)
@@ -616,7 +624,7 @@ def _search(reduced: Vpt, state_map: dict[str, str], bounds: SearchBounds,
 
 
 # classify_streamability runs the matched and the horizontal search on one
-# reduced machine at one height bound, so a few entries suffice.
+# machine at one height bound, so a few entries suffice.
 @lru_cache(maxsize=16)
 def _still_triples(vpt: Vpt, max_height: int) -> frozenset[tuple[str, str, int]]:
     """The triples (state, state, height) of two runs on one input from which
@@ -663,7 +671,7 @@ def _still_triples(vpt: Vpt, max_height: int) -> frozenset[tuple[str, str, int]]
     return frozenset(seen - _closure(moving, back))
 
 
-def _witness(original: Vpt, state_map, sym_map, steps: list[tuple]) -> Verdict:
+def _witness(vpt: Vpt, steps: list[tuple]) -> Verdict:
     """Read u1..u4 off the steps from the root to the closing node: each
     symbol belongs to the phase of the node it leads to, and the ε-steps
     into phases 2, 3 and 4 mark the configurations after u1, u2 and u3 (a
@@ -682,11 +690,10 @@ def _witness(original: Vpt, state_map, sym_map, steps: list[tuple]) -> Verdict:
             w[phase] += o2
     init1, init2 = steps[0][1].state, steps[0][2].state
     end = steps[-1][1:3]
-    A, B, C, D = ([_project_config(c, state_map, sym_map) for c in pair]
-                  for pair in (marks[2], marks.get(3, end), marks.get(4, end), end))
+    A, B, C, D = marks[2], marks.get(3, end), marks.get(4, end), end
     witness = VptTwinWitness(
         u1=u[1], u2=u[2], u3=u[3], u4=u[4],
-        init1=state_map[init1], init2=state_map[init2],
+        init1=init1, init2=init2,
         configs1=(A[0], B[0], C[0], D[0]),
         configs2=(A[1], B[1], C[1], D[1]),
         outs1=(v[1], v[2], v[3], v[4]),
@@ -694,7 +701,7 @@ def _witness(original: Vpt, state_map, sym_map, steps: list[tuple]) -> Verdict:
         delay_before=delta(v[1] + v[3], w[1] + w[3]),
         delay_after=delta(v[1] + v[2] + v[3] + v[4],
                           w[1] + w[2] + w[3] + w[4]))
-    verify_vpt_twinning_witness(original, witness)
+    verify_vpt_twinning_witness(vpt, witness)
     return Verdict(Outcome.VIOLATED, witness=witness)
 
 

@@ -8,10 +8,10 @@ run-enumeration semantics used as the oracle for the streaming evaluator;
 reach acceptance; ``fst_of`` flattens a machine up to a stack-height bound.
 
 Two per-machine tables serve every later stage.  ``rule_index`` groups the
-rules for one-step lookup, and ``moves`` takes one configuration step through
-it.  ``ConfigGraph`` is the one walk of configurations under a stack-height
-bound: the functional probe, the twinning searches and ``fst_of`` number
-configurations through it and step each at most once.
+rules for one-step lookup.  ``ConfigGraph`` is the one walk of live
+configurations under a stack-height bound: the functional probe, the
+twinning searches and ``fst_of`` number configurations through it and step
+each at most once.
 ``well_matched`` holds the well-matched relation (q, q' joined by a
 well-nested word) with a witness word per pair, plus the pop targets and
 finishing states derived from it; reduction, co-accessibility, the
@@ -192,12 +192,15 @@ def initial_dconfigs(vpt: Vpt) -> set[DConfiguration]:
 class RuleIndex(NamedTuple):
     """Rules grouped for one-step lookup, each bucket in ``sorted(rules)``
     order: calls and internals by (symbol, src), returns by (symbol, src,
-    popped symbol); plus the sorted input symbols and each one's kind."""
+    popped symbol); plus the sorted input symbols and each one's kind.
+    ``by_state[q]`` lists the same buckets from q as (symbol, kind, rules)
+    in symbol order, a return's rules keyed by the popped symbol."""
     symbols: tuple[str, ...]
     kind: dict[str, SymbolKind]
     calls: dict[tuple[str, str], tuple[CallRule, ...]]
     returns: dict[tuple[str, str, str], tuple[ReturnRule, ...]]
     internals: dict[tuple[str, str], tuple[InternalRule, ...]]
+    by_state: dict[str, list[tuple[str, SymbolKind, object]]]
 
 
 def _group(rules, key) -> dict:
@@ -210,42 +213,40 @@ def _group(rules, key) -> dict:
 @lru_cache(maxsize=256)
 def rule_index(vpt: Vpt) -> RuleIndex:
     symbols = tuple(sorted(vpt.alphabet.symbols))
-    return RuleIndex(
-        symbols=symbols,
-        kind={s: classify(s, vpt.alphabet) for s in symbols},
-        calls=_group(vpt.call_rules, lambda r: (r.symbol, r.src)),
-        returns=_group(vpt.return_rules, lambda r: (r.symbol, r.src, r.pop)),
-        internals=_group(vpt.internal_rules, lambda r: (r.symbol, r.src)))
-
-
-def moves(idx: RuleIndex, cfg: Configuration, symbol: str,
-          kind: SymbolKind) -> list[tuple[Configuration, Word]]:
-    """One-step successors of ``cfg`` on ``symbol`` with each rule's output."""
-    out = []
-    if kind is SymbolKind.CALL:
-        for r in idx.calls.get((symbol, cfg.state), ()):
-            out.append((Configuration(r.dst, cfg.stack + (r.push,)), r.out))
-    elif kind is SymbolKind.RETURN:
-        if cfg.stack:
-            for r in idx.returns.get((symbol, cfg.state, cfg.stack[-1]), ()):
-                out.append((Configuration(r.dst, cfg.stack[:-1]), r.out))
-    else:
-        for r in idx.internals.get((symbol, cfg.state), ()):
-            out.append((Configuration(r.dst, cfg.stack), r.out))
-    return out
+    kind = {s: classify(s, vpt.alphabet) for s in symbols}
+    calls = _group(vpt.call_rules, lambda r: (r.symbol, r.src))
+    returns = _group(vpt.return_rules, lambda r: (r.symbol, r.src, r.pop))
+    internals = _group(vpt.internal_rules, lambda r: (r.symbol, r.src))
+    by_state: dict[str, list[tuple[str, SymbolKind, object]]] = {}
+    for (symbol, q), rules in itertools.chain(calls.items(), internals.items()):
+        by_state.setdefault(q, []).append((symbol, kind[symbol], rules))
+    pops: dict[tuple[str, str], dict[str, tuple[ReturnRule, ...]]] = {}
+    for (symbol, q, gamma), rules in returns.items():
+        pops.setdefault((q, symbol), {})[gamma] = rules
+    for (q, symbol), by_pop in pops.items():
+        by_state.setdefault(q, []).append((symbol, SymbolKind.RETURN, by_pop))
+    for entries in by_state.values():
+        entries.sort(key=lambda e: e[0])  # symbols sort as in ``symbols``
+    return RuleIndex(symbols, kind, calls, returns, internals, by_state)
 
 
 class ConfigGraph:
-    """The configurations of one machine that hold at most ``cap`` stack
-    symbols, numbered in the order they are met, each stepped at most once.
+    """The live configurations of one machine that hold at most ``cap``
+    stack symbols, numbered in the order they are met, each stepped at most
+    once.
 
-    ``id(cfg)`` interns a configuration; ``configs``, ``height`` and
-    ``state`` hold each id's configuration, stack height and state, and
-    ``ids`` maps back.  ``succ[i]`` is None until ``steps(i)`` fills it with
-    symbol -> [(id, output)]: the ``moves`` of configuration i that keep the
-    stack within ``cap``, in ``idx.symbols`` order, symbols with none left
-    out.  A walk that calls ``steps`` only where ``succ`` is None runs
-    ``moves`` at most once per (configuration, symbol).
+    ``id(cfg)`` interns a configuration; ``configs``, ``height``, ``state``
+    and ``live`` hold each id's configuration, stack height, state and
+    whether it can still be continued into an accepting run, and ``ids``
+    maps back.  A configuration is live iff its state is in
+    ``_finishers(stack)``, the exact test of ``co_accessible``.  ``succ[i]``
+    is None until ``steps(i)`` fills it with symbol -> [(id, output)]: the
+    one-step successors of configuration i that are live and keep the stack
+    within ``cap``, in ``idx.symbols`` order, each symbol's in rule order,
+    symbols with none left out.  Dead configurations get ids but are never
+    a successor, so a walk from live roots meets only live ones.  A walk
+    that calls ``steps`` only where ``succ`` is None steps each
+    configuration at most once.
     """
 
     def __init__(self, vpt: Vpt, cap: int):
@@ -255,7 +256,30 @@ class ConfigGraph:
         self.configs: list[Configuration] = []
         self.height: list[int] = []
         self.state: list[str] = []
+        self.live: list[bool] = []
         self.succ: list[Optional[dict[str, list[tuple[int, Word]]]]] = []
+        wm = well_matched(vpt)
+        self._finishing: dict[tuple[str, ...], frozenset[str]] = {(): wm.can_finish}
+        # γ -> [(q, pop_to[(q, γ)])], for the finishers under a stack
+        self._pops: dict[str, list[tuple[str, frozenset[str]]]] = {}
+        for (q, gamma), targets in wm.pop_to.items():
+            self._pops.setdefault(gamma, []).append((q, targets))
+
+    def _finishers(self, stack: tuple[str, ...]) -> frozenset[str]:
+        """The states from which a run holding ``stack`` can accept:
+        ``can_finish`` under the empty stack, and under s + (γ,) the states
+        q with some p in ``pop_to[(q, γ)]`` among the finishers of s.
+        Memoised per stack, extended from the longest prefix known."""
+        known = self._finishing
+        k = len(stack)
+        while stack[:k] not in known:
+            k -= 1
+        live = known[stack[:k]]
+        for n in range(k, len(stack)):
+            live = known[stack[:n + 1]] = frozenset(
+                q for q, targets in self._pops.get(stack[n], ())
+                if not targets.isdisjoint(live))
+        return live
 
     def id(self, cfg: Configuration) -> int:
         i = self.ids.get(cfg)
@@ -264,15 +288,30 @@ class ConfigGraph:
             self.configs.append(cfg)
             self.height.append(len(cfg.stack))
             self.state.append(cfg.state)
+            self.live.append(cfg.state in self._finishers(cfg.stack))
             self.succ.append(None)
         return i
 
     def steps(self, i: int) -> dict[str, list[tuple[int, Word]]]:
-        idx, cfg = self.idx, self.configs[i]
+        state, stack = self.configs[i]
         table = {}
-        for symbol in idx.symbols:
-            kept = [(self.id(c), o) for c, o in moves(idx, cfg, symbol, idx.kind[symbol])
-                    if len(c.stack) <= self.cap]
+        for symbol, kind, rules in self.idx.by_state.get(state, ()):
+            if kind is SymbolKind.CALL:
+                if len(stack) >= self.cap:
+                    continue
+                nxt = [(Configuration(r.dst, stack + (r.push,)), r.out) for r in rules]
+            elif kind is SymbolKind.RETURN:
+                if not stack:
+                    continue
+                nxt = [(Configuration(r.dst, stack[:-1]), r.out)
+                       for r in rules.get(stack[-1], ())]
+            else:
+                nxt = [(Configuration(r.dst, stack), r.out) for r in rules]
+            kept = []
+            for cfg, out in nxt:
+                j = self.id(cfg)
+                if self.live[j]:
+                    kept.append((j, out))
             if kept:
                 table[symbol] = kept
         self.succ[i] = table
@@ -497,36 +536,49 @@ def well_matched_witnesses(vpt: Vpt) -> dict[tuple[str, str], InputWord]:
 
     (q, q') is in the relation iff some well-nested input word drives q to q'
     leaving the stack below untouched.  The value stored is one witness word.
-    """
-    wit: dict[tuple[str, str], InputWord] = {(q, q): () for q in sorted(vpt.states)}
-    int_rules = sorted(vpt.internal_rules)
-    call_rules = sorted(vpt.call_rules)
-    ret_by_pop = _group(vpt.return_rules, lambda r: r.pop)
 
-    changed = True
-    while changed:
-        changed = False
-        # internal steps
-        for (q, x), w in list(wit.items()):
-            for r in int_rules:
-                if r.src == x and (q, r.dst) not in wit:
-                    wit[(q, r.dst)] = w + (r.symbol,)
-                    changed = True
-        # call ... matched return wrapping
+    Each round tries, in turn: every entry (q, x) followed by an internal
+    rule from x; every call rule c, in sorted order, around every entry
+    (c.dst, x) closed by a return from x popping c's symbol; every entry
+    (q, x) followed by every entry (x, y).  ``order`` holds every entry in
+    insertion order and ``after[x]`` those from x, so each walk reads only
+    the entries that can join.  A walk over a list it may add to reads a
+    copy of the list as it was when the walk began, so entries added during
+    a walk wait for the next one.  The rounds end when one adds nothing.
+    """
+    wit: dict[tuple[str, str], InputWord] = {}
+    order: list[tuple[str, str, InputWord]] = []
+    after: dict[str, list[tuple[str, InputWord]]] = {q: [] for q in vpt.states}
+
+    def add(q: str, y: str, w: InputWord) -> None:
+        wit[q, y] = w
+        order.append((q, y, w))
+        after[q].append((y, w))
+
+    for q in sorted(vpt.states):
+        add(q, q, ())
+    internals_from = _group(vpt.internal_rules, lambda r: r.src)
+    call_rules = sorted(vpt.call_rules)
+    returns_from = _group(vpt.return_rules, lambda r: (r.pop, r.src))
+
+    size = 0
+    while size < len(wit):
+        size = len(wit)
+        for q, x, w in order[:]:
+            for r in internals_from.get(x, ()):
+                if (q, r.dst) not in wit:
+                    add(q, r.dst, w + (r.symbol,))
         for c in call_rules:
-            for (q1, x), w in list(wit.items()):
-                if q1 != c.dst:
-                    continue
-                for r in ret_by_pop.get(c.push, ()):
-                    if r.src == x and (c.src, r.dst) not in wit:
-                        wit[(c.src, r.dst)] = (c.symbol,) + w + (r.symbol,)
-                        changed = True
-        # composition
-        for (q, x), w1 in list(wit.items()):
-            for (x2, y), w2 in list(wit.items()):
-                if x2 == x and (q, y) not in wit:
-                    wit[(q, y)] = w1 + w2
-                    changed = True
+            for x, w in after[c.dst][:]:
+                for r in returns_from.get((c.push, x), ()):
+                    if (c.src, r.dst) not in wit:
+                        add(c.src, r.dst, (c.symbol,) + w + (r.symbol,))
+        for q, x, w1 in order[:]:
+            # an entry (q, x) with x = q is (q, q) with ε, which adds nothing,
+            # so no entry joins after[x] during this walk
+            for y, w2 in after[x]:
+                if (q, y) not in wit:
+                    add(q, y, w1 + w2)
     return wit
 
 
@@ -745,32 +797,37 @@ def _cfg_name(cfg: Configuration) -> str:
 def fst_of(vpt: Vpt, k: int, max_states: Optional[int] = None) -> FstMachine:
     """Finite-state restriction of ``vpt`` to stack heights <= k.
 
-    States are the reachable configurations, the ids of one ``ConfigGraph``
-    walked in the order they are met; only rules that stay within the
-    height bound are kept.  Raises StateExplosion past ``max_states``.
+    States are the reachable live configurations, the ids of one
+    ``ConfigGraph`` walked in the order they are met; only rules that stay
+    within the height bound and lead to a live configuration are kept.  On
+    a reduced machine every reachable configuration is live, so no rule is
+    left out but for the bound.  Raises StateExplosion past ``max_states``.
     """
     if k < 0:
         raise ValueError("height bound must be >= 0")
     graph = ConfigGraph(vpt, k)
-    for q in sorted(vpt.initial):
-        graph.id(Configuration(q, ()))
-    i = 0
-    while i < len(graph.configs):
-        graph.steps(i)
-        if max_states is not None and len(graph.configs) > max_states:
+    roots = [graph.id(Configuration(q, ())) for q in sorted(vpt.initial)]
+    walk = [i for i in roots if graph.live[i]]
+    met = set(walk)
+    for i in walk:  # grows as the walk meets configurations
+        for kept in graph.steps(i).values():
+            for j, _ in kept:
+                if j not in met:
+                    met.add(j)
+                    walk.append(j)
+        if max_states is not None and len(walk) > max_states:
             raise StateExplosion(
                 f"height-{k} flattening exceeded {max_states} configurations")
-        i += 1
-    names = [_cfg_name(c) for c in graph.configs]
+    names = {i: _cfg_name(graph.configs[i]) for i in walk}
     return FstMachine(
         alphabet=frozenset(vpt.alphabet.symbols),
-        states=frozenset(names),
-        initial=frozenset(_cfg_name(Configuration(q, ())) for q in vpt.initial),
-        final=frozenset(_cfg_name(Configuration(q, ())) for q in vpt.final
-                        if Configuration(q, ()) in graph.ids),
+        states=frozenset(names.values()),
+        initial=frozenset(names[i] for i in roots if i in met),
+        final=frozenset(names[i] for i in walk
+                        if not graph.height[i] and graph.state[i] in vpt.final),
         rules=frozenset(FstRule(names[i], symbol, out, names[j])
-                        for i, table in enumerate(graph.succ)
-                        for symbol, kept in table.items() for j, out in kept),
+                        for i in walk
+                        for symbol, kept in graph.succ[i].items() for j, out in kept),
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
-from vptstream.delay_algebra import delta, lcp
+from vptstream.delay_algebra import Word, delta, lcp
 from vptstream.streaming_eval import ROOT, MemoryReport, Status, memory_snapshot
 from vptstream.vpt_core import (
     CallRule,
@@ -25,12 +25,12 @@ from vptstream.vpt_core import (
     InputWord,
     InternalRule,
     ReturnRule,
+    RuleIndex,
     StructuredAlphabet,
     SymbolKind,
     Vpt,
     _advance,
     initial_dconfigs,
-    moves,
     parse_vpt,
     rule_index,
     trim_fst,
@@ -256,6 +256,62 @@ def fst_twinning_violated(m: FstMachine, max_len: int = 10) -> bool:
     states = sorted(m.states)
     seg_dfs(0, {(a, b, a, b, (), ()) for a in states for b in states})
     return found[0]
+
+
+def moves(idx: RuleIndex, cfg: Configuration, symbol: str,
+          kind: SymbolKind) -> list[tuple[Configuration, Word]]:
+    """One-step successors of ``cfg`` on ``symbol`` with each rule's output."""
+    out = []
+    if kind is SymbolKind.CALL:
+        for r in idx.calls.get((symbol, cfg.state), ()):
+            out.append((Configuration(r.dst, cfg.stack + (r.push,)), r.out))
+    elif kind is SymbolKind.RETURN:
+        if cfg.stack:
+            for r in idx.returns.get((symbol, cfg.state, cfg.stack[-1]), ()):
+                out.append((Configuration(r.dst, cfg.stack[:-1]), r.out))
+    else:
+        for r in idx.internals.get((symbol, cfg.state), ()):
+            out.append((Configuration(r.dst, cfg.stack), r.out))
+    return out
+
+
+def random_vpts(seed: int, n: int) -> list[Vpt]:
+    """``n`` machines of ``random.Random(seed)``, nondeterministic and
+    deterministic alternating."""
+    rng = random.Random(seed)
+    return [(random_nondet_vpt if k % 2 == 0 else random_det_vpt)(rng) for k in range(n)]
+
+
+def well_matched_by_rounds(vpt: Vpt) -> dict[tuple[str, str], InputWord]:
+    """Oracle for ``well_matched_witnesses``, order of insertion included:
+    each round rescans the whole table, internal steps first, then each
+    call rule wrapped around every entry, then every composition of two
+    entries, each scan over the entries present when it began."""
+    wit: dict[tuple[str, str], InputWord] = {(q, q): () for q in sorted(vpt.states)}
+    int_rules = sorted(vpt.internal_rules)
+    ret_rules = sorted(vpt.return_rules)
+    changed = True
+    while changed:
+        changed = False
+        for (q, x), w in list(wit.items()):
+            for r in int_rules:
+                if r.src == x and (q, r.dst) not in wit:
+                    wit[(q, r.dst)] = w + (r.symbol,)
+                    changed = True
+        for c in sorted(vpt.call_rules):
+            for (q1, x), w in list(wit.items()):
+                if q1 != c.dst:
+                    continue
+                for r in ret_rules:
+                    if r.pop == c.push and r.src == x and (c.src, r.dst) not in wit:
+                        wit[(c.src, r.dst)] = (c.symbol,) + w + (r.symbol,)
+                        changed = True
+        for (q, x), w1 in list(wit.items()):
+            for (x2, y), w2 in list(wit.items()):
+                if x2 == x and (q, y) not in wit:
+                    wit[(q, y)] = w1 + w2
+                    changed = True
+    return wit
 
 
 def accessible_configs(vpt: Vpt, max_height: int) -> set[Configuration]:

@@ -9,7 +9,10 @@ seed alone, never by cost.  On the same machines, every twinning witness is
 pumped through the evaluator, which must show the unbounded memory the
 witness claims.  The same machines guard the two shortcuts of the twinning
 searches: skipping joint runs whose delay can never move, and taking the
-horizontal verdict from an exhausted matched search.
+horizontal verdict from an exhausted matched search.  With seeded helper
+machines, they also guard what the searches rest on: the live configuration
+graph, searching the caller's machine in place of its reduction, and the
+indexed well-matched fixpoint.
 """
 
 import importlib.util
@@ -21,11 +24,14 @@ from pathlib import Path
 
 import pytest
 
-from vptstream import (NotFunctionalWitness, Outcome, SearchBounds, check_htp, check_mtp,
-                       classify_streamability, parse_vpt, reduce, streamability)
+from vptstream import (Configuration, NotFunctionalWitness, Outcome, SearchBounds, check_htp,
+                       check_mtp, classify_streamability, co_accessible, machines, parse_vpt,
+                       reduce, reduce_with_map, serialize_vpt, streamability,
+                       well_matched_witnesses)
 from vptstream.streaming_eval import Status, memory_snapshot, start, step
+from vptstream.vpt_core import ConfigGraph, rule_index
 
-from helpers import SILENT_STEPS
+from helpers import SILENT_STEPS, moves, random_vpts, well_matched_by_rounds
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SAMPLE_SEED = 9
@@ -179,3 +185,107 @@ def test_htp_is_searched_when_the_matched_search_runs_out(monkeypatch):
     differ, ran_out = _htp_verdicts()
     assert differ == []
     assert ran_out > 0
+
+
+def _pool_machines() -> list:
+    _, sample = _sample()
+    return [parse_vpt(text) for _label, _digest, _verdict, text in sample]
+
+
+def test_config_graph_keeps_exactly_the_live_successors():
+    # every configuration met from each state's empty stack, dead ones
+    # included, within height 3: its live flag is co_accessible, and its
+    # steps are the moves within the cap that lead to a live configuration
+    corpus = [machines.load(name) for name in machines.names()]
+    corpus += _pool_machines() + random_vpts(7, 200)
+    dead = 0
+    for m in corpus:
+        idx = rule_index(m)
+        graph = ConfigGraph(m, 3)
+        for q in sorted(m.states):
+            graph.id(Configuration(q, ()))
+        for i, cfg in enumerate(graph.configs):  # grows as steps meet more
+            assert graph.live[i] == co_accessible(m, cfg), (serialize_vpt(m), cfg)
+            dead += not graph.live[i]
+            want = {}
+            for symbol in idx.symbols:
+                kept = [(graph.id(c), out) for c, out in moves(idx, cfg, symbol, idx.kind[symbol])
+                        if len(c.stack) <= 3 and co_accessible(m, c)]
+                if kept:
+                    want[symbol] = kept
+            assert graph.steps(i) == want, (serialize_vpt(m), cfg)
+    assert dead > 100, dead
+
+
+class _ReductionGraph:
+    """Oracle for the twinning searches' ``ConfigGraph``: the graph of the
+    machine's reduction, every configuration read in the machine's names
+    through ``state_map`` and ``sym_map``.  A search over it is a search of
+    the reduction whose loop gates compare the machine's states, and its
+    witness is in the machine's names."""
+
+    def __init__(self, vpt, cap: int):
+        reduced, self.state_map, self.sym_map = reduce_with_map(vpt)
+        self.inner = ConfigGraph(reduced, cap)
+        self.idx, self.height = self.inner.idx, self.inner.height
+        self.live, self.succ = self.inner.live, self.inner.succ
+        self.configs: list = []
+        self.state: list = []
+
+    def _read_new(self) -> None:
+        for cfg in self.inner.configs[len(self.configs):]:
+            self.configs.append(Configuration(self.state_map.get(cfg.state, cfg.state),
+                                              tuple(self.sym_map[g] for g in cfg.stack)))
+            self.state.append(self.configs[-1].state)
+
+    def id(self, cfg) -> int:
+        # called on the roots: an initial state q is named q in the
+        # reduction, and one that cannot finish is no state of it
+        i = self.inner.id(cfg)
+        self._read_new()
+        return i
+
+    def steps(self, i: int) -> dict:
+        table = self.inner.steps(i)
+        self._read_new()
+        return table
+
+
+def _outline(verdict) -> tuple:
+    w = verdict.witness
+    return (verdict.outcome, verdict.bounds,
+            None if w is None else len(w.u1 + w.u2 + w.u3 + w.u4))
+
+
+@pytest.mark.parametrize("bounds", [SearchBounds(max_height=3, max_len=12),
+                                    SearchBounds(max_height=2, max_len=5)])
+def test_searches_of_the_machine_match_those_of_its_reduction(bounds, monkeypatch):
+    # the live joint runs of the machine are the projections of its
+    # reduction's, so both searches reach one verdict, a witness of one
+    # length, except where the reduction's search runs out of nodes.  Each
+    # node of the machine's search projects one of the reduction's in the
+    # same layer, so the machine's search runs out no earlier; a smaller
+    # budget keeps the reduction's slowest searches short
+    monkeypatch.setattr(streamability, "_NODE_BUDGET", 20_000)
+    corpus = _pool_machines() + random_vpts(8, 500)
+
+    def verdicts():
+        return [search(m, bounds) for m in corpus for search in (check_htp, check_mtp)]
+
+    got = verdicts()
+    monkeypatch.setattr(streamability, "ConfigGraph", _ReductionGraph)
+    want = verdicts()
+    differ = [(g, w) for g, w in zip(got, want) if _outline(g) != _outline(w)
+              and not (w.diagnostics.startswith("node budget")
+                       and _reaches_as_far(g, w))]
+    assert not differ, differ
+    assert sum(v.outcome is Outcome.VIOLATED for v in got) > 100
+    assert sum(w.diagnostics.startswith("node budget") for w in want) > 0
+
+
+def test_indexed_fixpoint_matches_the_rescanning_one():
+    pool = _pool_machines()
+    corpus = pool + [reduce(m) for m in pool] + random_vpts(9, 2000)
+    for m in corpus:
+        assert list(well_matched_witnesses(m).items()) == \
+            list(well_matched_by_rounds(m).items()), serialize_vpt(m)

@@ -410,8 +410,8 @@ def test_no_witness_bounds_are_the_bounds_searched(fig4):
     assert v.bounds == bounds
 
 
-@pytest.mark.parametrize("search, machine, budget", [(check_htp, "fig3_full", 80),
-                                                     (check_mtp, "fig4", 400)])
+@pytest.mark.parametrize("search, machine, budget", [(check_htp, "fig3_full", 20),
+                                                     (check_mtp, "fig4", 200)])
 def test_search_reports_node_budget(search, machine, budget, request, monkeypatch):
     monkeypatch.setattr(streamability, "_NODE_BUDGET", budget)
     v = search(request.getfixturevalue(machine))

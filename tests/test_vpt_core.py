@@ -31,8 +31,7 @@ from vptstream import (
     step_runs,
     trim_fst,
 )
-from vptstream import vpt_core
-from vptstream.vpt_core import FstMachine, access_words, moves, well_matched
+from vptstream.vpt_core import ConfigGraph, FstMachine, access_words, well_matched
 
 from helpers import (accessible_configs, functional_by_scan, live_prefixes,
                      random_det_vpt, random_nondet_vpt, random_untrimmed_fst)
@@ -228,25 +227,27 @@ def test_functional_probe_agrees_with_enumerate_domain():
                 enumerate_domain(m, n)
 
 
-def _counting_moves(monkeypatch) -> list:
+def _counting_steps(monkeypatch) -> list:
+    """Record (graph, id) for every ``ConfigGraph.steps`` call."""
     seen = []
+    steps = ConfigGraph.steps
 
-    def counting(idx, cfg, symbol, kind):
-        seen.append((cfg, symbol))
-        return moves(idx, cfg, symbol, kind)
+    def counting(graph, i):
+        seen.append((id(graph), i))
+        return steps(graph, i)
 
-    monkeypatch.setattr(vpt_core, "moves", counting)
+    monkeypatch.setattr(ConfigGraph, "steps", counting)
     return seen
 
 
 @pytest.mark.parametrize("machine", ["fig2_t1", "fig3_full", "mutant785"])
 def test_functional_probe_steps_each_configuration_once(machine, monkeypatch):
     # the probe, both twinning searches and the flattening each walk one
-    # ConfigGraph, which steps a configuration at most once per symbol; the
+    # ConfigGraph, which steps a configuration at most once; the
     # flattening's budget makes one that ignores the height bound fail
     # rather than run on
     m = parse_vpt(MUTANT785) if machine == "mutant785" else machines.load(machine)
-    seen = _counting_moves(monkeypatch)
+    seen = _counting_steps(monkeypatch)
     bounds = SearchBounds(max_height=3, max_len=24)
     walks = {"fst_of": lambda: fst_of(reduce(m), 3, max_states=1000),
              "probe": lambda: check_functional_bounded(m, 10),
@@ -278,12 +279,12 @@ trans q1 r bb pop g q1
 
 def test_functional_probe_steps_are_bounded_by_configurations(monkeypatch):
     # a run of height h after k of 10 symbols has h <= k and h <= 10 - k,
-    # so only configurations of height <= 5 are ever stepped: at most
-    # 4 symbols x 7 configurations = 28 steps, where a walk that steps
-    # every live prefix takes 22 876
+    # so only configurations of height <= 5 are ever stepped: at most 7
+    # steps, one per configuration, where a walk that steps every live
+    # prefix takes 22 876
     m = parse_vpt(RANDOM282)
-    bound = len(m.alphabet.symbols) * len(accessible_configs(m, 5))
-    seen = _counting_moves(monkeypatch)
+    bound = len(accessible_configs(m, 5))
+    seen = _counting_steps(monkeypatch)
     assert check_functional_bounded(m, 10) == FunctionalUpTo(10)
     assert 0 < len(seen) <= bound
 
