@@ -13,22 +13,24 @@ exhausting the bounds yields NoWitnessUpTo — never Holds, since the search
 is not complete — and names the height and length searched, nothing else.
 The search skips the joint runs whose delay is still (ε, ε) and can never
 move, because no step with two different outputs is reachable from their
-states at their height (the squared-machine view of Béal, Carton, Prieur
-and Sakarovitch, "Squaring transducers", 2003); no verdict changes, as
-``_search`` argues.  Since a horizontal witness is also a matched one,
+pair of states, heights ignored (the squared-machine view of Béal, Carton,
+Prieur and Sakarovitch, "Squaring transducers", 2003); no verdict changes,
+as ``_search`` argues.  Since a horizontal witness is also a matched one,
 ``classify_streamability`` runs the matched search first and skips the
 horizontal one when the matched search ran to its bounds without a witness.
 
 The twinning premises need a reduced machine, one where every accessible
-configuration is co-accessible.  The searches need only that property, so
-they walk the caller's machine over its live configurations, those that
-can still accept, and their witnesses are in the caller's names already;
-each is re-verified on the caller's machine before being returned.  BM and
-the searches' early exits work on the reduction.  Every stage reads the one
-well-matched summary ``vpt_core.well_matched`` of the machine it works on,
-and walks configurations within a height bound through one
-``vpt_core.ConfigGraph``.  Replays check through ``_require``, not
-``assert``, so that ``python -O`` keeps them.
+configuration is co-accessible.  The checkers need only that property, so
+every stage reads the machine it was given over its live configurations,
+those that can still accept: the searches walk them and BM flattens them,
+and witnesses name the caller's configurations; each is re-verified on the
+caller's machine before being returned.  Only the domain height is computed
+on the reduction, and its pump projected back; HTP's early exit reads which
+states the reduction keeps.  Every stage reads the one well-matched summary
+``vpt_core.well_matched`` of the machine it works on, and walks
+configurations within a height bound through one ``vpt_core.ConfigGraph``.
+Replays check through ``_require``, not ``assert``, so that ``python -O``
+keeps them.
 """
 
 from __future__ import annotations
@@ -296,19 +298,26 @@ def _ascend_edges(vpt: Vpt) -> dict[str, list[tuple[str, InputWord]]]:
 
 
 def domain_height_bounded(vpt: Vpt):
-    """Bounded(h_max) or Unbounded(pump witness); expects a reduced machine.
+    """Bounded(h_max) or Unbounded(pump witness) for the domain's stack
+    heights, worked out on the reduction.
 
     A run's stack grows only by ascents, one call plus a well-matched walk
     each, so the domain's heights are the lengths of ascent paths from the
-    states that initial states reach by well-matched words.  One depth-first
-    search from each unfinished state, in sorted order, walks the ascent
-    graph.  An edge onto the current path closes an ascent cycle, which a
-    reduced machine can reach and complete: Unbounded.  Otherwise each
-    finished state records the most ascents that start at it.
+    states that initial states reach by well-matched words, as long as
+    every ascent can still be completed to an accepted word, which the
+    reduction guarantees.  One depth-first search from each unfinished
+    state, in sorted order, walks its ascent graph.  An edge onto the
+    current path closes an ascent cycle, which the reduction can reach and
+    complete: Unbounded, whose words drive the caller's machine too, with
+    the state projected onto the caller's names.  Otherwise each finished
+    state records the most ascents that start at it.  A word's stack
+    height depends on the word alone, so the domain height is the
+    caller's.
     """
-    edges = _ascend_edges(vpt)
+    reduced, state_map, _ = reduce_with_map(vpt)
+    edges = _ascend_edges(reduced)
     height: dict[str, int] = {}  # finished state -> most ascents from it
-    for start in sorted(vpt.states):
+    for start in sorted(reduced.states):
         if start in height:
             continue
         # path entries: (state, word of the edge into it, its edges left)
@@ -320,8 +329,8 @@ def domain_height_bounded(vpt: Vpt):
                 j = at.get(nxt)
                 if j is not None:
                     cycle = sum((w for _, w, _ in path[j + 1:]), ()) + word
-                    return Unbounded(state=nxt, prefix=access_words(vpt).get(nxt, ()),
-                                     cycle=cycle)
+                    return Unbounded(state=state_map[nxt], cycle=cycle,
+                                     prefix=access_words(reduced).get(nxt, ()))
                 if nxt not in height:
                     at[nxt] = len(path)
                     path.append((nxt, word, iter(edges.get(nxt, ()))))
@@ -331,24 +340,44 @@ def domain_height_bounded(vpt: Vpt):
                 del at[state]
                 height[state] = max((height[p] + 1 for p, _ in edges.get(state, ())),
                                     default=0)
-    return Bounded(h_max=max((height[p] for (a, p) in well_matched(vpt).witnesses
-                              if a in vpt.initial), default=0))
+    return Bounded(h_max=max((height[p] for (a, p) in well_matched(reduced).witnesses
+                              if a in reduced.initial), default=0))
 
 
 # ---------------------------------------------------------------------------
 # BM
 
 def check_bm(vpt: Vpt) -> Verdict:
-    """Exact: bounded domain height plus twinning of the height-capped FST."""
-    reduced, state_map, _ = reduce_with_map(vpt)
-    shape = domain_height_bounded(reduced)
+    """Exact: bounded domain height plus twinning of the height-capped FST.
+
+    The paper twins the flattening of the reduction; this flattens the
+    caller's machine, whose states are its live configurations, within
+    the domain height h_max, so the cap cuts none of them.  The reduction's
+    flattening maps onto it, rule for rule with the same outputs, through
+    the projection of the reduction's names, and both are twinned or
+    neither is:
+
+    - Two runs of the reduction's flattening that loop on u2 project to two
+      runs of the caller's that loop on u2, with the same outputs and so
+      the same delays.
+    - Take two runs of the caller's flattening on u1 that loop on u2 and
+      move the delay d after u1.  They run through live configurations,
+      so for each n their pumped runs on u1·u2ⁿ lift, one at a time, to
+      runs of the reduction.  Past n = the number of pairs of the
+      reduction's configurations that project onto the loop's pair, two
+      lifted pairs, after u1·u2ⁱ and u1·u2ʲ with i < j, are equal: a loop
+      on u2ᵐ, m = j - i.  In the free group u2 maps a delay x to
+      f(x) = o1⁻¹·x·o2, and fᵐ(x) = o1⁻ᵐ·x·o2ᵐ is x iff (x·o2·x⁻¹)ᵐ = o1ᵐ,
+      iff f(x) = x, since roots are unique in free groups.  So u2ᵐ moves
+      d, and, f being injective, it moves fⁱ(d), the delay after u1·u2ⁱ.
+    """
+    shape = domain_height_bounded(vpt)
     if isinstance(shape, Unbounded):
-        shape = replace(shape, state=state_map[shape.state])
         _verify_pump(vpt, shape)
         return Verdict(Outcome.VIOLATED, witness=shape,
                        diagnostics="domain height is unbounded")
     try:
-        flat = fst_of(reduced, shape.h_max, max_states=_CONFIG_BUDGET)
+        flat = fst_of(vpt, shape.h_max, max_states=_CONFIG_BUDGET)
         verdict = check_fst_twinning(flat, node_budget=_CONFIG_BUDGET)
     except StateExplosion as exc:
         return Verdict(Outcome.UNKNOWN, diagnostics=str(exc))
@@ -413,13 +442,13 @@ def _twinning_search(vpt: Vpt, bounds: SearchBounds, horizontal: bool,
     """One property's verdict; ``search=False`` runs only the early exits and
     otherwise answers what a search that ran to the bounds without a witness
     answers."""
-    reduced, state_map, _ = reduce_with_map(vpt)
-    if not reduced.initial:
+    if not vpt.initial & well_matched(vpt).can_finish:
         return Verdict(Outcome.NO_WITNESS_UP_TO, bounds=bounds,
                        diagnostics="empty domain")
     loopers = None
     if horizontal:
-        loopers = {state_map[q] for q in _wn_loop_states(reduced)}
+        _, state_map, _ = reduce_with_map(vpt)
+        loopers = _wn_loop_states(vpt) & set(state_map.values())
         if not loopers:
             return Verdict(Outcome.NO_WITNESS_UP_TO, bounds=bounds, diagnostics=(
                 "no state has a nonempty well-nested loop, so no witness of "
@@ -468,12 +497,15 @@ def _search(vpt: Vpt, bounds: SearchBounds, loopers: Optional[set[str]]):
     Conversely a run through live configurations extends to an accepting
     run, which the reduction keeps under some choice of pop obligations,
     and the two runs of a joint run lift one at a time.  The loop gates
-    read the caller's states; ``loopers``, projected from the reduction,
-    holds a state met in a live configuration iff the reduction's state
-    under it has a nonempty well-nested loop.  So the nodes are those of a
-    search of the reduction read in the caller's names, which the
-    reduction holds once per choice of pop obligations.  Children may come
-    in another order, so the witness may be another of the same length.
+    read the caller's states; ``loopers`` holds the caller's states with a
+    nonempty well-nested loop that the reduction keeps, and a state met in
+    a live configuration is one iff the reduction's state under it has
+    such a loop: the loop from a live configuration runs through live
+    ones back to it, so it lifts, and a loop of the reduction projects.
+    So the nodes are those of a search of the reduction read in the
+    caller's names, which the reduction holds once per choice of pop
+    obligations.  Children may come in another order, so the witness may
+    be another of the same length.
 
     Configurations are the ids of one ``ConfigGraph`` per search, capped at
     max_height, and delays are interned as small ints too, so a node is a
@@ -487,13 +519,13 @@ def _search(vpt: Vpt, bounds: SearchBounds, loopers: Optional[set[str]]):
     meets the same first witness as one over the objects themselves.
 
     A node whose delays are both ε (dF is ε and dA is None or ε) at two
-    configurations whose states and height ``_still_triples`` finds unable
-    to reach a joint step with two different outputs is never enqueued,
-    nor is anything below it, and no root is enqueued when no initial
-    pair can diverge:
+    configurations whose states ``_still_pairs`` finds unable to reach a
+    joint step with two different outputs is never enqueued, nor is
+    anything below it, and no root is enqueued when no initial pair can
+    diverge:
 
-    - From (ε, ε), two equal outputs give (ε, ε) again, and such a triple
-      only steps to triples of its kind, so every node below a dropped one
+    - From (ε, ε), two equal outputs give (ε, ε) again, and such a pair
+      only steps to pairs of its kind, so every node below a dropped one
       keeps dA = dF = ε.  Both closing tests need dA != dF, so nothing
       below a dropped node can close.
     - Every node the search keeps was first discovered, in the search
@@ -540,14 +572,14 @@ def _search(vpt: Vpt, bounds: SearchBounds, loopers: Optional[set[str]]):
         return steps[::-1]
 
     last = 4 if loopers is None else 2
-    still = _still_triples(vpt, bounds.max_height)
+    still = _still_pairs(vpt)
     roots = [i for i in (graph.id(Configuration(q, ())) for q in sorted(vpt.initial))
              if graph.live[i]]
     preds: dict[tuple, tuple[Optional[tuple], Optional[str], Word, Word]] = {}
     layer: deque[tuple] = deque()
     for i1 in roots:
         for i2 in roots:
-            if (state[i1], state[i2], 0) in still:
+            if (state[i1], state[i2]) in still:
                 continue
             node = (1, i1, i2, None, 0, 0, 0, None, None)
             preds[node] = (None, None, (), ())
@@ -607,7 +639,7 @@ def _search(vpt: Vpt, bounds: SearchBounds, loopers: Optional[set[str]]):
                                 a2 = a
                         else:
                             f2, a2 = f, a  # nothing appended, no delay moves
-                        if not f2 and not a2 and (state[n1], state[n2], height[n1]) in still:
+                        if not f2 and not a2 and (state[n1], state[n2]) in still:
                             continue  # both delays ε, and they can never move
                         child = (phase, n1, n2, a2, f2, ah, floor, s1, s2)
                         if child in preds:
@@ -623,44 +655,38 @@ def _search(vpt: Vpt, bounds: SearchBounds, loopers: Optional[set[str]]):
     return None, None
 
 
-# classify_streamability runs the matched and the horizontal search on one
-# machine at one height bound, so a few entries suffice.
+# One entry per machine serves every bound and both searches.
 @lru_cache(maxsize=16)
-def _still_triples(vpt: Vpt, max_height: int) -> frozenset[tuple[str, str, int]]:
-    """The triples (state, state, height) of two runs on one input from which
-    no joint step with two different outputs can be reached, among those
-    reachable from two initial states at height 0.
+def _still_pairs(vpt: Vpt) -> frozenset[tuple[str, str]]:
+    """The pairs of states of two runs on one input from which no joint
+    step with two different outputs can be reached, among those reachable
+    from two initial states.
 
-    A joint step is two rules that read one symbol, keeping the height
-    within ``max_height``; pops are not matched against the stacks.  Every
+    A joint step is two rules that read one symbol; heights are ignored and
+    pops are not matched against the stacks, so the pair graph, the squared
+    machine without its stacks, over-approximates every joint run.  Every
     step the search takes from two configurations is a joint step of their
-    states and height, so a delay of (ε, ε) at such a triple stays (ε, ε).
-    One pass from the initial pairs marks the triples with a step of two
-    different outputs and keeps the edges of the others reversed; their
-    ``_closure`` from the marked triples holds every triple that reaches a
-    marked one.  There are at most |Q|²·(max_height + 1) triples, whatever
-    the length bound.
+    states, so a delay of (ε, ε) at such a pair stays (ε, ε).  One pass
+    from the initial pairs marks the pairs with a step of two different
+    outputs and keeps the edges of the others reversed; their ``_closure``
+    from the marked pairs holds every pair that reaches a marked one.
     """
-    by_src: dict[str, dict[str, set[tuple[str, Word, int]]]] = {}
-    for rules, rise in ((vpt.call_rules, 1), (vpt.return_rules, -1),
-                        (vpt.internal_rules, 0)):
+    by_src: dict[str, dict[str, set[tuple[str, Word]]]] = {}
+    for rules in (vpt.call_rules, vpt.return_rules, vpt.internal_rules):
         for r in rules:
-            by_src.setdefault(r.src, {}).setdefault(r.symbol, set()).add(
-                (r.dst, r.out, rise))
-    seen = {(q1, q2, 0) for q1 in vpt.initial for q2 in vpt.initial}
+            by_src.setdefault(r.src, {}).setdefault(r.symbol, set()).add((r.dst, r.out))
+    seen = {(q1, q2) for q1 in vpt.initial for q2 in vpt.initial}
     todo = list(seen)
-    back: dict[tuple[str, str, int], list[tuple[str, str, int]]] = {}
-    moving: set[tuple[str, str, int]] = set()
+    back: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    moving: set[tuple[str, str]] = set()
     while todo:
         node = todo.pop()
-        q1, q2, h = node
+        q1, q2 = node
         moves2 = by_src.get(q2, {})
         for symbol, moves1 in by_src.get(q1, {}).items():
-            for d2, o2, rise in moves2.get(symbol, ()):
-                if not 0 <= h + rise <= max_height:
-                    continue
-                for d1, o1, _ in moves1:
-                    child = (d1, d2, h + rise)
+            for d2, o2 in moves2.get(symbol, ()):
+                for d1, o1 in moves1:
+                    child = (d1, d2)
                     if o1 != o2:
                         moving.add(node)
                     else:

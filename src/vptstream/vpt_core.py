@@ -596,8 +596,8 @@ class WellMatched(NamedTuple):
     can_finish: frozenset[str]
 
 
-# One classification touches about four machines (the caller's, its
-# reduction and the intermediate reductions), so a few entries suffice.
+# One classification reads the summaries of two machines, the caller's and
+# its reduction, so a few entries suffice.
 @lru_cache(maxsize=16)
 def well_matched(vpt: Vpt) -> WellMatched:
     wit = well_matched_witnesses(vpt)
@@ -648,8 +648,8 @@ def reduce(vpt: Vpt) -> Vpt:
     return reduce_with_map(vpt)[0]
 
 
-# A classification reduces the caller's machine once per checker (BM, HTP,
-# MTP), so a few entries suffice.
+# A classification reduces only the caller's machine, for the domain height
+# and for HTP's early exit, so a few entries suffice.
 @lru_cache(maxsize=16)
 def reduce_with_map(vpt: Vpt) -> tuple[Vpt, dict[str, str], dict[str, str]]:
     """reduce() plus projections of new state/stack names onto the originals.
@@ -799,9 +799,11 @@ def fst_of(vpt: Vpt, k: int, max_states: Optional[int] = None) -> FstMachine:
 
     States are the reachable live configurations, the ids of one
     ``ConfigGraph`` walked in the order they are met; only rules that stay
-    within the height bound and lead to a live configuration are kept.  On
-    a reduced machine every reachable configuration is live, so no rule is
-    left out but for the bound.  Raises StateExplosion past ``max_states``.
+    within the height bound and lead to a live configuration are kept.  At
+    or above the domain height the bound cuts no live configuration, so
+    the result holds every live configuration the machine reaches, which
+    on a reduced machine is every reachable one.  Raises StateExplosion
+    past ``max_states``.
     """
     if k < 0:
         raise ValueError("height bound must be >= 0")

@@ -10,8 +10,9 @@ pumped through the evaluator, which must show the unbounded memory the
 witness claims.  The same machines guard the two shortcuts of the twinning
 searches: skipping joint runs whose delay can never move, and taking the
 horizontal verdict from an exhausted matched search.  With seeded helper
-machines, they also guard what the searches rest on: the live configuration
-graph, searching the caller's machine in place of its reduction, and the
+machines, they also guard what the checkers rest on: the live configuration
+graph, searching and flattening the caller's machine in place of its
+reduction, the domain height of machines that are not reduced, and the
 indexed well-matched fixpoint.
 """
 
@@ -24,9 +25,11 @@ from pathlib import Path
 
 import pytest
 
-from vptstream import (Configuration, NotFunctionalWitness, Outcome, SearchBounds, check_htp,
-                       check_mtp, classify_streamability, co_accessible, machines, parse_vpt,
-                       reduce, reduce_with_map, serialize_vpt, streamability,
+from vptstream import (Bounded, Configuration, NotFunctionalWitness, Outcome, SearchBounds,
+                       check_bm, check_fst_twinning, check_htp, check_mtp,
+                       classify_streamability, co_accessible, domain_height_bounded, fst_of,
+                       machines, parse_vpt, reduce, reduce_with_map, serialize_vpt,
+                       streamability, trim_fst, verify_fst_twinning_witness,
                        well_matched_witnesses)
 from vptstream.streaming_eval import Status, memory_snapshot, start, step
 from vptstream.vpt_core import ConfigGraph, rule_index
@@ -139,7 +142,7 @@ def _reaches_as_far(pruned, unpruned) -> bool:
 
 @pytest.mark.parametrize("bounds", [BOUNDS, SearchBounds(max_height=2, max_len=5)])
 def test_pruned_searches_match_the_unpruned_ones(bounds, monkeypatch):
-    # with no triple counted as still, the search enqueues every node
+    # with no pair counted as still, the search enqueues every node
     _, sample = _sample()
     machines = [(label, parse_vpt(text)) for label, _, _, text in sample]
     machines.append(("SILENT_STEPS", SILENT_STEPS))
@@ -149,7 +152,7 @@ def test_pruned_searches_match_the_unpruned_ones(bounds, monkeypatch):
                 for label, vpt in machines for search in (check_htp, check_mtp)}
 
     pruned = verdicts()
-    monkeypatch.setattr(streamability, "_still_triples", lambda *args: set())
+    monkeypatch.setattr(streamability, "_still_pairs", lambda *args: set())
     unpruned = verdicts()
     differ = {key: (pruned[key], unpruned[key]) for key in pruned
               if not _reaches_as_far(pruned[key], unpruned[key])}
@@ -289,3 +292,61 @@ def test_indexed_fixpoint_matches_the_rescanning_one():
     for m in corpus:
         assert list(well_matched_witnesses(m).items()) == \
             list(well_matched_by_rounds(m).items()), serialize_vpt(m)
+
+
+def test_domain_height_is_that_of_the_reduction():
+    # a word's stack height is the word's alone, so the domain height of
+    # any machine is that of its reduction, and its pump, found on the
+    # reduction, replays on the machine itself
+    corpus = _pool_machines() + random_vpts(8, 1500)
+    pumps = 0
+    for m in corpus:
+        shape = domain_height_bounded(m)
+        want = domain_height_bounded(reduce(m))
+        assert type(shape) is type(want), serialize_vpt(m)
+        if isinstance(shape, Bounded):
+            assert shape.h_max == want.h_max, serialize_vpt(m)
+        else:
+            streamability._verify_pump(m, shape)
+            pumps += 1
+    assert pumps > 100, pumps
+
+
+def test_matched_search_builds_no_reduction(monkeypatch):
+    # only HTP's early exit reads the reduction: its loop states are the
+    # caller's that the reduction keeps, which are the projections of the
+    # reduction's
+    corpus = _pool_machines() + random_vpts(8, 1500)
+    for m in corpus:
+        reduced, state_map, _ = reduce_with_map(m)
+        assert streamability._wn_loop_states(m) & set(state_map.values()) == \
+            {state_map[q] for q in streamability._wn_loop_states(reduced)}, serialize_vpt(m)
+
+    def refuse(vpt):
+        raise AssertionError("the matched search reduced the machine")
+
+    monkeypatch.setattr(streamability, "reduce_with_map", refuse)
+    verdicts = [check_mtp(m, BOUNDS) for m in _pool_machines()]
+    assert sum(v.outcome is Outcome.VIOLATED for v in verdicts) > 10
+
+
+def test_bm_flattens_the_callers_machine():
+    # the flattenings of a machine and of its reduction, within the domain
+    # height, are twinned alike, and BM's witness loops in the former
+    corpus = _pool_machines() + random_vpts(8, 1500) + random_vpts(11, 1500)
+    outcomes = []
+    for m in corpus:
+        shape = domain_height_bounded(m)
+        if not isinstance(shape, Bounded):
+            continue
+        flat = fst_of(m, shape.h_max)
+        got = check_fst_twinning(flat)
+        want = check_fst_twinning(fst_of(reduce(m), shape.h_max))
+        assert got.outcome is want.outcome, serialize_vpt(m)
+        verdict = check_bm(m)
+        assert verdict.outcome is got.outcome, serialize_vpt(m)
+        if verdict.outcome is Outcome.VIOLATED:
+            verify_fst_twinning_witness(trim_fst(flat), verdict.witness)
+        outcomes.append(verdict.outcome)
+    assert outcomes.count(Outcome.VIOLATED) > 30, outcomes.count(Outcome.VIOLATED)
+    assert outcomes.count(Outcome.HOLDS) > 30, outcomes.count(Outcome.HOLDS)

@@ -382,14 +382,13 @@ trans s3 r w pop g s4
 """)
 
 
-def test_still_triples_are_those_that_cannot_reach_two_outputs():
-    # (s0, s0, 0) diverges only through (s1, s1, 0): the backward closure;
-    # after the fork only equal outputs are left
-    assert streamability._still_triples(FORK_ON_CALL, 1) == {
-        ("s2", "s2", 1), ("s2", "s3", 1), ("s3", "s2", 1), ("s3", "s3", 1),
-        ("s4", "s4", 0)}
-    # at height bound 0 the call is never taken, so no delay can move
-    assert streamability._still_triples(FORK_ON_CALL, 0) == {("s0", "s0", 0), ("s1", "s1", 0)}
+def test_still_pairs_are_those_that_cannot_reach_two_outputs():
+    # (s0, s0) diverges only through (s1, s1): the backward closure; after
+    # the fork only equal outputs are left
+    assert streamability._still_pairs(FORK_ON_CALL) == {
+        ("s2", "s2"), ("s2", "s3"), ("s3", "s2"), ("s3", "s3"), ("s4", "s4")}
+    # heights are ignored, so (s0, s0) is not still, yet at height bound 0
+    # the call is never taken and no witness is found
     assert check_mtp(FORK_ON_CALL, SearchBounds(max_height=0, max_len=24)) == \
         streamability.Verdict(Outcome.NO_WITNESS_UP_TO,
                               bounds=SearchBounds(max_height=0, max_len=24))
