@@ -22,13 +22,15 @@ horizontal one when the matched search ran to its bounds without a witness.
 The twinning premises need a reduced machine, one where every accessible
 configuration is co-accessible.  The checkers need only that property, so
 every stage reads the machine it was given over its live configurations,
-those that can still accept: the searches walk them and BM flattens them,
-and witnesses name the caller's configurations; each is re-verified on the
-caller's machine before being returned.  Only the domain height is computed
-on the reduction, and its pump projected back; HTP's early exit reads which
-states the reduction keeps.  Every stage reads the one well-matched summary
-``vpt_core.well_matched`` of the machine it works on, and walks
-configurations within a height bound through one ``vpt_core.ConfigGraph``.
+those that can still accept: the searches and the pump replay walk them,
+BM flattens them into a finite-state transducer whose states are those
+configurations, and witnesses name the caller's configurations; each is
+re-verified on the caller's machine before being returned.  Only the
+domain height is computed on the reduction, and its pump projected back;
+HTP's early exit reads which states the reduction keeps.  Every stage
+reads the one well-matched summary ``vpt_core.well_matched`` of the
+machine it works on, and walks configurations within a height bound
+through one ``vpt_core.ConfigGraph``.
 Replays check through ``_require``, not ``assert``, so that ``python -O``
 keeps them.
 """
@@ -39,10 +41,10 @@ import enum
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Optional
+from typing import Hashable, Optional
 
 from .delay_algebra import DelayPair, Word, delta, delta_extend
-from .nested_words import SymbolKind, is_well_nested
+from .nested_words import SymbolKind, is_well_nested, scan
 from .vpt_core import (
     ConfigGraph,
     Configuration,
@@ -54,6 +56,7 @@ from .vpt_core import (
     NotFunctionalWitness,
     StateExplosion,
     Vpt,
+    _CONFIG_BUDGET,
     _FUNCTIONAL_PROBE_LEN,
     _closure,
     _group,
@@ -62,7 +65,6 @@ from .vpt_core import (
     co_accessible,
     fst_of,
     reduce_with_map,
-    run_dconfigs,
     step_runs,
     trim_fst,
     well_matched,
@@ -153,15 +155,17 @@ class StreamabilityReport:
 
 
 _NODE_BUDGET = 400_000
-_CONFIG_BUDGET = 200_000
 
 
 # ---------------------------------------------------------------------------
 # Exact twinning for finite-state transducers
 
-def check_fst_twinning(fst: FstMachine,
-                       node_budget: Optional[int] = None) -> Verdict:
+def check_fst_twinning(fst: FstMachine) -> Verdict:
     """Exact decision: two runs looping on a common input keep a fixed delay.
+
+    The states may be any hashable values that compare with each other.
+    Raises StateExplosion once the search has seen more than
+    ``_CONFIG_BUDGET`` nodes.
 
     One depth-first forest over (state, state, delay) nodes, rooted at the
     pairs of initial states; a root starts a tree only if no earlier tree
@@ -195,14 +199,14 @@ def check_fst_twinning(fst: FstMachine,
     by_symbol = _group(m.rules, lambda r: (r.src, r.symbol))
     symbols = sorted({r.symbol for r in m.rules})
 
-    def expansions(node: tuple[str, str, DelayPair]):
+    def expansions(node: tuple[Hashable, Hashable, DelayPair]):
         q1, q2, d = node
         for symbol in symbols:
             for r1 in by_symbol.get((q1, symbol), ()):
                 for r2 in by_symbol.get((q2, symbol), ()):
                     yield (r1.dst, r2.dst, delta_extend(d, r1.out, r2.out)), r1, r2
 
-    seen: set[tuple[str, str, DelayPair]] = set()
+    seen: set[tuple[Hashable, Hashable, DelayPair]] = set()
     for i1 in sorted(m.initial):
         for i2 in sorted(m.initial):
             root = (i1, i2, DelayPair((), ()))
@@ -221,9 +225,9 @@ def check_fst_twinning(fst: FstMachine,
                         return _fst_violation(m, steps, j)
                     if nxt not in seen:
                         seen.add(nxt)
-                        if node_budget is not None and len(seen) > node_budget:
+                        if len(seen) > _CONFIG_BUDGET:
                             raise StateExplosion(
-                                f"product delay graph exceeded {node_budget} nodes")
+                                f"product delay graph exceeded {_CONFIG_BUDGET} nodes")
                         at[nxt[:2]] = len(path)
                         path.append((nxt, expansions(nxt), (r1, r2)))
                         break
@@ -351,8 +355,10 @@ def check_bm(vpt: Vpt) -> Verdict:
     """Exact: bounded domain height plus twinning of the height-capped FST.
 
     The paper twins the flattening of the reduction; this flattens the
-    caller's machine, whose states are its live configurations, within
-    the domain height h_max, so the cap cuts none of them.  The reduction's
+    caller's machine, whose states are its live configurations themselves,
+    within the domain height h_max, so the cap cuts none of them.  The
+    flattening and its twinning product share the one budget
+    ``_CONFIG_BUDGET``; past it the verdict is Unknown.  The reduction's
     flattening maps onto it, rule for rule with the same outputs, through
     the projection of the reduction's names, and both are twinned or
     neither is:
@@ -377,8 +383,7 @@ def check_bm(vpt: Vpt) -> Verdict:
         return Verdict(Outcome.VIOLATED, witness=shape,
                        diagnostics="domain height is unbounded")
     try:
-        flat = fst_of(vpt, shape.h_max, max_states=_CONFIG_BUDGET)
-        verdict = check_fst_twinning(flat, node_budget=_CONFIG_BUDGET)
+        verdict = check_fst_twinning(fst_of(vpt, shape.h_max))
     except StateExplosion as exc:
         return Verdict(Outcome.UNKNOWN, diagnostics=str(exc))
     if verdict.outcome is Outcome.VIOLATED:
@@ -388,14 +393,21 @@ def check_bm(vpt: Vpt) -> Verdict:
 
 
 def _verify_pump(vpt: Vpt, w: Unbounded) -> None:
-    """The pump witness must keep runs alive while the pending height grows."""
-    def heights(word: InputWord) -> list[int]:
-        return [len(dc.stack) for dc in run_dconfigs(vpt, word)]
+    """The pump witness must keep runs alive while the pending height grows.
 
+    One walk of the live configurations along prefix·cycle·cycle, from the
+    live initial ones, without outputs: a run that can no longer accept
+    does not count as alive.  All runs on one word hold the same number of
+    stack symbols, the word's pending calls, so the ascent is read off the
+    word itself."""
     _require(all(s in vpt.alphabet for s in w.prefix + w.cycle),
              "pump witness reads a symbol outside the alphabet")
-    _require(bool(heights(w.prefix + w.cycle + w.cycle)), "pump witness replay died")
-    _require(max(heights(w.prefix + w.cycle)) > max(heights(w.prefix)),
+    graph = ConfigGraph(vpt, len(w.prefix) + 2 * len(w.cycle))
+    runs = {i for i in (graph.id(Configuration(q)) for q in vpt.initial) if graph.live[i]}
+    for symbol in w.prefix + w.cycle + w.cycle:  # an empty table, stepped again, stays empty
+        runs = {j for i in runs for j, _ in (graph.succ[i] or graph.steps(i)).get(symbol, ())}
+    _require(bool(runs), "pump witness replay died")
+    _require(scan(w.prefix + w.cycle, vpt.alphabet).hc > scan(w.prefix, vpt.alphabet).hc,
              "pump witness does not ascend")
 
 

@@ -271,11 +271,11 @@ def start(vpt: Vpt, factorize: bool = True) -> EvalState:
 
 def update_call(dag: EvalDag, symbol: str, vpt: Vpt) -> EvalDag:
     depth = dag.depth
-    by_trigger = rule_index(vpt).calls
+    rules_from = rule_index(vpt).rules
 
     orphans = []
     for leaf in dag.leaves():
-        rules = by_trigger.get((symbol, leaf.state))
+        rules = rules_from[leaf.state].get(symbol)
         if not rules:
             orphans.append(leaf)
             continue
@@ -290,7 +290,7 @@ def update_return(dag: EvalDag, symbol: str, vpt: Vpt) -> EvalDag:
     depth = dag.depth
     if depth == 0:
         raise PopOnEmpty(symbol)
-    by_trigger = rule_index(vpt).returns
+    rules_from = rule_index(vpt).rules
 
     # Collect the replacement level before touching anything: each surviving
     # leaf folds its parent edge, its rule output, and every grandparent edge
@@ -299,7 +299,7 @@ def update_return(dag: EvalDag, symbol: str, vpt: Vpt) -> EvalDag:
     last_use = {}
     orphans = []
     for leaf in dag.leaves():
-        rules = by_trigger.get((symbol, leaf.state, leaf.symbol or ""))
+        rules = rules_from[leaf.state].get(symbol, {}).get(leaf.symbol)
         if not rules:
             orphans.append(leaf)
             continue
@@ -321,13 +321,13 @@ def update_return(dag: EvalDag, symbol: str, vpt: Vpt) -> EvalDag:
 
 def update_internal(dag: EvalDag, symbol: str, vpt: Vpt) -> EvalDag:
     depth = dag.depth
-    by_trigger = rule_index(vpt).internals
+    rules_from = rule_index(vpt).rules
 
     new_edges = []
     last_use = {}
     orphans = []
     for leaf in dag.leaves():
-        rules = by_trigger.get((symbol, leaf.state))
+        rules = rules_from[leaf.state].get(symbol)
         if not rules:
             orphans.append(leaf)
             continue

@@ -5,13 +5,17 @@ symbol, returns pop one (checking it), internals leave the stack alone.  Every
 rule emits an output word.  ``naive_eval`` and friends implement the
 run-enumeration semantics used as the oracle for the streaming evaluator;
 ``reduce`` rebuilds a machine so that every accessible configuration can still
-reach acceptance; ``fst_of`` flattens a machine up to a stack-height bound.
+reach acceptance; ``fst_of`` flattens a machine up to a stack-height bound
+into a finite-state transducer whose states are the machine's own
+configurations, within the one budget ``_CONFIG_BUDGET``.
 
-Two per-machine tables serve every later stage.  ``rule_index`` groups the
-rules for one-step lookup.  ``ConfigGraph`` is the one walk of live
-configurations under a stack-height bound: the functional probe, the
-twinning searches and ``fst_of`` number configurations through it and step
-each at most once.
+Two per-machine tables serve every later stage.  ``rule_index`` holds the
+rules in one table, by state, then symbol, then (for a return) popped
+symbol, which the naive step, the evaluator and ``ConfigGraph`` all read.
+``ConfigGraph`` is the one walk of live configurations under a
+stack-height bound: the functional probe, the twinning searches and
+``fst_of`` number configurations through it and step each at most once,
+and the pump replay walks it as well.
 ``well_matched`` holds the well-matched relation (q, q' joined by a
 well-nested word) with a witness word per pair, plus the pop targets and
 finishing states derived from it; reduction, co-accessibility, the
@@ -61,6 +65,11 @@ class NotFunctionalWitness(Exception):
 
 class StateExplosion(Exception):
     """A lazily materialized construction exceeded its configuration budget."""
+
+
+# The one budget of BM's flattening: the configurations ``fst_of`` may meet
+# and the nodes its twinning product may hold.
+_CONFIG_BUDGET = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -142,18 +151,21 @@ class Vpt:
 
 @dataclass(frozen=True, order=True)
 class FstRule:
-    src: str
+    src: Hashable
     symbol: str
     out: Word
-    dst: str
+    dst: Hashable
 
 
 @dataclass(frozen=True)
 class FstMachine:
+    """A finite-state transducer.  Its states are any hashable values that
+    compare with each other: names in a parsed or hand-built machine, the
+    ``Configuration``s of a VPT in its flattening ``fst_of``."""
     alphabet: frozenset[str]
-    states: frozenset[str]
-    initial: frozenset[str]
-    final: frozenset[str]
+    states: frozenset[Hashable]
+    initial: frozenset[Hashable]
+    final: frozenset[Hashable]
     rules: frozenset[FstRule]
 
 
@@ -190,17 +202,15 @@ def initial_dconfigs(vpt: Vpt) -> set[DConfiguration]:
 
 
 class RuleIndex(NamedTuple):
-    """Rules grouped for one-step lookup, each bucket in ``sorted(rules)``
-    order: calls and internals by (symbol, src), returns by (symbol, src,
-    popped symbol); plus the sorted input symbols and each one's kind.
-    ``by_state[q]`` lists the same buckets from q as (symbol, kind, rules)
-    in symbol order, a return's rules keyed by the popped symbol."""
+    """The rules of one machine in one table, for one-step lookup:
+    ``rules[q][symbol]`` is the bucket of call or internal rules from q on
+    ``symbol``, or, for a return symbol, popped stack symbol -> bucket.
+    Every state of the machine has a table, each state's symbols in sorted
+    order and each bucket in ``sorted(rules)`` order.  Plus the sorted
+    input symbols and each one's kind."""
     symbols: tuple[str, ...]
     kind: dict[str, SymbolKind]
-    calls: dict[tuple[str, str], tuple[CallRule, ...]]
-    returns: dict[tuple[str, str, str], tuple[ReturnRule, ...]]
-    internals: dict[tuple[str, str], tuple[InternalRule, ...]]
-    by_state: dict[str, list[tuple[str, SymbolKind, object]]]
+    rules: dict[str, dict[str, object]]
 
 
 def _group(rules, key) -> dict:
@@ -214,20 +224,16 @@ def _group(rules, key) -> dict:
 def rule_index(vpt: Vpt) -> RuleIndex:
     symbols = tuple(sorted(vpt.alphabet.symbols))
     kind = {s: classify(s, vpt.alphabet) for s in symbols}
-    calls = _group(vpt.call_rules, lambda r: (r.symbol, r.src))
-    returns = _group(vpt.return_rules, lambda r: (r.symbol, r.src, r.pop))
-    internals = _group(vpt.internal_rules, lambda r: (r.symbol, r.src))
-    by_state: dict[str, list[tuple[str, SymbolKind, object]]] = {}
-    for (symbol, q), rules in itertools.chain(calls.items(), internals.items()):
-        by_state.setdefault(q, []).append((symbol, kind[symbol], rules))
-    pops: dict[tuple[str, str], dict[str, tuple[ReturnRule, ...]]] = {}
-    for (symbol, q, gamma), rules in returns.items():
-        pops.setdefault((q, symbol), {})[gamma] = rules
-    for (q, symbol), by_pop in pops.items():
-        by_state.setdefault(q, []).append((symbol, SymbolKind.RETURN, by_pop))
-    for entries in by_state.values():
-        entries.sort(key=lambda e: e[0])  # symbols sort as in ``symbols``
-    return RuleIndex(symbols, kind, calls, returns, internals, by_state)
+    buckets = {**_group(vpt.call_rules, lambda r: (r.src, r.symbol)),
+               **_group(vpt.internal_rules, lambda r: (r.src, r.symbol)),
+               **_group(vpt.return_rules, lambda r: (r.src, r.symbol, r.pop))}
+    rules: dict[str, dict] = {q: {} for q in vpt.states}
+    for (q, symbol, *pop), bucket in sorted(buckets.items()):  # symbols in order
+        if pop:
+            rules[q].setdefault(symbol, {})[pop[0]] = bucket
+        else:
+            rules[q][symbol] = bucket
+    return RuleIndex(symbols, kind, rules)
 
 
 class ConfigGraph:
@@ -295,12 +301,13 @@ class ConfigGraph:
     def steps(self, i: int) -> dict[str, list[tuple[int, Word]]]:
         state, stack = self.configs[i]
         table = {}
-        for symbol, kind, rules in self.idx.by_state.get(state, ()):
-            if kind is SymbolKind.CALL:
+        kind = self.idx.kind
+        for symbol, rules in self.idx.rules[state].items():
+            if kind[symbol] is SymbolKind.CALL:
                 if len(stack) >= self.cap:
                     continue
                 nxt = [(Configuration(r.dst, stack + (r.push,)), r.out) for r in rules]
-            elif kind is SymbolKind.RETURN:
+            elif kind[symbol] is SymbolKind.RETURN:
                 if not stack:
                     continue
                 nxt = [(Configuration(r.dst, stack[:-1]), r.out)
@@ -331,19 +338,19 @@ def _advance(idx: RuleIndex, configs: Iterable[DConfiguration],
     out: set[DConfiguration] = set()
     if kind is SymbolKind.CALL:
         for dc in configs:
-            for r in idx.calls.get((symbol, dc.state), ()):
+            for r in idx.rules.get(dc.state, {}).get(symbol, ()):
                 out.add(DConfiguration(r.dst, dc.stack + (r.push,),
                                        dc.residual + r.out))
     elif kind is SymbolKind.RETURN:
         for dc in configs:
             if not dc.stack:
                 continue
-            for r in idx.returns.get((symbol, dc.state, dc.stack[-1]), ()):
+            for r in idx.rules.get(dc.state, {}).get(symbol, {}).get(dc.stack[-1], ()):
                 out.add(DConfiguration(r.dst, dc.stack[:-1],
                                        dc.residual + r.out))
     elif kind is SymbolKind.INTERNAL:
         for dc in configs:
-            for r in idx.internals.get((symbol, dc.state), ()):
+            for r in idx.rules.get(dc.state, {}).get(symbol, ()):
                 out.add(DConfiguration(r.dst, dc.stack, dc.residual + r.out))
     else:
         raise ValueError(f"symbol {symbol!r} is not in the machine's alphabet")
@@ -790,26 +797,21 @@ def access_words(vpt: Vpt) -> dict[str, InputWord]:
 # ---------------------------------------------------------------------------
 # Bounded-height flattening
 
-def _cfg_name(cfg: Configuration) -> str:
-    return cfg.state if not cfg.stack else cfg.state + "|" + ".".join(cfg.stack)
-
-
-def fst_of(vpt: Vpt, k: int, max_states: Optional[int] = None) -> FstMachine:
+def fst_of(vpt: Vpt, k: int) -> FstMachine:
     """Finite-state restriction of ``vpt`` to stack heights <= k.
 
-    States are the reachable live configurations, the ids of one
-    ``ConfigGraph`` walked in the order they are met; only rules that stay
-    within the height bound and lead to a live configuration are kept.  At
-    or above the domain height the bound cuts no live configuration, so
-    the result holds every live configuration the machine reaches, which
-    on a reduced machine is every reachable one.  Raises StateExplosion
-    past ``max_states``.
+    States are the reachable live configurations themselves, met by one
+    ``ConfigGraph`` walk, so two configurations are never one state; only
+    rules that stay within the height bound and lead to a live
+    configuration are kept.  At or above the domain height the bound cuts
+    no live configuration, so the result holds every live configuration
+    the machine reaches, which on a reduced machine is every reachable
+    one.  Raises StateExplosion past ``_CONFIG_BUDGET`` configurations.
     """
     if k < 0:
         raise ValueError("height bound must be >= 0")
     graph = ConfigGraph(vpt, k)
-    roots = [graph.id(Configuration(q, ())) for q in sorted(vpt.initial)]
-    walk = [i for i in roots if graph.live[i]]
+    walk = [i for i in (graph.id(Configuration(q)) for q in sorted(vpt.initial)) if graph.live[i]]
     met = set(walk)
     for i in walk:  # grows as the walk meets configurations
         for kept in graph.steps(i).values():
@@ -817,17 +819,15 @@ def fst_of(vpt: Vpt, k: int, max_states: Optional[int] = None) -> FstMachine:
                 if j not in met:
                     met.add(j)
                     walk.append(j)
-        if max_states is not None and len(walk) > max_states:
-            raise StateExplosion(
-                f"height-{k} flattening exceeded {max_states} configurations")
-    names = {i: _cfg_name(graph.configs[i]) for i in walk}
+        if len(walk) > _CONFIG_BUDGET:
+            raise StateExplosion(f"height-{k} flattening exceeded {_CONFIG_BUDGET} configurations")
+    states = frozenset(graph.configs[i] for i in walk)
     return FstMachine(
         alphabet=frozenset(vpt.alphabet.symbols),
-        states=frozenset(names.values()),
-        initial=frozenset(names[i] for i in roots if i in met),
-        final=frozenset(names[i] for i in walk
-                        if not graph.height[i] and graph.state[i] in vpt.final),
-        rules=frozenset(FstRule(names[i], symbol, out, names[j])
+        states=states,
+        initial=frozenset(c for c in states if not c.stack and c.state in vpt.initial),
+        final=frozenset(c for c in states if not c.stack and c.state in vpt.final),
+        rules=frozenset(FstRule(graph.configs[i], symbol, out, graph.configs[j])
                         for i in walk
                         for symbol, kept in graph.succ[i].items() for j, out in kept),
     )
@@ -835,8 +835,8 @@ def fst_of(vpt: Vpt, k: int, max_states: Optional[int] = None) -> FstMachine:
 
 def trim_fst(m: FstMachine) -> FstMachine:
     """Keep only states on some initial-to-final path (and their rules)."""
-    succ: dict[str, list[str]] = {}
-    pred: dict[str, list[str]] = {}
+    succ: dict[Hashable, list[Hashable]] = {}
+    pred: dict[Hashable, list[Hashable]] = {}
     for r in m.rules:
         succ.setdefault(r.src, []).append(r.dst)
         pred.setdefault(r.dst, []).append(r.src)

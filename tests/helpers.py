@@ -25,9 +25,7 @@ from vptstream.vpt_core import (
     InputWord,
     InternalRule,
     ReturnRule,
-    RuleIndex,
     StructuredAlphabet,
-    SymbolKind,
     Vpt,
     _advance,
     initial_dconfigs,
@@ -258,20 +256,19 @@ def fst_twinning_violated(m: FstMachine, max_len: int = 10) -> bool:
     return found[0]
 
 
-def moves(idx: RuleIndex, cfg: Configuration, symbol: str,
-          kind: SymbolKind) -> list[tuple[Configuration, Word]]:
-    """One-step successors of ``cfg`` on ``symbol`` with each rule's output."""
-    out = []
-    if kind is SymbolKind.CALL:
-        for r in idx.calls.get((symbol, cfg.state), ()):
-            out.append((Configuration(r.dst, cfg.stack + (r.push,)), r.out))
-    elif kind is SymbolKind.RETURN:
-        if cfg.stack:
-            for r in idx.returns.get((symbol, cfg.state, cfg.stack[-1]), ()):
-                out.append((Configuration(r.dst, cfg.stack[:-1]), r.out))
-    else:
-        for r in idx.internals.get((symbol, cfg.state), ()):
-            out.append((Configuration(r.dst, cfg.stack), r.out))
+def moves(vpt: Vpt, cfg: Configuration, symbol: str) -> list[tuple[Configuration, Word]]:
+    """One-step successors of ``cfg`` on ``symbol`` with each rule's output,
+    in rule order, read off the machine's rule sets."""
+    def applies(r) -> bool:
+        return r.symbol == symbol and r.src == cfg.state
+
+    out = [(Configuration(r.dst, cfg.stack + (r.push,)), r.out)
+           for r in sorted(filter(applies, vpt.call_rules))]
+    if cfg.stack:
+        out += [(Configuration(r.dst, cfg.stack[:-1]), r.out)
+                for r in sorted(filter(applies, vpt.return_rules)) if r.pop == cfg.stack[-1]]
+    out += [(Configuration(r.dst, cfg.stack), r.out)
+            for r in sorted(filter(applies, vpt.internal_rules))]
     return out
 
 
@@ -316,17 +313,15 @@ def well_matched_by_rounds(vpt: Vpt) -> dict[tuple[str, str], InputWord]:
 
 def accessible_configs(vpt: Vpt, max_height: int) -> set[Configuration]:
     """Configurations reachable while never exceeding ``max_height``."""
-    idx = rule_index(vpt)
     seen: set[Configuration] = set()
     frontier = [Configuration(q, ()) for q in sorted(vpt.initial)]
     seen.update(frontier)
     while frontier:
         cfg = frontier.pop()
-        for symbol in idx.symbols:
-            kind = idx.kind[symbol]
-            if kind is SymbolKind.CALL and len(cfg.stack) >= max_height:
-                continue
-            for nxt, _ in moves(idx, cfg, symbol, kind):
+        for symbol in sorted(vpt.alphabet.symbols):
+            for nxt, _ in moves(vpt, cfg, symbol):
+                if len(nxt.stack) > max_height:
+                    continue
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)

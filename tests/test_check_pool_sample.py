@@ -29,10 +29,10 @@ from vptstream import (Bounded, Configuration, NotFunctionalWitness, Outcome, Se
                        check_bm, check_fst_twinning, check_htp, check_mtp,
                        classify_streamability, co_accessible, domain_height_bounded, fst_of,
                        machines, parse_vpt, reduce, reduce_with_map, serialize_vpt,
-                       streamability, trim_fst, verify_fst_twinning_witness,
+                       step_runs, streamability, trim_fst, verify_fst_twinning_witness,
                        well_matched_witnesses)
 from vptstream.streaming_eval import Status, memory_snapshot, start, step
-from vptstream.vpt_core import ConfigGraph, rule_index
+from vptstream.vpt_core import ConfigGraph
 
 from helpers import SILENT_STEPS, moves, random_vpts, well_matched_by_rounds
 
@@ -203,7 +203,6 @@ def test_config_graph_keeps_exactly_the_live_successors():
     corpus += _pool_machines() + random_vpts(7, 200)
     dead = 0
     for m in corpus:
-        idx = rule_index(m)
         graph = ConfigGraph(m, 3)
         for q in sorted(m.states):
             graph.id(Configuration(q, ()))
@@ -211,8 +210,8 @@ def test_config_graph_keeps_exactly_the_live_successors():
             assert graph.live[i] == co_accessible(m, cfg), (serialize_vpt(m), cfg)
             dead += not graph.live[i]
             want = {}
-            for symbol in idx.symbols:
-                kept = [(graph.id(c), out) for c, out in moves(idx, cfg, symbol, idx.kind[symbol])
+            for symbol in sorted(m.alphabet.symbols):
+                kept = [(graph.id(c), out) for c, out in moves(m, cfg, symbol)
                         if len(c.stack) <= 3 and co_accessible(m, c)]
                 if kept:
                     want[symbol] = kept
@@ -330,9 +329,22 @@ def test_matched_search_builds_no_reduction(monkeypatch):
     assert sum(v.outcome is Outcome.VIOLATED for v in verdicts) > 10
 
 
+def _replay_on_machine(m, w) -> None:
+    """An FST witness of BM, replayed on the machine itself: each run starts
+    in an initial configuration, every rule is one step of the machine with
+    its output, and the loop's configuration can still accept."""
+    k = len(w.u1)
+    for rules in (w.run1_rules, w.run2_rules):
+        assert rules[0].src.state in m.initial and rules[0].src.stack == ()
+        for r in rules:
+            assert (r.dst, r.out) in step_runs(m, r.src, (r.symbol,)), r
+        assert co_accessible(m, rules[k - 1].dst if k else rules[0].src)
+
+
 def test_bm_flattens_the_callers_machine():
     # the flattenings of a machine and of its reduction, within the domain
-    # height, are twinned alike, and BM's witness loops in the former
+    # height, are twinned alike, and BM's witness loops in the former and
+    # replays on the machine's own configurations
     corpus = _pool_machines() + random_vpts(8, 1500) + random_vpts(11, 1500)
     outcomes = []
     for m in corpus:
@@ -347,6 +359,7 @@ def test_bm_flattens_the_callers_machine():
         assert verdict.outcome is got.outcome, serialize_vpt(m)
         if verdict.outcome is Outcome.VIOLATED:
             verify_fst_twinning_witness(trim_fst(flat), verdict.witness)
+            _replay_on_machine(m, verdict.witness)
         outcomes.append(verdict.outcome)
     assert outcomes.count(Outcome.VIOLATED) > 30, outcomes.count(Outcome.VIOLATED)
     assert outcomes.count(Outcome.HOLDS) > 30, outcomes.count(Outcome.HOLDS)

@@ -6,10 +6,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
-from vptstream import streamability
+from vptstream import streamability, vpt_core
+from vptstream.cli import main
 from vptstream import (
     Bounded,
+    Configuration,
     DelayPair,
     FstMachine,
     FstRule,
@@ -25,6 +28,7 @@ from vptstream import (
     classify_streamability,
     delta_extend,
     domain_height_bounded,
+    fst_of,
     parse_vpt,
     reduce,
     serialize_vpt,
@@ -121,11 +125,12 @@ def test_twinning_tolerates_equal_output_fork():
     assert check_fst_twinning(m).outcome is Outcome.HOLDS
 
 
-def test_twinning_node_budget():
+def test_twinning_node_budget(monkeypatch):
     m = fst([FstRule("q0", "s", ("x",), "q1"),
              FstRule("q1", "s", (), "q0")], ["q0"], ["q0"])
+    monkeypatch.setattr(streamability, "_CONFIG_BUDGET", 1)
     with pytest.raises(StateExplosion):
-        check_fst_twinning(m, node_budget=1)
+        check_fst_twinning(m)
 
 
 def test_twinning_witness_verifier_rejects_tampering():
@@ -193,10 +198,46 @@ def test_bm_violated_by_twinning_at_bounded_height():
     assert "restriction" in v.diagnostics
 
 
+# Deterministic: `c a` reaches (p, g) and `d a` reaches (p|g, ε), and `a`
+# outputs x in one and y in the other.  A flattening that named each
+# configuration by joining its state and stack would merge the two and
+# report two diverging runs that do not exist.
+BAR_IN_NAME = parse_vpt("""
+calls: c
+returns: r
+internals: a d e
+states: i p p|g f
+initial: i
+final: f
+stack: g
+trans i c - push g p
+trans p a x int p
+trans p r - pop g f
+trans i d - int p|g
+trans p|g a y int p|g
+trans p|g e - int f
+""")
+
+
+def test_bm_keeps_configurations_with_similar_names_apart(tmp_path):
+    v = check_bm(BAR_IN_NAME)
+    assert v.outcome is Outcome.HOLDS
+    assert v.diagnostics == "domain height bounded by 1"
+    flat = fst_of(BAR_IN_NAME, 1)
+    assert len(flat.states) == 4
+    assert {Configuration("p", ("g",)), Configuration("p|g", ())} <= flat.states
+    path = tmp_path / "bar.vpt"
+    path.write_text(serialize_vpt(BAR_IN_NAME))
+    res = CliRunner().invoke(main, ["check", str(path), "--property", "bm"])
+    assert res.exit_code == 0
+    assert res.output.splitlines()[0] == "bm: Holds"
+
+
 def test_bm_unknown_when_restriction_explodes(monkeypatch):
-    monkeypatch.setattr(streamability, "_CONFIG_BUDGET", 1)
+    monkeypatch.setattr(vpt_core, "_CONFIG_BUDGET", 1)
     v = check_bm(FINITE)
     assert v.outcome is Outcome.UNKNOWN
+    assert v.diagnostics == "height-1 flattening exceeded 1 configurations"
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +507,7 @@ replay(verify_vpt_twinning_witness, plain, dataclasses.replace(w, u1=("zz",) + w
 full = machines.load("fig3_full")
 pump = check_bm(full).witness
 replay(_verify_pump, full, dataclasses.replace(pump, cycle=()))
+replay(_verify_pump, full, dataclasses.replace(pump, prefix=("r",) + pump.prefix))
 m = FstMachine(alphabet=("s",), states=frozenset({"q0"}),
                initial=frozenset({"q0"}), final=frozenset({"q0"}),
                rules=frozenset({FstRule("q0", "s", ("x",), "q0"),
@@ -487,6 +529,7 @@ def test_replays_reject_altered_witnesses_under_python_O():
         "rejected: delay_after is not the delay over u1·u2·u3·u4",
         "rejected: witness reads a symbol outside the alphabet",
         "rejected: pump witness does not ascend",
+        "rejected: pump witness replay died",
         "rejected: run output differs from the claimed output",
     ]
 

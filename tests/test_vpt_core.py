@@ -31,6 +31,7 @@ from vptstream import (
     step_runs,
     trim_fst,
 )
+from vptstream import vpt_core
 from vptstream.vpt_core import ConfigGraph, FstMachine, access_words, well_matched
 
 from helpers import (accessible_configs, functional_by_scan, live_prefixes,
@@ -243,13 +244,14 @@ def _counting_steps(monkeypatch) -> list:
 @pytest.mark.parametrize("machine", ["fig2_t1", "fig3_full", "mutant785"])
 def test_functional_probe_steps_each_configuration_once(machine, monkeypatch):
     # the probe, both twinning searches and the flattening each walk one
-    # ConfigGraph, which steps a configuration at most once; the
-    # flattening's budget makes one that ignores the height bound fail
+    # ConfigGraph, which steps a configuration at most once; a small
+    # flattening budget makes one that ignores the height bound fail
     # rather than run on
     m = parse_vpt(MUTANT785) if machine == "mutant785" else machines.load(machine)
     seen = _counting_steps(monkeypatch)
+    monkeypatch.setattr(vpt_core, "_CONFIG_BUDGET", 1000)
     bounds = SearchBounds(max_height=3, max_len=24)
-    walks = {"fst_of": lambda: fst_of(reduce(m), 3, max_states=1000),
+    walks = {"fst_of": lambda: fst_of(reduce(m), 3),
              "probe": lambda: check_functional_bounded(m, 10),
              "mtp": lambda: check_mtp(m, bounds),
              "htp": lambda: check_htp(m, bounds)}
@@ -475,19 +477,20 @@ trans s0 r - pop g s1
 
 
 @pytest.mark.parametrize("name", machines.names())
-def test_fst_of_state_budget_counts_configurations(name):
+def test_fst_of_state_budget_counts_configurations(name, monkeypatch):
     # the budget admits exactly the reachable configurations: n of them
-    # fit in max_states=n, and max_states=n-1 raises
+    # fit in a budget of n, and a budget of n-1 raises
     m = reduce(machines.load(name))
     checked = 0
-    for k in range(4):
-        flat = fst_of(m, k, max_states=1000)
+    for k, flat in enumerate([fst_of(m, k) for k in range(4)]):
         n = len(flat.states)
         if n <= 1:
             continue
-        assert fst_of(m, k, max_states=n) == flat
+        monkeypatch.setattr(vpt_core, "_CONFIG_BUDGET", n)
+        assert fst_of(m, k) == flat
+        monkeypatch.setattr(vpt_core, "_CONFIG_BUDGET", n - 1)
         with pytest.raises(StateExplosion) as exc:
-            fst_of(m, k, max_states=n - 1)
+            fst_of(m, k)
         assert str(exc.value) == f"height-{k} flattening exceeded {n - 1} configurations"
         checked += 1
     assert checked
