@@ -25,10 +25,11 @@ every stage reads the machine it was given over its live configurations,
 those that can still accept: the searches and the pump replay walk them,
 BM flattens them into a finite-state transducer whose states are those
 configurations, and witnesses name the caller's configurations; each is
-re-verified on the caller's machine before being returned.  Only the
-domain height is computed on the reduction, and its pump projected back;
-HTP's early exit reads which states the reduction keeps.  Every stage
-reads the one well-matched summary ``vpt_core.well_matched`` of the
+re-verified on the caller's machine before being returned.  No stage
+builds the reduction: the domain height and HTP's early exit read one
+walk over the live (state, finisher set) nodes of the caller's machine,
+``_live_walk``, whose nodes stand for the reduction's states.  Every
+stage reads the one well-matched summary ``vpt_core.well_matched`` of the
 machine it works on, and walks configurations within a height bound
 through one ``vpt_core.ConfigGraph``.
 Replays check through ``_require``, not ``assert``, so that ``python -O``
@@ -60,11 +61,10 @@ from .vpt_core import (
     _FUNCTIONAL_PROBE_LEN,
     _closure,
     _group,
-    access_words,
     check_functional_bounded,
     co_accessible,
     fst_of,
-    reduce_with_map,
+    reduce_with_map,  # unused here: perfbench/run.py traces it by this name
     step_runs,
     trim_fst,
     well_matched,
@@ -288,64 +288,112 @@ def verify_fst_twinning_witness(fst: FstMachine, w: FstTwinWitness) -> None:
 # ---------------------------------------------------------------------------
 # Domain height
 
-def _ascend_edges(vpt: Vpt) -> dict[str, list[tuple[str, InputWord]]]:
-    """q -> p whenever one call from q plus a well-matched walk lands on p one
-    level higher; the word realizes the ascent."""
-    walks: dict[str, list[tuple[str, InputWord]]] = {}
-    for (a, p), word in sorted(well_matched(vpt).witnesses.items()):
-        walks.setdefault(a, []).append((p, word))
-    edges: dict[str, list[tuple[str, InputWord]]] = {}
-    for r in sorted(vpt.call_rules):
-        for p, word in walks[r.dst]:
-            edges.setdefault(r.src, []).append((p, (r.symbol,) + word))
-    return edges
+_Node = tuple[str, frozenset[str]]
+
+
+# One entry per machine serves the domain height and HTP's early exit.
+@lru_cache(maxsize=16)
+def _live_walk(vpt: Vpt) -> tuple[dict[_Node, InputWord],
+                                  dict[_Node, list[tuple[_Node, InputWord]]]]:
+    """One breadth-first walk over the live (state, F) nodes of ``vpt``.
+
+    A run in state q holding stack s can still accept iff q is among the
+    finishers F of s: ``can_finish`` for the empty stack, and one
+    ``WellMatched.push`` per symbol above it.  That is the automaton of the
+    regular set of co-accessible configurations (Bouajjani, Esparza and
+    Maler, "Reachability analysis of pushdown automata", 1997) read
+    bottom-up, and what a live run can go on to do depends on q and F
+    alone.  The walk starts at (i, ``can_finish``) for each initial state i
+    that can finish, in sorted order, and tries from each node (q, F):
+
+    - a level move, one well-matched summary q -> p, to (p, F);
+    - an ascent, one call from q pushing γ and then one summary from its
+      target to p, to (p, F') with F' the finishers after pushing γ onto F.
+
+    A move is kept only when it lands live, p in F or in F'.  Every prefix
+    of an input word splits into well-matched segments and the calls left
+    pending between them, and every configuration on a live run is live,
+    so the nodes the walk meets are exactly the (state, finishers) pairs of
+    the live configurations that runs reach from the initial ones, each
+    node reached by its access word, and a run's stack height is the
+    number of ascents on its path.
+
+    Returns (access, ascents): ``access`` maps each node, in the order
+    found, to the first word found reaching it, and ``ascents`` maps each
+    node to its ascents as (node, word) pairs.  Shared by every caller
+    through the cache, so read-only.
+    """
+    wm = well_matched(vpt)
+    summaries: dict[str, list[tuple[str, InputWord]]] = {}
+    for (q, p), word in wm.witnesses.items():
+        summaries.setdefault(q, []).append((p, word))
+    calls = _group(vpt.call_rules, lambda r: r.src)
+    bottom = wm.can_finish
+    access = {(q, bottom): () for q in sorted(vpt.initial) if q in bottom}
+    ascents: dict[_Node, list[tuple[_Node, InputWord]]] = {}
+    queue = deque(access)
+    while queue:
+        node = queue.popleft()
+        q, live = node
+        level = [((p, live), word) for p, word in summaries[q] if p in live]
+        up = ascents[node] = []
+        for c in calls.get(q, ()):
+            above = wm.push(live, c.push)
+            up += [((p, above), (c.symbol,) + word)
+                   for p, word in summaries[c.dst] if p in above]
+        for nxt, word in level + up:
+            if nxt not in access:
+                access[nxt] = access[node] + word
+                queue.append(nxt)
+    return access, ascents
 
 
 def domain_height_bounded(vpt: Vpt):
     """Bounded(h_max) or Unbounded(pump witness) for the domain's stack
-    heights, worked out on the reduction.
+    heights, read off the ascents of ``_live_walk``.
 
     A run's stack grows only by ascents, one call plus a well-matched walk
-    each, so the domain's heights are the lengths of ascent paths from the
-    states that initial states reach by well-matched words, as long as
-    every ascent can still be completed to an accepted word, which the
-    reduction guarantees.  One depth-first search from each unfinished
-    state, in sorted order, walks its ascent graph.  An edge onto the
-    current path closes an ascent cycle, which the reduction can reach and
-    complete: Unbounded, whose words drive the caller's machine too, with
-    the state projected onto the caller's names.  Otherwise each finished
-    state records the most ascents that start at it.  A word's stack
-    height depends on the word alone, so the domain height is the
-    caller's.
+    each, and a prefix of an accepted word is a run through live
+    configurations, so the domain's heights are the lengths of the ascent
+    paths of the walk from its level-0 nodes: (p, ``can_finish``) with p
+    reached from an initial state by a well-matched word.  One depth-first
+    search from each node not yet finished, in the order the walk found
+    them, follows the ascents.  An ascent onto the current path closes a
+    cycle from a node (q, F) back to itself: the node's access word leads
+    a run live into q over a stack with finishers F, and each turn of the
+    cycle lifts it live into q again over a higher stack with the same
+    finishers, from which the same moves are open, so the pump can be
+    taken again and again.  That is Unbounded, on the caller's machine,
+    whose replay ``_verify_pump`` checks.  Otherwise each finished node
+    records the most ascents that start at it, and h_max is the most over
+    the level-0 nodes.
     """
-    reduced, state_map, _ = reduce_with_map(vpt)
-    edges = _ascend_edges(reduced)
-    height: dict[str, int] = {}  # finished state -> most ascents from it
-    for start in sorted(reduced.states):
+    access, ascents = _live_walk(vpt)
+    height: dict[_Node, int] = {}  # finished node -> most ascents from it
+    for start in access:
         if start in height:
             continue
-        # path entries: (state, word of the edge into it, its edges left)
-        path = [(start, (), iter(edges.get(start, ())))]
-        at = {start: 0}  # state on the path -> its index
+        # path entries: (node, word of the ascent into it, its ascents left)
+        path = [(start, (), iter(ascents[start]))]
+        at = {start: 0}  # node on the path -> its index
         while path:
-            state, _, it = path[-1]
+            node, _, it = path[-1]
             for nxt, word in it:
                 j = at.get(nxt)
                 if j is not None:
                     cycle = sum((w for _, w, _ in path[j + 1:]), ()) + word
-                    return Unbounded(state=state_map[nxt], cycle=cycle,
-                                     prefix=access_words(reduced).get(nxt, ()))
+                    return Unbounded(state=nxt[0], prefix=access[nxt], cycle=cycle)
                 if nxt not in height:
                     at[nxt] = len(path)
-                    path.append((nxt, word, iter(edges.get(nxt, ()))))
+                    path.append((nxt, word, iter(ascents[nxt])))
                     break
             else:
                 path.pop()
-                del at[state]
-                height[state] = max((height[p] + 1 for p, _ in edges.get(state, ())),
-                                    default=0)
-    return Bounded(h_max=max((height[p] for (a, p) in well_matched(reduced).witnesses
-                              if a in reduced.initial), default=0))
+                del at[node]
+                height[node] = max((height[p] + 1 for p, _ in ascents[node]), default=0)
+    wm = well_matched(vpt)
+    return Bounded(h_max=max((height[p, wm.can_finish] for (a, p) in wm.witnesses
+                              if a in vpt.initial and p in wm.can_finish), default=0))
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +501,23 @@ def _twinning_search(vpt: Vpt, bounds: SearchBounds, horizontal: bool,
                      search: bool = True) -> Verdict:
     """One property's verdict; ``search=False`` runs only the early exits and
     otherwise answers what a search that ran to the bounds without a witness
-    answers."""
+    answers.
+
+    HTP's early exit reads the states with a nonempty well-nested loop
+    among the states of the nodes of ``_live_walk``, the (state,
+    finishers) pairs of the live configurations reachable from the initial
+    ones.  A state is among them iff the reduction keeps a state over it:
+    the reduction's state (q, t) is live under its top obligation t and
+    reachable, so a run reaches q live, and a run that reaches q live takes
+    a path of the walk, which the reduction follows by committing each
+    pending call to the state its continuation pops onto.
+    """
     if not vpt.initial & well_matched(vpt).can_finish:
         return Verdict(Outcome.NO_WITNESS_UP_TO, bounds=bounds,
                        diagnostics="empty domain")
     loopers = None
     if horizontal:
-        _, state_map, _ = reduce_with_map(vpt)
-        loopers = _wn_loop_states(vpt) & set(state_map.values())
+        loopers = _wn_loop_states(vpt) & {q for q, _ in _live_walk(vpt)[0]}
         if not loopers:
             return Verdict(Outcome.NO_WITNESS_UP_TO, bounds=bounds, diagnostics=(
                 "no state has a nonempty well-nested loop, so no witness of "
@@ -510,10 +567,11 @@ def _search(vpt: Vpt, bounds: SearchBounds, loopers: Optional[set[str]]):
     run, which the reduction keeps under some choice of pop obligations,
     and the two runs of a joint run lift one at a time.  The loop gates
     read the caller's states; ``loopers`` holds the caller's states with a
-    nonempty well-nested loop that the reduction keeps, and a state met in
-    a live configuration is one iff the reduction's state under it has
-    such a loop: the loop from a live configuration runs through live
-    ones back to it, so it lifts, and a loop of the reduction projects.
+    nonempty well-nested loop that the reduction keeps (the states of
+    ``_live_walk``'s nodes), and a state met in a live configuration is
+    one iff the reduction's state under it has such a loop: the loop from
+    a live configuration runs through live ones back to it, so it lifts,
+    and a loop of the reduction projects.
     So the nodes are those of a search of the reduction read in the
     caller's names, which the reduction holds once per choice of pop
     obligations.  Children may come in another order, so the witness may

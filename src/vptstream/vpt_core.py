@@ -19,16 +19,16 @@ and the pump replay walks it as well.
 ``well_matched`` holds the well-matched relation (q, q' joined by a
 well-nested word) with a witness word per pair, plus the pop targets and
 finishing states derived from it; reduction, co-accessibility, the
-domain-height test and the twinning loop conditions all read it.
-``access_words`` is the one forward closure over it: pump witnesses start
-with the words it stores.  ``reduce`` needs no forward trim, because the one
-worklist that builds the reduced machine adds only states it can reach.
+domain-height walk and the twinning loop conditions all read it, and its
+``push`` steps a stack's finishers, the states from which a run holding
+the stack can still accept, one pushed symbol at a time.  ``reduce`` needs
+no forward trim, because the one worklist that builds the reduced machine
+adds only states it can reach.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Iterable, NamedTuple, Optional
@@ -264,27 +264,21 @@ class ConfigGraph:
         self.state: list[str] = []
         self.live: list[bool] = []
         self.succ: list[Optional[dict[str, list[tuple[int, Word]]]]] = []
-        wm = well_matched(vpt)
+        self._wm = wm = well_matched(vpt)
         self._finishing: dict[tuple[str, ...], frozenset[str]] = {(): wm.can_finish}
-        # γ -> [(q, pop_to[(q, γ)])], for the finishers under a stack
-        self._pops: dict[str, list[tuple[str, frozenset[str]]]] = {}
-        for (q, gamma), targets in wm.pop_to.items():
-            self._pops.setdefault(gamma, []).append((q, targets))
 
     def _finishers(self, stack: tuple[str, ...]) -> frozenset[str]:
         """The states from which a run holding ``stack`` can accept:
-        ``can_finish`` under the empty stack, and under s + (γ,) the states
-        q with some p in ``pop_to[(q, γ)]`` among the finishers of s.
-        Memoised per stack, extended from the longest prefix known."""
+        ``can_finish`` under the empty stack, then one ``WellMatched.push``
+        per stack symbol, bottom first.  Memoised per stack, extended from
+        the longest prefix known."""
         known = self._finishing
         k = len(stack)
         while stack[:k] not in known:
             k -= 1
         live = known[stack[:k]]
         for n in range(k, len(stack)):
-            live = known[stack[:n + 1]] = frozenset(
-                q for q, targets in self._pops.get(stack[n], ())
-                if not targets.isdisjoint(live))
+            live = known[stack[:n + 1]] = self._wm.push(live, stack[n])
         return live
 
     def id(self, cfg: Configuration) -> int:
@@ -595,29 +589,44 @@ class WellMatched(NamedTuple):
     ``witnesses`` maps each (q, q') joined by a well-nested word to one such
     word; ``pop_to[(q, gamma)]`` holds the states that q, with gamma on top
     of the stack, can land in right after popping that gamma; ``can_finish``
-    holds the states that reach a final state by a well-nested word.  Shared
-    by every caller through the cache, so read-only.
+    holds the states that reach a final state by a well-nested word;
+    ``pops[gamma]`` lists the pairs (q, ``pop_to[(q, gamma)]``).  Shared by
+    every caller through the cache, so read-only.
     """
     witnesses: dict[tuple[str, str], InputWord]
     pop_to: dict[tuple[str, str], frozenset[str]]
     can_finish: frozenset[str]
+    pops: dict[str, tuple[tuple[str, frozenset[str]], ...]]
+
+    def push(self, finishers: frozenset[str], gamma: str) -> frozenset[str]:
+        """The finishers of a stack s + (gamma,), the states from which a
+        run holding it can accept, given ``finishers``, those of s: the
+        states q with some p in ``pop_to[(q, gamma)]`` among them.  The
+        finishers of the empty stack are ``can_finish``."""
+        return frozenset(q for q, targets in self.pops.get(gamma, ())
+                         if not targets.isdisjoint(finishers))
 
 
-# One classification reads the summaries of two machines, the caller's and
-# its reduction, so a few entries suffice.
+# One classification reads the summary of the caller's machine alone, so a
+# few entries suffice.
 @lru_cache(maxsize=16)
 def well_matched(vpt: Vpt) -> WellMatched:
     wit = well_matched_witnesses(vpt)
     ret_by_src = _group(vpt.return_rules, lambda r: r.src)
-    pop_to: dict[tuple[str, str], set[str]] = {}
+    landings: dict[tuple[str, str], set[str]] = {}
     for (q, x) in wit:
         for r in ret_by_src.get(x, ()):
-            pop_to.setdefault((q, r.pop), set()).add(r.dst)
+            landings.setdefault((q, r.pop), set()).add(r.dst)
+    pop_to = {k: frozenset(v) for k, v in landings.items()}
+    pops: dict[str, list[tuple[str, frozenset[str]]]] = {}
+    for (q, gamma), targets in pop_to.items():
+        pops.setdefault(gamma, []).append((q, targets))
     return WellMatched(
         witnesses=wit,
-        pop_to={k: frozenset(v) for k, v in pop_to.items()},
+        pop_to=pop_to,
         can_finish=frozenset(q for q in vpt.states
-                             if any((q, f) in wit for f in vpt.final)))
+                             if any((q, f) in wit for f in vpt.final)),
+        pops={gamma: tuple(pairs) for gamma, pairs in pops.items()})
 
 
 def co_accessible(vpt: Vpt, config: Configuration) -> bool:
@@ -628,8 +637,7 @@ def co_accessible(vpt: Vpt, config: Configuration) -> bool:
     # its last symbol on top (popped first from there).
     live = wm.can_finish
     for gamma in config.stack:
-        live = {q for q in vpt.states
-                if any(p in live for p in wm.pop_to.get((q, gamma), ()))}
+        live = wm.push(live, gamma)
         if not live:
             return False
     return config.state in live
@@ -655,8 +663,7 @@ def reduce(vpt: Vpt) -> Vpt:
     return reduce_with_map(vpt)[0]
 
 
-# A classification reduces only the caller's machine, for the domain height
-# and for HTP's early exit, so a few entries suffice.
+# Only ``reduce`` reads it in the package; a few entries suffice.
 @lru_cache(maxsize=16)
 def reduce_with_map(vpt: Vpt) -> tuple[Vpt, dict[str, str], dict[str, str]]:
     """reduce() plus projections of new state/stack names onto the originals.
@@ -769,29 +776,6 @@ def _ann_key(item: tuple):
     """Sort key of an annotated state or symbol, whose last part may be None."""
     *head, top = item
     return (*head, top is not None, top or ("", ""))
-
-
-def access_words(vpt: Vpt) -> dict[str, InputWord]:
-    """One input word reaching each forward-reachable state.
-
-    A breadth-first worklist from the initial states (sorted): each state
-    tries its internal rules, then its call rules (each in sorted order),
-    then its well-matched summaries, and the first word to reach a state is
-    kept.  The keys are exactly the forward-reachable states."""
-    steps: dict[str, list[tuple[str, InputWord]]] = {}
-    for r in itertools.chain(sorted(vpt.internal_rules), sorted(vpt.call_rules)):
-        steps.setdefault(r.src, []).append((r.dst, (r.symbol,)))
-    for (q, p), word in well_matched(vpt).witnesses.items():
-        steps.setdefault(q, []).append((p, word))
-    words: dict[str, InputWord] = {q: () for q in sorted(vpt.initial)}
-    queue = deque(words)
-    while queue:
-        q = queue.popleft()
-        for p, word in steps.get(q, ()):
-            if p not in words:
-                words[p] = words[q] + word
-                queue.append(p)
-    return words
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import random
 from typing import Iterator
 
 from vptstream.delay_algebra import Word, delta, lcp
+from vptstream.streamability import Bounded, Unbounded
 from vptstream.streaming_eval import ROOT, MemoryReport, Status, memory_snapshot
 from vptstream.vpt_core import (
     CallRule,
@@ -30,8 +31,10 @@ from vptstream.vpt_core import (
     _advance,
     initial_dconfigs,
     parse_vpt,
+    reduce_with_map,
     rule_index,
     trim_fst,
+    well_matched,
 )
 
 VPT_OUTS = [(), ("x",), ("y",), ("x", "y")]
@@ -309,6 +312,77 @@ def well_matched_by_rounds(vpt: Vpt) -> dict[tuple[str, str], InputWord]:
                     wit[(q, y)] = w1 + w2
                     changed = True
     return wit
+
+
+def access_words(vpt: Vpt, wit: dict[tuple[str, str], InputWord]) -> dict[str, InputWord]:
+    """One input word reaching each forward-reachable state of ``vpt``,
+    given its well-matched witnesses ``wit``: breadth-first from the
+    initial states (sorted), each state trying its internal rules, then its
+    call rules (each in sorted order), then its summaries, and the first
+    word to reach a state is kept.  The keys are exactly the
+    forward-reachable states."""
+    steps: dict[str, list[tuple[str, InputWord]]] = {}
+    for r in sorted(vpt.internal_rules) + sorted(vpt.call_rules):
+        steps.setdefault(r.src, []).append((r.dst, (r.symbol,)))
+    for (q, p), word in wit.items():
+        steps.setdefault(q, []).append((p, word))
+    words: dict[str, InputWord] = {q: () for q in sorted(vpt.initial)}
+    queue = list(words)
+    for q in queue:  # grows as states are found
+        for p, word in steps.get(q, ()):
+            if p not in words:
+                words[p] = words[q] + word
+                queue.append(p)
+    return words
+
+
+def domain_height_of_reduction(vpt: Vpt):
+    """Reference for ``domain_height_bounded``: Bounded(h_max) or
+    Unbounded(pump) from the ascent graph of the machine's reduction.
+
+    In a reduced machine every accessible configuration can still accept,
+    so the domain's heights are the lengths of ascent paths (one call plus
+    a well-matched walk each) from the states that initial states reach by
+    well-matched words.  One depth-first search from each unfinished
+    state, in sorted order: an edge onto the current path closes a cycle,
+    Unbounded, its state projected onto the machine's names and its prefix
+    the reduction's access word; otherwise each finished state records the
+    most ascents that start at it.  A word's stack height is the word's
+    alone, so the reduction's domain height is the machine's."""
+    reduced, state_map, _ = reduce_with_map(vpt)
+    wit = well_matched(reduced).witnesses
+    walks: dict[str, list[tuple[str, InputWord]]] = {}
+    for (a, p), word in sorted(wit.items()):
+        walks.setdefault(a, []).append((p, word))
+    edges: dict[str, list[tuple[str, InputWord]]] = {}
+    for r in sorted(reduced.call_rules):
+        for p, word in walks[r.dst]:
+            edges.setdefault(r.src, []).append((p, (r.symbol,) + word))
+    height: dict[str, int] = {}  # finished state -> most ascents from it
+    for start in sorted(reduced.states):
+        if start in height:
+            continue
+        path = [(start, (), iter(edges.get(start, ())))]
+        at = {start: 0}  # state on the path -> its index
+        while path:
+            state, _, it = path[-1]
+            for nxt, word in it:
+                j = at.get(nxt)
+                if j is not None:
+                    cycle = sum((w for _, w, _ in path[j + 1:]), ()) + word
+                    return Unbounded(state=state_map[nxt], cycle=cycle,
+                                     prefix=access_words(reduced, wit).get(nxt, ()))
+                if nxt not in height:
+                    at[nxt] = len(path)
+                    path.append((nxt, word, iter(edges.get(nxt, ()))))
+                    break
+            else:
+                path.pop()
+                del at[state]
+                height[state] = max((height[p] + 1 for p, _ in edges.get(state, ())),
+                                    default=0)
+    return Bounded(h_max=max((height[p] for (a, p) in wit if a in reduced.initial),
+                             default=0))
 
 
 def accessible_configs(vpt: Vpt, max_height: int) -> set[Configuration]:

@@ -26,15 +26,17 @@ from pathlib import Path
 import pytest
 
 from vptstream import (Bounded, Configuration, NotFunctionalWitness, Outcome, SearchBounds,
-                       check_bm, check_fst_twinning, check_htp, check_mtp,
+                       Unbounded, check_bm, check_fst_twinning, check_htp, check_mtp,
                        classify_streamability, co_accessible, domain_height_bounded, fst_of,
                        machines, parse_vpt, reduce, reduce_with_map, serialize_vpt,
                        step_runs, streamability, trim_fst, verify_fst_twinning_witness,
                        well_matched_witnesses)
+from vptstream import vpt_core
 from vptstream.streaming_eval import Status, memory_snapshot, start, step
 from vptstream.vpt_core import ConfigGraph
 
-from helpers import SILENT_STEPS, moves, random_vpts, well_matched_by_rounds
+from helpers import (SILENT_STEPS, domain_height_of_reduction, moves, random_vpts,
+                     well_matched_by_rounds)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SAMPLE_SEED = 9
@@ -294,14 +296,14 @@ def test_indexed_fixpoint_matches_the_rescanning_one():
 
 
 def test_domain_height_is_that_of_the_reduction():
-    # a word's stack height is the word's alone, so the domain height of
-    # any machine is that of its reduction, and its pump, found on the
-    # reduction, replays on the machine itself
-    corpus = _pool_machines() + random_vpts(8, 1500)
+    # the live (state, finishers) walk finds the domain height that the
+    # ascent search on the reduction finds, and its pump, found on the
+    # machine itself, replays there
+    corpus = _pool_machines() + random_vpts(8, 1500) + random_vpts(11, 1500)
     pumps = 0
     for m in corpus:
         shape = domain_height_bounded(m)
-        want = domain_height_bounded(reduce(m))
+        want = domain_height_of_reduction(m)
         assert type(shape) is type(want), serialize_vpt(m)
         if isinstance(shape, Bounded):
             assert shape.h_max == want.h_max, serialize_vpt(m)
@@ -312,21 +314,42 @@ def test_domain_height_is_that_of_the_reduction():
 
 
 def test_matched_search_builds_no_reduction(monkeypatch):
-    # only HTP's early exit reads the reduction: its loop states are the
-    # caller's that the reduction keeps, which are the projections of the
-    # reduction's
+    # the walk meets the states of the reachable live configurations, which
+    # are the projections of the reduction's states, so HTP's loop states
+    # are those the reduction keeps; and no stage of a classification
+    # reduces the machine
     corpus = _pool_machines() + random_vpts(8, 1500)
     for m in corpus:
         reduced, state_map, _ = reduce_with_map(m)
-        assert streamability._wn_loop_states(m) & set(state_map.values()) == \
+        walked = {q for q, _ in streamability._live_walk(m)[0]}
+        assert walked == set(state_map.values()), serialize_vpt(m)
+        assert streamability._wn_loop_states(m) & walked == \
             {state_map[q] for q in streamability._wn_loop_states(reduced)}, serialize_vpt(m)
 
     def refuse(vpt):
-        raise AssertionError("the matched search reduced the machine")
+        raise AssertionError("a checker reduced the machine")
 
+    monkeypatch.setattr(vpt_core, "reduce_with_map", refuse)
     monkeypatch.setattr(streamability, "reduce_with_map", refuse)
-    verdicts = [check_mtp(m, BOUNDS) for m in _pool_machines()]
-    assert sum(v.outcome is Outcome.VIOLATED for v in verdicts) > 10
+    reports = []
+    for m in _pool_machines():
+        try:
+            reports.append(classify_streamability(m, BOUNDS))
+        except NotFunctionalWitness:
+            continue
+    assert sum(r.obm.outcome is Outcome.VIOLATED for r in reports) > 10
+    assert sum(r.bm.outcome is Outcome.VIOLATED for r in reports) > 10
+
+
+def test_bm_of_a_reduction_replays_its_pump():
+    # the reduction of pool machine random488 splits its states by pop
+    # obligation; BM finds its pump on it without reducing it again
+    gen, _ = _sample()
+    m = reduce(parse_vpt(dict(gen.check_pool())["random488"]))
+    verdict = check_bm(m)
+    assert verdict.outcome is Outcome.VIOLATED
+    assert isinstance(verdict.witness, Unbounded)
+    streamability._verify_pump(m, verdict.witness)
 
 
 def _replay_on_machine(m, w) -> None:

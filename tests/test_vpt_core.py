@@ -32,10 +32,11 @@ from vptstream import (
     trim_fst,
 )
 from vptstream import vpt_core
-from vptstream.vpt_core import ConfigGraph, FstMachine, access_words, well_matched
+from vptstream.vpt_core import ConfigGraph, FstMachine, well_matched
 
-from helpers import (accessible_configs, functional_by_scan, live_prefixes,
-                     random_det_vpt, random_nondet_vpt, random_untrimmed_fst)
+from helpers import (access_words, accessible_configs, functional_by_scan, live_prefixes,
+                     random_det_vpt, random_nondet_vpt, random_untrimmed_fst,
+                     well_matched_by_rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +442,7 @@ def test_reduction_reaches_every_state():
                for i in range(400)]
     for m in corpus:
         r = reduce(m)
-        assert set(access_words(r)) == r.states, serialize_vpt(m)
+        assert set(access_words(r, well_matched_by_rounds(r))) == r.states, serialize_vpt(m)
 
 
 # ---------------------------------------------------------------------------
