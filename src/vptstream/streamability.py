@@ -30,8 +30,10 @@ builds the reduction: the domain height and HTP's early exit read one
 walk over the live (state, finisher set) nodes of the caller's machine,
 ``_live_walk``, whose nodes stand for the reduction's states.  Every
 stage reads the one well-matched summary ``vpt_core.well_matched`` of the
-machine it works on, and walks configurations within a height bound
-through one ``vpt_core.ConfigGraph``.
+machine it works on, and walks the one graph of its live configurations,
+``vpt_core.config_graph``, with no height bound of its own: the functional
+probe, the searches, the flattening and the pump replay share it, and each
+bounds the heights its own contract names.
 Replays check through ``_require``, not ``assert``, so that ``python -O``
 keeps them.
 """
@@ -45,9 +47,8 @@ from functools import lru_cache
 from typing import Hashable, Optional
 
 from .delay_algebra import DelayPair, Word, delta, delta_extend
-from .nested_words import SymbolKind, is_well_nested, scan
+from .nested_words import is_well_nested, scan
 from .vpt_core import (
-    ConfigGraph,
     Configuration,
     CounterExample,
     FstMachine,
@@ -63,6 +64,7 @@ from .vpt_core import (
     _group,
     check_functional_bounded,
     co_accessible,
+    config_graph,
     fst_of,
     reduce_with_map,  # unused here: perfbench/run.py traces it by this name
     step_runs,
@@ -447,13 +449,13 @@ def _verify_pump(vpt: Vpt, w: Unbounded) -> None:
     live initial ones, without outputs: a run that can no longer accept
     does not count as alive.  All runs on one word hold the same number of
     stack symbols, the word's pending calls, so the ascent is read off the
-    word itself."""
+    word itself, and the walk needs no height bound of its own."""
     _require(all(s in vpt.alphabet for s in w.prefix + w.cycle),
              "pump witness reads a symbol outside the alphabet")
-    graph = ConfigGraph(vpt, len(w.prefix) + 2 * len(w.cycle))
-    runs = {i for i in (graph.id(Configuration(q)) for q in vpt.initial) if graph.live[i]}
-    for symbol in w.prefix + w.cycle + w.cycle:  # an empty table, stepped again, stays empty
-        runs = {j for i in runs for j, _ in (graph.succ[i] or graph.steps(i)).get(symbol, ())}
+    graph = config_graph(vpt)
+    runs = set(graph.roots)
+    for symbol in w.prefix + w.cycle + w.cycle:
+        runs = {j for i in runs for j, _ in graph.steps(i).get(symbol, ())}
     _require(bool(runs), "pump witness replay died")
     _require(scan(w.prefix + w.cycle, vpt.alphabet).hc > scan(w.prefix, vpt.alphabet).hc,
              "pump witness does not ascend")
@@ -553,13 +555,14 @@ def _search(vpt: Vpt, bounds: SearchBounds, loopers: Optional[set[str]]):
     and enters phase 2 only on a pair of states with a nonempty
     well-nested loop.
 
-    The two bounds are the only limits: no stack grows past max_height and
+    The two bounds are the only limits: no call is taken at max_height, as
+    no return is taken at the floor, so no stack grows past max_height, and
     no run reads more than max_len symbols, so no delay exceeds max_len·M
     letters, M the longest rule output.  The last layer takes its ε-steps
     but reads no further symbol.
 
     The search walks the caller's machine over the live configurations of
-    its ``ConfigGraph``, from the live initial ones, and so meets exactly
+    its ``config_graph``, from the live initial ones, and so meets exactly
     the projections of the reduction's joint runs.  A run of the reduction
     is a run of the caller's machine on the same input, with the same
     outputs and heights, through configurations that can still accept.
@@ -577,16 +580,17 @@ def _search(vpt: Vpt, bounds: SearchBounds, loopers: Optional[set[str]]):
     obligations.  Children may come in another order, so the witness may
     be another of the same length.
 
-    Configurations are the ids of one ``ConfigGraph`` per search, capped at
-    max_height, and delays are interned as small ints too, so a node is a
-    flat tuple of ints plus s1/s2 and hashes without walking stacks or
-    delay words.  Both runs read the one graph, since runs on one word
-    always have equal stack heights.  Delays are interned by equality, so
-    comparing two ids is comparing the delays, and ``delta_extend`` runs
-    once per distinct (delay, output, output) triple; a step that appends
-    no output to either run leaves both delays as they are.  Children are
-    generated by symbol, then run 1's move, then run 2's, so the search
-    meets the same first witness as one over the objects themselves.
+    Configurations are the ids of the machine's ``config_graph``, shared
+    with every other stage and every bound, and delays are interned as
+    small ints too, so a node is a flat tuple of ints plus s1/s2 and hashes
+    without walking stacks or delay words.  Runs on one word always have
+    equal stack heights, so run 1's height gates both runs' moves.  Delays
+    are interned by equality, so comparing two ids is comparing the
+    delays, and ``delta_extend`` runs once per distinct (delay, output,
+    output) triple; a step that appends no output to either run leaves
+    both delays as they are.  Children are generated by symbol, then run
+    1's move, then run 2's, so the search meets the same first witness as
+    one over the objects themselves.
 
     A node whose delays are both ε (dF is ε and dA is None or ε) at two
     configurations whose states ``_still_pairs`` finds unable to reach a
@@ -614,10 +618,9 @@ def _search(vpt: Vpt, bounds: SearchBounds, loopers: Optional[set[str]]):
     when no loop closes; the length up to which the search was exhaustive
     when the node budget ran out, else None).
     """
-    graph = ConfigGraph(vpt, bounds.max_height)
-    idx = graph.idx
+    graph = config_graph(vpt)
     height, state, succ = graph.height, graph.state, graph.succ
-    returns = {s for s in idx.symbols if idx.kind[s] is SymbolKind.RETURN}
+    calls, returns = vpt.alphabet.calls, vpt.alphabet.returns
     may_loop = vpt.states if loopers is None else loopers
 
     delays: list[DelayPair] = [DelayPair((), ())]
@@ -643,12 +646,10 @@ def _search(vpt: Vpt, bounds: SearchBounds, loopers: Optional[set[str]]):
 
     last = 4 if loopers is None else 2
     still = _still_pairs(vpt)
-    roots = [i for i in (graph.id(Configuration(q, ())) for q in sorted(vpt.initial))
-             if graph.live[i]]
     preds: dict[tuple, tuple[Optional[tuple], Optional[str], Word, Word]] = {}
     layer: deque[tuple] = deque()
-    for i1 in roots:
-        for i2 in roots:
+    for i1 in graph.roots:
+        for i2 in graph.roots:
             if (state[i1], state[i2]) in still:
                 continue
             node = (1, i1, i2, None, 0, 0, 0, None, None)
@@ -682,16 +683,15 @@ def _search(vpt: Vpt, bounds: SearchBounds, loopers: Optional[set[str]]):
                 work.append(eps)
             if not reads:
                 continue
-            steps1 = succ[i1]
-            if steps1 is None:
-                steps1 = graph.steps(i1)
-            steps2 = succ[i2]
-            if steps2 is None:
-                steps2 = graph.steps(i2)
+            # reading succ first skips a call per filled table, which in
+            # this, the hottest loop, is worth about 3 % of a pool pass
+            steps1 = succ[i1] or graph.steps(i1)
+            steps2 = succ[i2] or graph.steps(i2)
             at_floor = height[i1] <= floor
+            at_top = height[i1] >= bounds.max_height
             for symbol, moves1 in steps1.items():
-                if at_floor and symbol in returns:
-                    continue  # a pop here would dip below the loop
+                if at_floor and symbol in returns or at_top and symbol in calls:
+                    continue  # a pop would dip below the loop, a push above the bound
                 moves2 = steps2.get(symbol)
                 if moves2 is None:
                     continue

@@ -9,13 +9,14 @@ reach acceptance; ``fst_of`` flattens a machine up to a stack-height bound
 into a finite-state transducer whose states are the machine's own
 configurations, within the one budget ``_CONFIG_BUDGET``.
 
-Two per-machine tables serve every later stage.  ``rule_index`` holds the
+Three per-machine tables serve every later stage.  ``rule_index`` holds the
 rules in one table, by state, then symbol, then (for a return) popped
 symbol, which the naive step, the evaluator and ``ConfigGraph`` all read.
-``ConfigGraph`` is the one walk of live configurations under a
-stack-height bound: the functional probe, the twinning searches and
-``fst_of`` number configurations through it and step each at most once,
-and the pump replay walks it as well.
+``config_graph`` holds the machine's one ``ConfigGraph``, its live
+configurations with no height bound: the functional probe, the twinning
+searches, ``fst_of`` and the pump replay all walk it, each bounding the
+heights its own contract names, and the graph steps each configuration at
+most once across them all.
 ``well_matched`` holds the well-matched relation (q, q' joined by a
 well-nested word) with a witness word per pair, plus the pop targets and
 finishing states derived from it; reduction, co-accessibility, the
@@ -237,9 +238,10 @@ def rule_index(vpt: Vpt) -> RuleIndex:
 
 
 class ConfigGraph:
-    """The live configurations of one machine that hold at most ``cap``
-    stack symbols, numbered in the order they are met, each stepped at most
-    once.
+    """The live configurations of one machine, numbered in the order they
+    are met, each stepped at most once.  Callers read the machine's one
+    graph through ``config_graph``; it has no height bound, so every walk
+    bounds the heights it needs itself.
 
     ``id(cfg)`` interns a configuration; ``configs``, ``height``, ``state``
     and ``live`` hold each id's configuration, stack height, state and
@@ -247,17 +249,23 @@ class ConfigGraph:
     maps back.  A configuration is live iff its state is in
     ``_finishers(stack)``, the exact test of ``co_accessible``.  ``succ[i]``
     is None until ``steps(i)`` fills it with symbol -> [(id, output)]: the
-    one-step successors of configuration i that are live and keep the stack
-    within ``cap``, in ``idx.symbols`` order, each symbol's in rule order,
-    symbols with none left out.  Dead configurations get ids but are never
-    a successor, so a walk from live roots meets only live ones.  A walk
-    that calls ``steps`` only where ``succ`` is None steps each
-    configuration at most once.
+    one-step successors of configuration i that are live, in
+    ``idx.symbols`` order, each symbol's in rule order, symbols with none
+    left out.  ``steps(i)`` returns ``succ[i]`` once it is filled, so the
+    graph itself steps each configuration at most once.  Dead
+    configurations get ids but are never a successor, so a walk from live
+    roots meets only live ones.
+
+    ``roots`` holds the ids of the live initial configurations, in sorted
+    order of their states.  A walk that seeded the dead ones too would
+    find nothing more: a configuration with a live successor is live
+    itself, so a dead one has no successor in ``succ``, and a dead
+    configuration of height 0 is not in a final state, or the empty word
+    would make it accept.
     """
 
-    def __init__(self, vpt: Vpt, cap: int):
+    def __init__(self, vpt: Vpt):
         self.idx = rule_index(vpt)
-        self.cap = cap
         self.ids: dict[Configuration, int] = {}
         self.configs: list[Configuration] = []
         self.height: list[int] = []
@@ -266,6 +274,8 @@ class ConfigGraph:
         self.succ: list[Optional[dict[str, list[tuple[int, Word]]]]] = []
         self._wm = wm = well_matched(vpt)
         self._finishing: dict[tuple[str, ...], frozenset[str]] = {(): wm.can_finish}
+        self.roots = tuple(i for i in (self.id(Configuration(q)) for q in sorted(vpt.initial))
+                           if self.live[i])
 
     def _finishers(self, stack: tuple[str, ...]) -> frozenset[str]:
         """The states from which a run holding ``stack`` can accept:
@@ -293,13 +303,14 @@ class ConfigGraph:
         return i
 
     def steps(self, i: int) -> dict[str, list[tuple[int, Word]]]:
+        table = self.succ[i]
+        if table is not None:
+            return table
         state, stack = self.configs[i]
         table = {}
         kind = self.idx.kind
         for symbol, rules in self.idx.rules[state].items():
             if kind[symbol] is SymbolKind.CALL:
-                if len(stack) >= self.cap:
-                    continue
                 nxt = [(Configuration(r.dst, stack + (r.push,)), r.out) for r in rules]
             elif kind[symbol] is SymbolKind.RETURN:
                 if not stack:
@@ -317,6 +328,16 @@ class ConfigGraph:
                 table[symbol] = kept
         self.succ[i] = table
         return table
+
+
+# One classification walks the graph of the caller's machine alone, so 16
+# entries, as for ``well_matched``, keep the last few machines.  An entry
+# retains every configuration its walks have interned and every successor
+# table they filled: at most 636 configurations on a pool machine of
+# perfbench/gen.py after a classification at SearchBounds(6, 24).
+@lru_cache(maxsize=16)
+def config_graph(vpt: Vpt) -> ConfigGraph:
+    return ConfigGraph(vpt)
 
 
 def update_dconfigs(configs: Iterable[DConfiguration], symbol: str,
@@ -476,19 +497,16 @@ def check_functional_bounded(vpt: Vpt, max_len: int):
     it is skipped whole.  A conflict is reported with the prefix's full
     word and the two smallest of its ``naive_outputs``: a dropped run
     accepts no word of the bound, so these are the outputs of the runs kept.
-
-    Runs name their configurations by ``ConfigGraph`` ids, one graph per
-    probe.  Its height cap max_len // 2 loses nothing: a run at height h
-    after k symbols has h <= k and must also have h <= max_len - k to be
-    kept.
+    Runs name their configurations by ids of the machine's ``config_graph``,
+    from its live roots.
     """
-    graph = ConfigGraph(vpt, max_len // 2)
-    height, state, succ = graph.height, graph.state, graph.succ
+    graph = config_graph(vpt)
+    height, state = graph.height, graph.state
     final = vpt.final
 
     # a prefix is (word, memo key, runs); once its children are pushed, its
     # key follows them as (None, key, None), to be marked done when popped
-    root = frozenset((graph.id(Configuration(q, ())), ()) for q in vpt.initial)
+    root = frozenset((i, ()) for i in graph.roots)
     done: set[tuple[int, frozenset]] = set()
     todo: list = [((), (max_len, root), root)]
     while todo:
@@ -506,10 +524,7 @@ def check_functional_bounded(vpt: Vpt, max_len: int):
         grown: dict[str, set[tuple[int, Word]]] = {}
         if left >= 0:
             for i, r in runs:
-                table = succ[i]
-                if table is None:
-                    table = graph.steps(i)
-                for symbol, steps in table.items():
+                for symbol, steps in graph.steps(i).items():
                     for j, o in steps:
                         if height[j] <= left:
                             grown.setdefault(symbol, set()).add((j, r + o))
@@ -785,24 +800,27 @@ def fst_of(vpt: Vpt, k: int) -> FstMachine:
     """Finite-state restriction of ``vpt`` to stack heights <= k.
 
     States are the reachable live configurations themselves, met by one
-    ``ConfigGraph`` walk, so two configurations are never one state; only
-    rules that stay within the height bound and lead to a live
-    configuration are kept.  At or above the domain height the bound cuts
-    no live configuration, so the result holds every live configuration
-    the machine reaches, which on a reduced machine is every reachable
-    one.  Raises StateExplosion past ``_CONFIG_BUDGET`` configurations.
+    walk of the machine's ``config_graph``, so two configurations are never
+    one state; only rules that lead to a live configuration of height <= k
+    are kept.  At or above the domain height the bound cuts no live
+    configuration, so the result holds every live configuration the
+    machine reaches, which on a reduced machine is every reachable one.
+    Raises StateExplosion past ``_CONFIG_BUDGET`` configurations.
     """
     if k < 0:
         raise ValueError("height bound must be >= 0")
-    graph = ConfigGraph(vpt, k)
-    walk = [i for i in (graph.id(Configuration(q)) for q in sorted(vpt.initial)) if graph.live[i]]
+    graph = config_graph(vpt)
+    walk = list(graph.roots)
     met = set(walk)
+    rules = []
     for i in walk:  # grows as the walk meets configurations
-        for kept in graph.steps(i).values():
-            for j, _ in kept:
-                if j not in met:
-                    met.add(j)
-                    walk.append(j)
+        for symbol, kept in graph.steps(i).items():
+            for j, out in kept:
+                if graph.height[j] <= k:
+                    rules.append(FstRule(graph.configs[i], symbol, out, graph.configs[j]))
+                    if j not in met:
+                        met.add(j)
+                        walk.append(j)
         if len(walk) > _CONFIG_BUDGET:
             raise StateExplosion(f"height-{k} flattening exceeded {_CONFIG_BUDGET} configurations")
     states = frozenset(graph.configs[i] for i in walk)
@@ -811,9 +829,7 @@ def fst_of(vpt: Vpt, k: int) -> FstMachine:
         states=states,
         initial=frozenset(c for c in states if not c.stack and c.state in vpt.initial),
         final=frozenset(c for c in states if not c.stack and c.state in vpt.final),
-        rules=frozenset(FstRule(graph.configs[i], symbol, out, graph.configs[j])
-                        for i in walk
-                        for symbol, kept in graph.succ[i].items() for j, out in kept),
+        rules=frozenset(rules),
     )
 
 

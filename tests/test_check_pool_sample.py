@@ -11,9 +11,10 @@ witness claims.  The same machines guard the two shortcuts of the twinning
 searches: skipping joint runs whose delay can never move, and taking the
 horizontal verdict from an exhausted matched search.  With seeded helper
 machines, they also guard what the checkers rest on: the live configuration
-graph, searching and flattening the caller's machine in place of its
-reduction, the domain height of machines that are not reduced, and the
-indexed well-matched fixpoint.
+graph, and that the order in which stages warm a machine's one cached graph
+changes no result; searching and flattening the caller's machine in place
+of its reduction, the domain height of machines that are not reduced, and
+the indexed well-matched fixpoint.
 """
 
 import importlib.util
@@ -199,55 +200,57 @@ def _pool_machines() -> list:
 
 def test_config_graph_keeps_exactly_the_live_successors():
     # every configuration met from each state's empty stack, dead ones
-    # included, within height 3: its live flag is co_accessible, and its
-    # steps are the moves within the cap that lead to a live configuration
+    # included, stepping those of height <= 3: its live flag is
+    # co_accessible, its steps are the moves that lead to a live
+    # configuration, and a second call returns the table the first filled;
+    # the roots are the live initial configurations in sorted order
     corpus = [machines.load(name) for name in machines.names()]
     corpus += _pool_machines() + random_vpts(7, 200)
     dead = 0
     for m in corpus:
-        graph = ConfigGraph(m, 3)
+        graph = ConfigGraph(m)
+        assert [graph.configs[i] for i in graph.roots] == [
+            Configuration(q) for q in sorted(m.initial) if co_accessible(m, Configuration(q))]
         for q in sorted(m.states):
             graph.id(Configuration(q, ()))
         for i, cfg in enumerate(graph.configs):  # grows as steps meet more
             assert graph.live[i] == co_accessible(m, cfg), (serialize_vpt(m), cfg)
             dead += not graph.live[i]
+            if graph.height[i] > 3:
+                continue
             want = {}
             for symbol in sorted(m.alphabet.symbols):
                 kept = [(graph.id(c), out) for c, out in moves(m, cfg, symbol)
-                        if len(c.stack) <= 3 and co_accessible(m, c)]
+                        if co_accessible(m, c)]
                 if kept:
                     want[symbol] = kept
             assert graph.steps(i) == want, (serialize_vpt(m), cfg)
+            assert graph.steps(i) is graph.succ[i]
     assert dead > 100, dead
 
 
 class _ReductionGraph:
-    """Oracle for the twinning searches' ``ConfigGraph``: the graph of the
+    """Oracle for the twinning searches' ``config_graph``: the graph of the
     machine's reduction, every configuration read in the machine's names
     through ``state_map`` and ``sym_map``.  A search over it is a search of
     the reduction whose loop gates compare the machine's states, and its
-    witness is in the machine's names."""
+    witness is in the machine's names.  Its roots are the reduction's: an
+    initial state q that can finish is named q there, and one that cannot
+    is no state of it."""
 
-    def __init__(self, vpt, cap: int):
+    def __init__(self, vpt):
         reduced, self.state_map, self.sym_map = reduce_with_map(vpt)
-        self.inner = ConfigGraph(reduced, cap)
-        self.idx, self.height = self.inner.idx, self.inner.height
-        self.live, self.succ = self.inner.live, self.inner.succ
+        self.inner = ConfigGraph(reduced)
+        self.height, self.succ, self.roots = self.inner.height, self.inner.succ, self.inner.roots
         self.configs: list = []
         self.state: list = []
+        self._read_new()
 
     def _read_new(self) -> None:
         for cfg in self.inner.configs[len(self.configs):]:
             self.configs.append(Configuration(self.state_map.get(cfg.state, cfg.state),
                                               tuple(self.sym_map[g] for g in cfg.stack)))
             self.state.append(self.configs[-1].state)
-
-    def id(self, cfg) -> int:
-        # called on the roots: an initial state q is named q in the
-        # reduction, and one that cannot finish is no state of it
-        i = self.inner.id(cfg)
-        self._read_new()
-        return i
 
     def steps(self, i: int) -> dict:
         table = self.inner.steps(i)
@@ -277,7 +280,7 @@ def test_searches_of_the_machine_match_those_of_its_reduction(bounds, monkeypatc
         return [search(m, bounds) for m in corpus for search in (check_htp, check_mtp)]
 
     got = verdicts()
-    monkeypatch.setattr(streamability, "ConfigGraph", _ReductionGraph)
+    monkeypatch.setattr(streamability, "config_graph", _ReductionGraph)
     want = verdicts()
     differ = [(g, w) for g, w in zip(got, want) if _outline(g) != _outline(w)
               and not (w.diagnostics.startswith("node budget")
@@ -311,6 +314,36 @@ def test_domain_height_is_that_of_the_reduction():
             streamability._verify_pump(m, shape)
             pumps += 1
     assert pumps > 100, pumps
+
+
+def _classify_or_conflict(m, bounds):
+    try:
+        return classify_streamability(m, bounds)
+    except NotFunctionalWitness as exc:
+        return exc.word, exc.out1, exc.out2
+
+
+def test_warm_up_order_cannot_change_a_result():
+    # every stage reads the machine's one cached graph, which the first
+    # stage to run may have filled far past the heights a later one reads:
+    # the results on a graph warmed by deeper stages are the cold ones
+    graph = vpt_core.config_graph
+
+    def results(m):
+        return [_classify_or_conflict(m, SearchBounds(1, 14)),
+                _classify_or_conflict(m, SearchBounds(2, 5)), fst_of(m, 1)]
+
+    deeper = 0
+    for m in _pool_machines():
+        graph.cache_clear()
+        cold = results(m)
+        met = len(graph(m).configs)
+        graph.cache_clear()
+        _classify_or_conflict(m, SearchBounds(6, 24))
+        fst_of(m, 4)
+        deeper += len(graph(m).configs) > met
+        assert results(m) == cold, serialize_vpt(m)
+    assert deeper > 5, deeper  # 11 of the sample
 
 
 def test_matched_search_builds_no_reduction(monkeypatch):

@@ -283,6 +283,19 @@ def test_mtp_violated_on_fig2_t1(fig2_t1):
     verify_vpt_twinning_witness(fig2_t1, v.witness)
 
 
+def test_mtp_search_keeps_to_its_height_bound(fig2_t1):
+    # the shortest witness has u1 = u2 = c and u3 = c r1, which climbs to
+    # height 3: a search that lets a stack grow one past max_height finds
+    # it at max_height 2
+    low = check_mtp(fig2_t1, SearchBounds(max_height=2, max_len=24))
+    assert low.outcome is Outcome.NO_WITNESS_UP_TO
+    assert low.bounds == SearchBounds(max_height=2, max_len=24)
+    v = check_mtp(fig2_t1, SearchBounds(max_height=3, max_len=24))
+    assert v.outcome is Outcome.VIOLATED
+    w = v.witness
+    assert (w.u1, w.u2, w.u3, w.u4) == (("c",), ("c",), ("c", "r1"), ("r1",))
+
+
 def test_mtp_no_witness_on_fig4(fig4):
     v = check_mtp(fig4)
     assert v.outcome is Outcome.NO_WITNESS_UP_TO

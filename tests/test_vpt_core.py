@@ -14,6 +14,7 @@ from vptstream import (
     SearchBounds,
     StateExplosion,
     ValidationError,
+    check_bm,
     check_functional_bounded,
     check_htp,
     check_mtp,
@@ -31,7 +32,7 @@ from vptstream import (
     step_runs,
     trim_fst,
 )
-from vptstream import vpt_core
+from vptstream import streamability, vpt_core
 from vptstream.vpt_core import ConfigGraph, FstMachine, well_matched
 
 from helpers import (access_words, accessible_configs, functional_by_scan, live_prefixes,
@@ -230,13 +231,18 @@ def test_functional_probe_agrees_with_enumerate_domain():
 
 
 def _counting_steps(monkeypatch) -> list:
-    """Record (graph, id) for every ``ConfigGraph.steps`` call."""
+    """Record (graph, id) for every ``ConfigGraph.steps`` call that computes
+    a table: one that returns another object than ``succ`` held, None on
+    the first call.  A call that returns the filled table is not counted."""
     seen = []
     steps = ConfigGraph.steps
 
     def counting(graph, i):
-        seen.append((id(graph), i))
-        return steps(graph, i)
+        held = graph.succ[i]
+        table = steps(graph, i)
+        if table is not held:
+            seen.append((id(graph), i))
+        return table
 
     monkeypatch.setattr(ConfigGraph, "steps", counting)
     return seen
@@ -244,23 +250,43 @@ def _counting_steps(monkeypatch) -> list:
 
 @pytest.mark.parametrize("machine", ["fig2_t1", "fig3_full", "mutant785"])
 def test_functional_probe_steps_each_configuration_once(machine, monkeypatch):
-    # the probe, both twinning searches and the flattening each walk one
-    # ConfigGraph, which steps a configuration at most once; a small
-    # flattening budget makes one that ignores the height bound fail
-    # rather than run on
+    # the probe, both twinning searches, the flattening and BM's pump
+    # replay or flattening all walk the machine's one cached ConfigGraph,
+    # which computes each configuration's successors at most once across
+    # them all; a small flattening budget makes a flattening that ignores
+    # its height bound fail rather than run on
     m = parse_vpt(MUTANT785) if machine == "mutant785" else machines.load(machine)
+    shared = vpt_core.config_graph
+    shared.cache_clear()
     seen = _counting_steps(monkeypatch)
+    used: dict[str, set[int]] = {}
+    walking = []
+
+    def recording(vpt):
+        graph = shared(vpt)
+        used.setdefault(walking[-1], set()).add(id(graph))
+        return graph
+
+    monkeypatch.setattr(vpt_core, "config_graph", recording)
+    monkeypatch.setattr(streamability, "config_graph", recording)
     monkeypatch.setattr(vpt_core, "_CONFIG_BUDGET", 1000)
     bounds = SearchBounds(max_height=3, max_len=24)
-    walks = {"fst_of": lambda: fst_of(reduce(m), 3),
+    walks = {"reduced fst_of": lambda: fst_of(reduce(m), 3),
+             "fst_of": lambda: fst_of(m, 3),
              "probe": lambda: check_functional_bounded(m, 10),
              "mtp": lambda: check_mtp(m, bounds),
-             "htp": lambda: check_htp(m, bounds)}
+             "htp": lambda: check_htp(m, bounds),
+             "bm": lambda: check_bm(m)}
     for name, walk in walks.items():
-        seen.clear()
+        walking.append(name)
         walk()
-        assert seen or name == "htp", name
-        assert len(set(seen)) == len(seen), name
+    assert seen
+    assert len(set(seen)) == len(seen)
+    graph = {id(shared(m))}
+    assert used["reduced fst_of"] == {id(shared(reduce(m)))} != graph
+    assert used["fst_of"] == used["probe"] == used["mtp"] == used["bm"] == graph
+    assert used.get("htp", graph) == graph
+    assert {g for g, _ in seen} == graph | used["reduced fst_of"]  # no graph of its own
 
 
 # Pool machine random282: deterministic, two states, one stack symbol.
@@ -287,6 +313,7 @@ def test_functional_probe_steps_are_bounded_by_configurations(monkeypatch):
     # prefix takes 22 876
     m = parse_vpt(RANDOM282)
     bound = len(accessible_configs(m, 5))
+    vpt_core.config_graph.cache_clear()  # an earlier walk may have stepped them
     seen = _counting_steps(monkeypatch)
     assert check_functional_bounded(m, 10) == FunctionalUpTo(10)
     assert 0 < len(seen) <= bound
