@@ -256,7 +256,11 @@ class MemoryReport:
 
 
 def start(vpt: Vpt, factorize: bool = True) -> EvalState:
-    """Fresh evaluator; the caller is expected to pass a reduced machine."""
+    """Fresh evaluator over ``vpt`` as given, with no reduction.  Dead
+    runs, those that can no longer accept, stay candidates: they take part
+    in the lcp, so output can wait for them, and in the conflict check, so
+    two dead runs that differ only in output raise ``EvalDiagnostic`` on a
+    functional machine.  ``reduce(vpt)`` has no dead runs."""
     if not vpt.initial:
         raise NoInitialStates("machine has no initial state")
     dag = EvalDag()

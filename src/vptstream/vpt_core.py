@@ -20,9 +20,12 @@ most once across them all.
 ``well_matched`` holds the well-matched relation (q, q' joined by a
 well-nested word) with a witness word per pair, plus the pop targets and
 finishing states derived from it; reduction, co-accessibility, the
-domain-height walk and the twinning loop conditions all read it, and its
+domain-height walk and the twinning loop conditions all read it.  Its
 ``push`` steps a stack's finishers, the states from which a run holding
-the stack can still accept, one pushed symbol at a time.  ``reduce`` needs
+the stack can still accept, one pushed symbol at a time, each step
+computed once per machine and then looked up; ``finishers`` folds it over
+a whole stack, and is the one liveness test of ``co_accessible`` and
+``ConfigGraph``.  ``reduce`` needs
 no forward trim, because the one worklist that builds the reduced machine
 adds only states it can reach.
 """
@@ -247,7 +250,7 @@ class ConfigGraph:
     and ``live`` hold each id's configuration, stack height, state and
     whether it can still be continued into an accepting run, and ``ids``
     maps back.  A configuration is live iff its state is in
-    ``_finishers(stack)``, the exact test of ``co_accessible``.  ``succ[i]``
+    ``WellMatched.finishers(stack)``, the test of ``co_accessible``.  ``succ[i]``
     is None until ``steps(i)`` fills it with symbol -> [(id, output)]: the
     one-step successors of configuration i that are live, in
     ``idx.symbols`` order, each symbol's in rule order, symbols with none
@@ -272,24 +275,9 @@ class ConfigGraph:
         self.state: list[str] = []
         self.live: list[bool] = []
         self.succ: list[Optional[dict[str, list[tuple[int, Word]]]]] = []
-        self._wm = wm = well_matched(vpt)
-        self._finishing: dict[tuple[str, ...], frozenset[str]] = {(): wm.can_finish}
+        self._wm = well_matched(vpt)
         self.roots = tuple(i for i in (self.id(Configuration(q)) for q in sorted(vpt.initial))
                            if self.live[i])
-
-    def _finishers(self, stack: tuple[str, ...]) -> frozenset[str]:
-        """The states from which a run holding ``stack`` can accept:
-        ``can_finish`` under the empty stack, then one ``WellMatched.push``
-        per stack symbol, bottom first.  Memoised per stack, extended from
-        the longest prefix known."""
-        known = self._finishing
-        k = len(stack)
-        while stack[:k] not in known:
-            k -= 1
-        live = known[stack[:k]]
-        for n in range(k, len(stack)):
-            live = known[stack[:n + 1]] = self._wm.push(live, stack[n])
-        return live
 
     def id(self, cfg: Configuration) -> int:
         i = self.ids.get(cfg)
@@ -298,7 +286,7 @@ class ConfigGraph:
             self.configs.append(cfg)
             self.height.append(len(cfg.stack))
             self.state.append(cfg.state)
-            self.live.append(cfg.state in self._finishers(cfg.stack))
+            self.live.append(cfg.state in self._wm.finishers(cfg.stack))
             self.succ.append(None)
         return i
 
@@ -492,9 +480,13 @@ def check_functional_bounded(vpt: Vpt, max_len: int):
     differ iff their stripped forms differ, and the order of outputs is
     kept.  Which words below a prefix conflict is therefore a function of
     the reduced runs and the symbols left, and that pair is the memo key.
-    The first conflict ends the search, so the memo is just the set of
-    keys whose subtree was explored without one; a prefix whose key is in
-    it is skipped whole.  A conflict is reported with the prefix's full
+    The memo is one set of keys, each marked when a prefix holding it is
+    popped; a later prefix whose key is marked is skipped whole.  That is
+    exact: the key fixes the symbols left, so the later prefix has the
+    same length and lies outside the first one's subtree; the walk is
+    depth-first, so it is popped only after that subtree was explored;
+    and the exploration found no conflict, for the first conflict ends
+    the search.  A conflict is reported with the prefix's full
     word and the two smallest of its ``naive_outputs``: a dropped run
     accepts no word of the bound, so these are the outputs of the runs kept.
     Runs name their configurations by ids of the machine's ``config_graph``,
@@ -504,18 +496,15 @@ def check_functional_bounded(vpt: Vpt, max_len: int):
     height, state = graph.height, graph.state
     final = vpt.final
 
-    # a prefix is (word, memo key, runs); once its children are pushed, its
-    # key follows them as (None, key, None), to be marked done when popped
+    # a prefix is (word, memo key, runs)
     root = frozenset((i, ()) for i in graph.roots)
-    done: set[tuple[int, frozenset]] = set()
+    seen: set[tuple[int, frozenset]] = set()
     todo: list = [((), (max_len, root), root)]
     while todo:
         word, key, runs = todo.pop()
-        if word is None:
-            done.add(key)
+        if key in seen:
             continue
-        if key in done:
-            continue
+        seen.add(key)
         if len(runs) > 1 and len({r for i, r in runs
                                   if not height[i] and state[i] in final}) > 1:
             outs = sorted(naive_outputs(vpt, word))
@@ -528,7 +517,6 @@ def check_functional_bounded(vpt: Vpt, max_len: int):
                     for j, o in steps:
                         if height[j] <= left:
                             grown.setdefault(symbol, set()).add((j, r + o))
-        todo.append((None, key, None))
         for symbol in sorted(grown, reverse=True):  # popped smallest first
             nxt = grown[symbol]
             if len(nxt) == 1:  # the common case; its residual strips to ε
@@ -605,21 +593,36 @@ class WellMatched(NamedTuple):
     word; ``pop_to[(q, gamma)]`` holds the states that q, with gamma on top
     of the stack, can land in right after popping that gamma; ``can_finish``
     holds the states that reach a final state by a well-nested word;
-    ``pops[gamma]`` lists the pairs (q, ``pop_to[(q, gamma)]``).  Shared by
-    every caller through the cache, so read-only.
+    ``pushed`` memoises ``push`` by (finishers, gamma).  Shared by every
+    caller through the cache; ``pushed`` is the one field written after
+    construction, and only by ``push``, whose result it stores.
     """
     witnesses: dict[tuple[str, str], InputWord]
     pop_to: dict[tuple[str, str], frozenset[str]]
     can_finish: frozenset[str]
-    pops: dict[str, tuple[tuple[str, frozenset[str]], ...]]
+    pushed: dict[tuple[frozenset[str], str], frozenset[str]]
 
     def push(self, finishers: frozenset[str], gamma: str) -> frozenset[str]:
         """The finishers of a stack s + (gamma,), the states from which a
         run holding it can accept, given ``finishers``, those of s: the
-        states q with some p in ``pop_to[(q, gamma)]`` among them.  The
-        finishers of the empty stack are ``can_finish``."""
-        return frozenset(q for q, targets in self.pops.get(gamma, ())
-                         if not targets.isdisjoint(finishers))
+        states q with some p in ``pop_to[(q, gamma)]`` among them.  These
+        are the transitions of a finite automaton whose states are finisher
+        sets, so each is computed from ``pop_to`` once and then looked up."""
+        above = self.pushed.get((finishers, gamma))
+        if above is None:
+            above = self.pushed[finishers, gamma] = frozenset(
+                q for (q, g), targets in self.pop_to.items()
+                if g == gamma and not targets.isdisjoint(finishers))
+        return above
+
+    def finishers(self, stack: tuple[str, ...]) -> frozenset[str]:
+        """The states from which a run holding ``stack`` can accept:
+        ``can_finish`` under the empty stack, then one ``push`` per stack
+        symbol, bottom first."""
+        live = self.can_finish
+        for gamma in stack:
+            live = self.push(live, gamma)
+        return live
 
 
 # One classification reads the summary of the caller's machine alone, so a
@@ -632,30 +635,18 @@ def well_matched(vpt: Vpt) -> WellMatched:
     for (q, x) in wit:
         for r in ret_by_src.get(x, ()):
             landings.setdefault((q, r.pop), set()).add(r.dst)
-    pop_to = {k: frozenset(v) for k, v in landings.items()}
-    pops: dict[str, list[tuple[str, frozenset[str]]]] = {}
-    for (q, gamma), targets in pop_to.items():
-        pops.setdefault(gamma, []).append((q, targets))
     return WellMatched(
         witnesses=wit,
-        pop_to=pop_to,
+        pop_to={k: frozenset(v) for k, v in landings.items()},
         can_finish=frozenset(q for q in vpt.states
                              if any((q, f) in wit for f in vpt.final)),
-        pops={gamma: tuple(pairs) for gamma, pairs in pops.items()})
+        pushed={})
 
 
 def co_accessible(vpt: Vpt, config: Configuration) -> bool:
-    """Exact test: can ``config`` be continued into an accepting run?"""
-    wm = well_matched(vpt)
-    # Peel the stack bottom-up: after processing a prefix of the tuple, live
-    # holds the states that can finish with exactly that prefix below them,
-    # its last symbol on top (popped first from there).
-    live = wm.can_finish
-    for gamma in config.stack:
-        live = wm.push(live, gamma)
-        if not live:
-            return False
-    return config.state in live
+    """Exact test: can ``config`` be continued into an accepting run?  Iff
+    its state is among the finishers of its stack."""
+    return config.state in well_matched(vpt).finishers(config.stack)
 
 
 # Annotations used by reduce(): a state carries the (stack symbol, obligation)

@@ -9,7 +9,11 @@ run anyway.
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
+from functools import lru_cache
+from pathlib import Path
 from typing import Iterator
 
 from vptstream.delay_algebra import Word, delta, lcp
@@ -38,6 +42,18 @@ from vptstream.vpt_core import (
 )
 
 VPT_OUTS = [(), ("x",), ("y",), ("x", "y")]
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@lru_cache(maxsize=None)
+def load_gen():
+    """``perfbench/gen.py`` as a module, for its machine pool."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 # Two branches told apart by the last return, like fig3_plain, but every call
 # after the first is preceded by an internal `a` that both runs read with no
@@ -312,6 +328,25 @@ def well_matched_by_rounds(vpt: Vpt) -> dict[tuple[str, str], InputWord]:
                     wit[(q, y)] = w1 + w2
                     changed = True
     return wit
+
+
+@lru_cache(maxsize=16)
+def _well_matched_pairs(vpt: Vpt) -> frozenset[tuple[str, str]]:
+    return frozenset(well_matched_by_rounds(vpt))
+
+
+def finishers_by_definition(vpt: Vpt, stack: tuple[str, ...]) -> frozenset[str]:
+    """Oracle for ``WellMatched.finishers``, from the definition and the
+    raw return rules: under the empty stack, the states joined to a final
+    state by a well-nested word; q is a finisher of s + (γ,) iff some
+    well-nested word joins q to a state x with a return from x that pops
+    γ and lands on a finisher of s."""
+    pairs = _well_matched_pairs(vpt)
+    live = {q for q, f in pairs if f in vpt.final}
+    for gamma in stack:
+        live = {q for q, x in pairs for r in vpt.return_rules
+                if r.src == x and r.pop == gamma and r.dst in live}
+    return frozenset(live)
 
 
 def access_words(vpt: Vpt, wit: dict[tuple[str, str], InputWord]) -> dict[str, InputWord]:

@@ -17,12 +17,9 @@ of its reduction, the domain height of machines that are not reduced, and
 the indexed well-matched fixpoint.
 """
 
-import importlib.util
 import json
 import random
-import sys
 from functools import lru_cache
-from pathlib import Path
 
 import pytest
 
@@ -36,29 +33,21 @@ from vptstream import vpt_core
 from vptstream.streaming_eval import Status, memory_snapshot, start, step
 from vptstream.vpt_core import ConfigGraph
 
-from helpers import (SILENT_STEPS, domain_height_of_reduction, moves, random_vpts,
+from helpers import (PERFBENCH, SILENT_STEPS, domain_height_of_reduction,
+                     finishers_by_definition, load_gen, moves, random_vpts,
                      well_matched_by_rounds)
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SAMPLE_SEED = 9
 SAMPLE_SIZE = 60
 BOUNDS = SearchBounds(max_height=3, max_len=24)
 PUMPS = (0, 2, 4, 8)
 
 
-def _load_gen():
-    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH / "gen.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 @lru_cache(maxsize=None)
 def _sample():
     """(gen module, [(label, digest, verdict, text)]): the builtins, then
     SAMPLE_SIZE other pool machines drawn by SAMPLE_SEED."""
-    gen = _load_gen()
+    gen = load_gen()
     recorded = json.loads((PERFBENCH / "check_pool.json").read_text())
     assert recorded["bounds"] == {"max_height": BOUNDS.max_height,
                                   "max_len": BOUNDS.max_len}
@@ -200,28 +189,33 @@ def _pool_machines() -> list:
 
 def test_config_graph_keeps_exactly_the_live_successors():
     # every configuration met from each state's empty stack, dead ones
-    # included, stepping those of height <= 3: its live flag is
-    # co_accessible, its steps are the moves that lead to a live
-    # configuration, and a second call returns the table the first filled;
-    # the roots are the live initial configurations in sorted order
+    # included, stepping those of height <= 3: its live flag and
+    # co_accessible both follow the finishers' definition, its steps are the
+    # moves that lead to a live configuration, and a second call returns the
+    # table the first filled; the roots are the live initial configurations
+    # in sorted order
     corpus = [machines.load(name) for name in machines.names()]
     corpus += _pool_machines() + random_vpts(7, 200)
     dead = 0
     for m in corpus:
+        def live(cfg):
+            return cfg.state in finishers_by_definition(m, cfg.stack)
+
         graph = ConfigGraph(m)
         assert [graph.configs[i] for i in graph.roots] == [
-            Configuration(q) for q in sorted(m.initial) if co_accessible(m, Configuration(q))]
+            Configuration(q) for q in sorted(m.initial) if live(Configuration(q))]
         for q in sorted(m.states):
             graph.id(Configuration(q, ()))
         for i, cfg in enumerate(graph.configs):  # grows as steps meet more
-            assert graph.live[i] == co_accessible(m, cfg), (serialize_vpt(m), cfg)
+            assert graph.live[i] == live(cfg), (serialize_vpt(m), cfg)
+            assert co_accessible(m, cfg) == live(cfg), (serialize_vpt(m), cfg)
             dead += not graph.live[i]
             if graph.height[i] > 3:
                 continue
             want = {}
             for symbol in sorted(m.alphabet.symbols):
                 kept = [(graph.id(c), out) for c, out in moves(m, cfg, symbol)
-                        if co_accessible(m, c)]
+                        if live(c)]
                 if kept:
                     want[symbol] = kept
             assert graph.steps(i) == want, (serialize_vpt(m), cfg)

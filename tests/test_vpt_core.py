@@ -36,7 +36,7 @@ from vptstream import streamability, vpt_core
 from vptstream.vpt_core import ConfigGraph, FstMachine, well_matched
 
 from helpers import (access_words, accessible_configs, functional_by_scan, live_prefixes,
-                     random_det_vpt, random_nondet_vpt, random_untrimmed_fst,
+                     load_gen, random_det_vpt, random_nondet_vpt, random_untrimmed_fst,
                      well_matched_by_rounds)
 
 
@@ -207,7 +207,12 @@ trans s2 r v pop g f
 
 def test_functional_probe_matches_unpruned_scan():
     conflicts = 0
+    # random141, mutant220 and mutant404 each hold two prefixes of equal
+    # length and memo key, the larger pushed first: marking a key when its
+    # prefix is pushed, not popped, reports a conflict that is not first
+    pool = dict(load_gen().check_pool())
     extra = [parse_vpt(t) for t in (MUTANT785, MUTANT71, SHARED_PREFIX_CONFLICT)]
+    extra += [parse_vpt(pool[name]) for name in ("random141", "mutant220", "mutant404")]
     for m in [*_probe_corpus(), *extra]:
         for n in range(11):
             got = check_functional_bounded(m, n)
