@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class UnknownSymbol(ValueError):
@@ -69,13 +69,13 @@ def classify(symbol: str, alphabet: StructuredAlphabet) -> SymbolKind:
     return SymbolKind.UNKNOWN
 
 
-@dataclass(frozen=True)
-class ScanState:
+class ScanState(NamedTuple):
     """Progress of a nested-word scan.
 
     ``hc`` is the number of pending calls after the consumed prefix, ``h``
     the maximum ``hc`` over all prefixes, and ``valid`` is False once some
-    prefix consumed a return at height 0.  ``valid`` is monotone.
+    prefix consumed a return at height 0.  ``valid`` is monotone.  A tuple,
+    because the evaluator steps one per symbol.
     """
 
     position: int = 0

@@ -11,12 +11,16 @@ is the longest output prefix common to every candidate — which is exactly
 what can be emitted without betting on the future.
 
 A step costs the width of the levels it touches plus the letters it moves,
-not the stack height and not the output held: ``EvalDag`` indexes its nodes
-by depth, factorization visits only the depths that hold changed nodes, and
-a hoist that would climb a chain of single-child nodes with empty labels
-jumps to the chain's top through union-find style links.  Each edge label is
-a list that belongs to that edge alone, so a hoist appends to the labels at
-the chain's top in place, a strip deletes a prefix in place, an only child's
+not the stack height and not the output held.  Each node is one object,
+hashed by identity, that holds its out-edges (child -> label) and its reach.
+``EvalDag`` interns the nodes of each level by (state, stack symbol) and
+keeps every node's parents and chain link in maps of its own, so no node
+refers to an ancestor and reference counting alone frees a dropped DAG.
+Factorization visits only the depths that hold changed nodes, and a hoist
+that would climb a chain of single-child nodes with empty labels jumps to
+the chain's top through union-find style links.  Each edge label is a list
+that belongs to that edge alone, so a hoist appends to the labels at the
+chain's top in place, a strip deletes a prefix in place, an only child's
 label moves up whole, and a fold extends the list of the edge it replaces.
 The fragments ``step`` and ``finish`` return and the residuals ``decode``
 lists are tuples.
@@ -25,7 +29,7 @@ lists are tuples.
 every step.  ``out_neq`` is the longest pending residual over the candidate
 runs, the longest label sum on a root-to-leaf path: with factorization the
 part of a run's output beyond what was already emitted, without it the whole
-residual.  ``EvalDag`` keeps the edge and label counts, and per node the
+residual.  ``EvalDag`` keeps the edge and label counts, and each node the
 longest label sum above it, up to date as the DAG changes, so a snapshot
 costs the width of the leaf level, not the size of the DAG.
 """
@@ -35,7 +39,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from .delay_algebra import Word, lcp
 from .nested_words import ScanState, SymbolKind, UnknownSymbol, classify
@@ -54,15 +58,21 @@ class EvalDiagnostic(Exception):
     """Structural evidence that the machine is not reduced functional."""
 
 
-class Node(NamedTuple):
-    # a tuple, so that the dict and set operations on nodes, a few dozen
-    # per step, hash in C
-    state: str
-    symbol: Optional[str]  # stack symbol at this level; None is bottom
-    depth: int
+class Node:
+    # hashed by identity, so that the dict and set operations on nodes, a
+    # few dozen per step, need no tuple hash; ``EvalDag.node`` interns them
+    __slots__ = ("state", "symbol", "depth", "out", "reach")
 
-
-ROOT = Node("#", None, -1)
+    def __init__(self, state: str, symbol: Optional[str], depth: int):
+        self.state = state
+        self.symbol = symbol  # stack symbol at this level; None is bottom
+        self.depth = depth
+        # child -> label; every label is a list that belongs to its edge
+        # alone, so hoists, strips and folds edit it in place
+        self.out: dict[Node, list[str]] = {}
+        # letters emitted plus the longest label sum from the root (see
+        # ``EvalDag.reach_of``)
+        self.reach = 0
 
 
 def _node_key(n: Node) -> tuple[str, str]:
@@ -70,15 +80,15 @@ def _node_key(n: Node) -> tuple[str, str]:
 
 
 class EvalDag:
-    """Mutable layered DAG; ``depth`` tracks the current leaf level."""
+    """Mutable layered DAG below ``root``; ``depth`` tracks the current
+    leaf level."""
 
     def __init__(self):
-        # every label is a list that belongs to its edge alone, so hoists,
-        # strips and folds edit it in place
-        self.edges: dict[Node, dict[Node, list[str]]] = {ROOT: {}}
+        self.root = Node("#", None, -1)
+        # the live (parented) nodes of every non-empty level, by (state,
+        # stack symbol)
+        self.levels: dict[int, dict[tuple[str, Optional[str]], Node]] = {}
         self.parents: dict[Node, set[Node]] = {}
-        # the live (parented) nodes of every non-empty level
-        self.at_depth: dict[int, set[Node]] = {}
         # node -> an ancestor up its chain (see ``chain_top``)
         self.chain: dict[Node, Node] = {}
         self.depth = 0
@@ -88,69 +98,70 @@ class EvalDag:
         # running totals over every edge, kept exact by each edit below
         self.edge_count = 0
         self.label_tokens = 0
-        # node -> letters emitted plus the longest label sum from ROOT to the
-        # node (see ``reach_of``)
-        self.reach: dict[Node, int] = {ROOT: 0}
 
     # -- structure ---------------------------------------------------------
 
     @property
     def alive(self) -> bool:
-        return bool(self.edges[ROOT])
+        return bool(self.root.out)
+
+    def node(self, state: str, symbol: Optional[str], depth: int) -> Node:
+        """The node (state, symbol) at ``depth``, made on first use; the
+        caller gives it a parent in the same step."""
+        level = self.levels.get(depth)
+        if level is None:
+            level = self.levels[depth] = {}
+        node = level.get((state, symbol))
+        if node is None:
+            node = level[state, symbol] = Node(state, symbol, depth)
+        return node
 
     def level(self, depth: int) -> list[Node]:
-        return sorted(self.at_depth.get(depth, ()), key=_node_key)
+        return sorted(self.levels.get(depth, {}).values(), key=_node_key)
 
     def leaves(self) -> list[Node]:
         return self.level(self.depth)
 
     def add_edge(self, src: Node, dst: Node, label: list[str]) -> None:
         """Add src -> dst with ``label``, which the edge takes over."""
-        slot = self.edges.setdefault(src, {})
-        if dst in slot:
-            if slot[dst] != label:
+        out = src.out
+        if dst in out:
+            if out[dst] != label:
                 raise EvalDiagnostic(
                     f"two run bundles reach ({dst.state},{dst.symbol},{dst.depth}) "
                     f"from the same node with different outputs "
-                    f"{''.join(slot[dst]) or 'ε'} vs {''.join(label) or 'ε'}; "
+                    f"{''.join(out[dst]) or 'ε'} vs {''.join(label) or 'ε'}; "
                     "the machine is not reduced functional")
             return
-        slot[dst] = label
+        out[dst] = label
         self.edge_count += 1
         self.label_tokens += len(label)
         # dst gets all its in-edges in the step that creates it, from
         # parents that outlive it: the max over them stays its longest path
         reach = self.reach_of(src) + len(label)
-        self.edges.setdefault(dst, {})
         ps = self.parents.get(dst)
         if ps is None:
             self.parents[dst] = {src}
-            self.at_depth.setdefault(dst.depth, set()).add(dst)
-            self.reach[dst] = reach
+            dst.reach = reach
         else:
             ps.add(src)
-            if reach > self.reach[dst]:
-                self.reach[dst] = reach
+            if reach > dst.reach:
+                dst.reach = reach
         self.dirty.add(src)
 
     def _drop_node(self, node: Node) -> None:
-        ps = self.parents.pop(node, None)
-        if ps is not None:
-            level = self.at_depth[node.depth]
-            level.discard(node)
-            if not level:
-                del self.at_depth[node.depth]
-            for p in ps:
-                label = self.edges[p].pop(node, None)
-                if label is not None:
-                    self.edge_count -= 1
-                    self.label_tokens -= len(label)
-                self.dirty.add(p)
+        level = self.levels[node.depth]
+        del level[node.state, node.symbol]
+        if not level:
+            del self.levels[node.depth]
+        for p in self.parents.pop(node):
+            label = p.out.pop(node)
+            self.edge_count -= 1
+            self.label_tokens -= len(label)
+            self.dirty.add(p)
         # the updates drop a level only after the level below it, and the
         # cascade only childless nodes
-        out = self.edges.pop(node, None)
-        assert not out, node
-        self.reach.pop(node, None)
+        assert not node.out, node
         self.chain.pop(node, None)
         self.dirty.discard(node)
 
@@ -159,32 +170,32 @@ class EvalDag:
         pending = list(seeds)
         while pending:
             node = pending.pop()
-            if node is ROOT or node not in self.parents:
-                continue
-            if self.edges.get(node):
+            if node not in self.parents:
+                continue  # the root, or dropped already
+            if node.out:
                 continue  # still has children, keep
             ps = list(self.parents[node])
             self._drop_node(node)
             for p in ps:
-                if p is not ROOT and not self.edges.get(p):
+                if p is not self.root and not p.out:
                     pending.append(p)
 
     def remove_level(self, depth: int) -> None:
-        for node in list(self.at_depth.get(depth, ())):
+        for node in list(self.levels.get(depth, {}).values()):
             self._drop_node(node)
 
     def chain_top(self, node: Node) -> Node:
         """The highest node a hoist from ``node`` climbs unchanged.
 
         A link X -> P is recorded when X has the single parent P, P is not
-        ROOT, X is P's only child and the label P -> X is ε: an lcp hoisted
-        from X would then pass through P as a whole.  Links hold while X
-        lives, because a node gains children only in the step that removes
-        all its earlier children and gains parents only in the step that
-        creates it; hoists land on the chain's top, so the labels inside
-        stay ε.  The ε test matters when P has just lost a sibling and still
-        carries a label, which must be emitted before X's.  Paths are
-        compressed as in union-find.
+        the root, X is P's only child and the label P -> X is ε: an lcp
+        hoisted from X would then pass through P as a whole.  Links hold
+        while X lives, because a node gains children only in the step that
+        removes all its earlier children and gains parents only in the step
+        that creates it; hoists land on the chain's top, so the labels
+        inside stay ε.  The ε test matters when P has just lost a sibling
+        and still carries a label, which must be emitted before X's.  Paths
+        are compressed as in union-find.
         """
         path = []
         while True:
@@ -194,7 +205,7 @@ class EvalDag:
                 if len(ps) != 1:
                     break
                 (up,) = ps
-                if up is ROOT or len(self.edges[up]) != 1 or self.edges[up][node]:
+                if up is self.root or len(up.out) != 1 or up.out[node]:
                     break
                 self.chain[node] = up
             path.append(node)
@@ -204,25 +215,26 @@ class EvalDag:
         return node
 
     def reach_of(self, node: Node) -> int:
-        """Letters emitted plus the longest label sum from ROOT to ``node``.
+        """Letters emitted plus the longest label sum from the root to
+        ``node``.
 
         A hoist keeps every root-to-leaf sum, so it only raises the reach of
         the nodes from its chain top down to where it started, all linked
-        but the top: the top's entry takes the change.  A linked node shares
-        the reach of the node it links to, the label between them being ε,
-        so the first node up the links holds the exact value.  Emission
-        moves letters from the root labels into ROOT's entry.
+        but the top: the top's ``reach`` takes the change.  A linked node
+        shares the reach of the node it links to, the label between them
+        being ε, so the first node up the links holds the exact value.
+        Emission moves letters from the root labels into the root's reach.
         """
         up = self.chain.get(node)
         while up is not None:
             node = up
             up = self.chain.get(node)
-        return self.reach[node]
+        return node.reach
 
     # -- traversal ---------------------------------------------------------
 
     def sorted_children(self, node: Node) -> list[Node]:
-        return sorted(self.edges.get(node, ()), key=_node_key)
+        return sorted(node.out, key=_node_key)
 
 
 class Status(enum.Enum):
@@ -265,7 +277,7 @@ def start(vpt: Vpt, factorize: bool = True) -> EvalState:
         raise NoInitialStates("machine has no initial state")
     dag = EvalDag()
     for q0 in sorted(vpt.initial):
-        dag.add_edge(ROOT, Node(q0, None, 0), [])
+        dag.add_edge(dag.root, dag.node(q0, None, 0), [])
     return EvalState(dag=dag, scan=ScanState(), emitted_len=0,
                      status=Status.RUNNING, machine=vpt, factorize=factorize)
 
@@ -284,7 +296,7 @@ def update_call(dag: EvalDag, symbol: str, vpt: Vpt) -> EvalDag:
             orphans.append(leaf)
             continue
         for r in rules:
-            dag.add_edge(leaf, Node(r.dst, r.push, depth + 1), [*r.out])
+            dag.add_edge(leaf, dag.node(r.dst, r.push, depth + 1), [*r.out])
     dag.cascade_remove(orphans)
     dag.depth = depth + 1
     return dag
@@ -298,7 +310,8 @@ def update_return(dag: EvalDag, symbol: str, vpt: Vpt) -> EvalDag:
 
     # Collect the replacement level before touching anything: each surviving
     # leaf folds its parent edge, its rule output, and every grandparent edge
-    # into one new edge landing beside the grandparent.
+    # into one new edge landing beside the grandparent.  A new node may have
+    # the key of a parent the update removes, so it is made only afterwards.
     new_edges = []
     last_use = {}
     orphans = []
@@ -308,17 +321,16 @@ def update_return(dag: EvalDag, symbol: str, vpt: Vpt) -> EvalDag:
             orphans.append(leaf)
             continue
         for parent in sorted(dag.parents[leaf], key=_node_key):
-            v0 = dag.edges[parent][leaf]
+            v0 = parent.out[leaf]
             for gp in sorted(dag.parents[parent], key=_node_key):
-                v1 = dag.edges[gp][parent]
+                v1 = gp.out[parent]
                 for r in rules:
-                    new_edges.append((gp, Node(r.dst, parent.symbol, depth - 1),
-                                      v1, v0, r.out))
+                    new_edges.append((gp, r.dst, parent.symbol, v1, v0, r.out))
                 last_use[id(v1)] = len(new_edges) - 1
     dag.cascade_remove(orphans)
     dag.remove_level(depth)
     dag.remove_level(depth - 1)
-    _add_folded(dag, new_edges, last_use)
+    _add_folded(dag, depth - 1, new_edges, last_use)
     dag.depth = depth - 1
     return dag
 
@@ -336,20 +348,21 @@ def update_internal(dag: EvalDag, symbol: str, vpt: Vpt) -> EvalDag:
             orphans.append(leaf)
             continue
         for parent in sorted(dag.parents[leaf], key=_node_key):
-            v0 = dag.edges[parent][leaf]
+            v0 = parent.out[leaf]
             for r in rules:
-                new_edges.append((parent, Node(r.dst, leaf.symbol, depth),
-                                  v0, (), r.out))
+                new_edges.append((parent, r.dst, leaf.symbol, v0, (), r.out))
             last_use[id(v0)] = len(new_edges) - 1
     dag.cascade_remove(orphans)
     dag.remove_level(depth)
-    _add_folded(dag, new_edges, last_use)
+    _add_folded(dag, depth, new_edges, last_use)
     return dag
 
 
-def _add_folded(dag: EvalDag, new_edges: list, last_use: dict) -> None:
-    """Add each ``(src, dst, head, mid, out)`` as src -> dst labelled
-    head + mid + out; every source is ROOT or a live node.
+def _add_folded(dag: EvalDag, depth: int, new_edges: list,
+                last_use: dict) -> None:
+    """Add each ``(src, state, symbol, head, mid, out)`` as src -> the node
+    (state, symbol) at ``depth``, labelled head + mid + out; every source is
+    the root or a live node.
 
     ``head`` is the label of an edge the update has removed, and every edge
     that folds it leaves the same source.  ``last_use`` maps each head (by
@@ -358,14 +371,14 @@ def _add_folded(dag: EvalDag, new_edges: list, last_use: dict) -> None:
     the other folds copy it first.  The old edges are off the counters by
     now, so a reused list is counted once, as the new edge's label.
     """
-    for i, (src, dst, head, mid, out) in enumerate(new_edges):
-        assert src is ROOT or src in dag.parents  # above a surviving leaf
+    for i, (src, state, symbol, head, mid, out) in enumerate(new_edges):
+        assert src is dag.root or src in dag.parents  # above a surviving leaf
         if last_use[id(head)] == i:
             head += mid
             head += out
         else:
             head = [*head, *mid, *out]
-        dag.add_edge(src, dst, head)
+        dag.add_edge(src, dag.node(state, symbol, depth), head)
 
 
 # ---------------------------------------------------------------------------
@@ -388,16 +401,17 @@ def factorize_and_emit(dag: EvalDag) -> Word:
     if not dag.alive:
         dag.dirty.clear()
         return ()
+    root = dag.root
     by_depth: dict[int, list[Node]] = {}
     for node in dag.dirty:
-        if node is not ROOT and node in dag.parents:
+        if node is not root and node in dag.parents:
             by_depth.setdefault(node.depth, []).append(node)
     dag.dirty.clear()
     heap = [-d for d in by_depth]
     heapq.heapify(heap)
     while heap:
         for node in by_depth.pop(-heapq.heappop(heap)):
-            out_edges = dag.edges[node]
+            out_edges = node.out
             if not out_edges:
                 continue
             if len(out_edges) == 1:
@@ -416,10 +430,10 @@ def factorize_and_emit(dag: EvalDag) -> Word:
             top = dag.chain_top(node)
             top_parents = dag.parents[top]
             dag.label_tokens += k * (len(top_parents) - len(out_edges))
-            dag.reach[top] += k
+            top.reach += k
             for p in top_parents:
-                dag.edges[p][top] += common
-                if p is ROOT:
+                p.out[top] += common
+                if p is root:
                     continue
                 level = by_depth.get(p.depth)
                 if level is None:
@@ -427,14 +441,14 @@ def factorize_and_emit(dag: EvalDag) -> Word:
                     heapq.heappush(heap, -p.depth)
                 else:
                     level.append(p)
-    root_edges = dag.edges[ROOT]
+    root_edges = root.out
     emitted = lcp(list(root_edges.values()))
     if emitted:
         k = len(emitted)
         for label in root_edges.values():
             del label[:k]
         dag.label_tokens -= k * len(root_edges)
-        dag.reach[ROOT] += k
+        root.reach += k
     return emitted
 
 
@@ -485,9 +499,9 @@ def finish(state: EvalState) -> Optional[Word]:
         state.reject_position = state.scan.position
         return None
     labels = []
-    for node in dag.sorted_children(ROOT):
+    for node in dag.sorted_children(dag.root):
         if node.state in state.machine.final:
-            labels.append(dag.edges[ROOT][node])
+            labels.append(dag.root.out[node])
     if not labels:
         state.status = Status.REJECTED
         state.reject_position = state.scan.position
@@ -507,12 +521,12 @@ def decode(dag: EvalDag) -> set[DConfiguration]:
     result: set[DConfiguration] = set()
     # explicit stack of (node, stack spelled so far, residual so far): the
     # DAG is as deep as the input is nested
-    pending: list[tuple[Node, tuple[str, ...], Word]] = [(ROOT, (), ())]
+    pending: list[tuple[Node, tuple[str, ...], Word]] = [(dag.root, (), ())]
     while pending:
         node, stack, residual = pending.pop()
-        children = dag.edges.get(node, {})
+        children = node.out
         if not children:
-            if node is not ROOT:
+            if node is not dag.root:
                 result.add(DConfiguration(node.state, stack, residual))
             continue
         for child in dag.sorted_children(node):
@@ -528,8 +542,8 @@ def memory_snapshot(state: EvalState) -> MemoryReport:
     costs the width of the leaf level, not the size of the DAG.
     """
     dag = state.dag
-    emitted = dag.reach[ROOT]
-    leaves = dag.at_depth.get(dag.depth, ())
+    emitted = dag.root.reach
+    leaves = dag.levels.get(dag.depth, {}).values()
     return MemoryReport(
         position=state.scan.position,
         symbol=state.last_symbol,

@@ -18,7 +18,7 @@ from typing import Iterator
 
 from vptstream.delay_algebra import Word, delta, lcp
 from vptstream.streamability import Bounded, Unbounded
-from vptstream.streaming_eval import ROOT, MemoryReport, Status, memory_snapshot
+from vptstream.streaming_eval import MemoryReport, Status, memory_snapshot
 from vptstream.vpt_core import (
     CallRule,
     Configuration,
@@ -437,41 +437,47 @@ def accessible_configs(vpt: Vpt, max_height: int) -> set[Configuration]:
     return seen
 
 
-def snapshot_by_walk(state) -> MemoryReport:
-    """The telemetry record computed from scratch: counts and label sums
-    over every edge, and ``out_neq`` as the longest root-to-leaf label sum,
-    relaxed over the nodes reachable from ROOT in topological order."""
-    dag = state.dag
-    order: list = []  # reachable nodes, each after all its children
-    visited = {ROOT}
-    stack = [(ROOT, iter(dag.edges[ROOT]))]
+def dag_nodes(dag) -> list:
+    """Every node reachable from ``dag.root`` through the ``out`` maps,
+    each after all its children; the root comes last."""
+    order: list = []
+    visited = {dag.root}
+    stack = [(dag.root, iter(dag.root.out))]
     while stack:
         node, it = stack[-1]
         for child in it:
             if child not in visited:
                 visited.add(child)
-                stack.append((child, iter(dag.edges.get(child, ()))))
+                stack.append((child, iter(child.out)))
                 break
         else:
             stack.pop()
             order.append(node)
-    dist = {ROOT: 0}
+    return order
+
+
+def snapshot_by_walk(state) -> MemoryReport:
+    """The telemetry record computed from scratch: counts and label sums
+    over every edge reachable from the root, and ``out_neq`` as the longest
+    root-to-leaf label sum, relaxed over those nodes in topological order."""
+    dag = state.dag
+    order = dag_nodes(dag)
+    dist = {dag.root: 0}
     out_neq = 0
     for node in reversed(order):
         d = dist.get(node, 0)
-        children = dag.edges.get(node, {})
-        if not children and node is not ROOT:
+        if not node.out and node is not dag.root:
             out_neq = max(out_neq, d)
-        for child, label in children.items():
+        for child, label in node.out.items():
             dist[child] = max(dist.get(child, 0), d + len(label))
     return MemoryReport(
         position=state.scan.position,
         symbol=state.last_symbol,
         hc=state.scan.hc,
-        node_count=len(dag.parents),
-        edge_count=sum(len(slot) for slot in dag.edges.values()),
-        label_tokens_total=sum(len(label) for slot in dag.edges.values()
-                               for label in slot.values()),
+        node_count=len(order) - 1,
+        edge_count=sum(len(node.out) for node in order),
+        label_tokens_total=sum(len(label) for node in order
+                               for label in node.out.values()),
         out_neq=out_neq,
         emitted_total=state.emitted_len,
     )
@@ -482,18 +488,33 @@ def assert_dag_invariants(state) -> None:
     bottom, and per-level width at most |states| * |stack symbols|.  Also the
     evaluator's bookkeeping: ``memory_snapshot`` equals the walk above, every
     label is a list that sits on one edge only (a list and a tuple with the
-    same letters compare unequal), every recorded parent is ROOT or a live
-    node, the depth index matches a scan of the nodes, chain links join live
-    nodes and start where a link may (single parent, only child, ε label),
-    and after factorization every node's out-labels have an empty lcp."""
+    same letters compare unequal), every recorded parent is the root or a
+    live node, the nodes with recorded parents are exactly those reachable
+    from the root, every edge is in both its parent's ``out`` and its
+    child's ``parents`` and goes one level down, ``levels[d][(state,
+    symbol)]`` is the node itself and holds exactly the live nodes (a
+    dropped node is left in no map), chain links join live nodes and start
+    where a link may (single parent, only child, ε label), and after
+    factorization every node's out-labels have an empty lcp."""
     dag = state.dag
-    labels = [label for slot in dag.edges.values() for label in slot.values()]
+    order = dag_nodes(dag)
+    labels = [label for node in order for label in node.out.values()]
     assert all(type(label) is list for label in labels), labels
     assert len({id(label) for label in labels}) == len(labels), labels
     assert memory_snapshot(state) == snapshot_by_walk(state), \
         (memory_snapshot(state), snapshot_by_walk(state))
+    assert set(dag.parents) == set(order[:-1]), (len(dag.parents), len(order))
+    for node in order:
+        for child in node.out:
+            assert node in dag.parents[child], (node, child)
+            assert child.depth == node.depth + 1, (node, child)
     for node, ps in dag.parents.items():
-        assert all(p is ROOT or p in dag.parents for p in ps), (node, ps)
+        assert all(p is dag.root or p in dag.parents for p in ps), (node, ps)
+        assert all(node in p.out for p in ps), (node, ps)
+    interned: dict[int, dict] = {}
+    for node in dag.parents:
+        interned.setdefault(node.depth, {})[node.state, node.symbol] = node
+    assert dag.levels == interned, (sorted(dag.levels), sorted(interned))
     if not dag.alive:
         return
     bound = len(state.machine.states) * max(len(state.machine.stack_alphabet), 1)
@@ -501,17 +522,13 @@ def assert_dag_invariants(state) -> None:
     for d in range(dag.depth + 1):
         width = len(dag.level(d))
         assert 0 < width <= bound, (d, width, bound)
-    scan: dict[int, set] = {}
-    for node in dag.parents:
-        scan.setdefault(node.depth, set()).add(node)
-    assert dag.at_depth == scan, (sorted(dag.at_depth), sorted(scan))
     for node, top in dag.chain.items():
         assert node in dag.parents and top in dag.parents, (node, top)
         (parent,) = dag.parents[node]
-        assert parent is not ROOT and parent.depth >= top.depth, (node, top)
-        out = dag.edges[parent]
+        assert parent is not dag.root and parent.depth >= top.depth, (node, top)
+        out = parent.out
         assert list(out) == [node] and out[node] == [], (node, out)
     if state.factorize and state.status is Status.RUNNING:
-        for node in [ROOT, *dag.parents]:
-            labels = list(dag.edges[node].values())
+        for node in order:
+            labels = list(node.out.values())
             assert not labels or not lcp(labels), (node, labels)

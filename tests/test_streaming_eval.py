@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -18,7 +19,7 @@ from vptstream import (
     start,
     step,
 )
-from vptstream.streaming_eval import ROOT, Status
+from vptstream.streaming_eval import Status
 from vptstream.vpt_core import (
     initial_dconfigs,
     reduce,
@@ -354,12 +355,29 @@ def test_hoist_appends_to_the_root_label_in_place(fig3_full):
     st = start(fig3_full)
     for sym in ["c", "r", "c", "r"]:
         step(st, sym)
-    before = {top: (label, len(label)) for top, label in st.dag.edges[ROOT].items()}
+    before = {top: (label, len(label)) for top, label in st.dag.root.out.items()}
     assert step(st, "c") == ()  # at depth 0: each branch hoists its a or b
-    assert st.dag.edges[ROOT].keys() == before.keys()
-    for top, label in st.dag.edges[ROOT].items():
+    assert st.dag.root.out.keys() == before.keys()
+    for top, label in st.dag.root.out.items():
         assert label is before[top][0]
         assert len(label) == before[top][1] + 1
+
+
+def test_a_dropped_state_is_freed_without_the_cycle_collector(fig3_full):
+    # nodes refer only to their children, so reference counting frees a DAG
+    # with its labels as soon as the state goes
+    word = "c r c c r r c r".split()
+    run_stream(start(fig3_full), word)  # fills the machine's lazy caches
+    gc.collect()
+    gc.disable()
+    try:
+        st = start(fig3_full)
+        for sym in word:
+            step(st, sym)
+        del st
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_public_results_are_tuples(fig4, fig3_full):
