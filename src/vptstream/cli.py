@@ -76,6 +76,9 @@ def _load(path: str) -> Vpt:
             text = handle.read()
     except OSError as exc:
         raise click.UsageError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        click.echo(f"{path}: {exc}", err=True)
+        sys.exit(2)
     try:
         return parse_vpt(text)
     except ParseError as exc:

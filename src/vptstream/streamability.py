@@ -28,7 +28,7 @@ configurations, and witnesses name the caller's configurations; each is
 re-verified on the caller's machine before being returned.  No stage
 builds the reduction: the domain height and HTP's early exit read one
 walk over the live (state, finisher set) nodes of the caller's machine,
-``_live_walk``, whose nodes stand for the reduction's states.  Every
+``vpt_core._live_walk``, whose nodes are the reduction's states.  Every
 stage reads the one well-matched summary ``vpt_core.well_matched`` of the
 machine it works on, and walks the one graph of its live configurations,
 ``vpt_core.config_graph``, with no height bound of its own: the functional
@@ -61,7 +61,9 @@ from .vpt_core import (
     _CONFIG_BUDGET,
     _FUNCTIONAL_PROBE_LEN,
     _closure,
+    _Node,
     _group,
+    _live_walk,
     check_functional_bounded,
     co_accessible,
     config_graph,
@@ -263,6 +265,7 @@ def _require(ok: bool, what: str) -> None:
 
 def verify_fst_twinning_witness(fst: FstMachine, w: FstTwinWitness) -> None:
     """Replay both runs rule by rule; raises AssertionError on any mismatch."""
+    _require(bool(w.u2), "the loop u2 is empty")
     word = w.u1 + w.u2
     for rules, out_all in ((w.run1_rules, w.v1 + w.v2), (w.run2_rules, w.w1 + w.w2)):
         _require(len(rules) == len(word), "run length differs from u1·u2")
@@ -289,66 +292,6 @@ def verify_fst_twinning_witness(fst: FstMachine, w: FstTwinWitness) -> None:
 
 # ---------------------------------------------------------------------------
 # Domain height
-
-_Node = tuple[str, frozenset[str]]
-
-
-# One entry per machine serves the domain height and HTP's early exit.
-@lru_cache(maxsize=16)
-def _live_walk(vpt: Vpt) -> tuple[dict[_Node, InputWord],
-                                  dict[_Node, list[tuple[_Node, InputWord]]]]:
-    """One breadth-first walk over the live (state, F) nodes of ``vpt``.
-
-    A run in state q holding stack s can still accept iff q is among the
-    finishers F of s: ``can_finish`` for the empty stack, and one
-    ``WellMatched.push`` per symbol above it.  That is the automaton of the
-    regular set of co-accessible configurations (Bouajjani, Esparza and
-    Maler, "Reachability analysis of pushdown automata", 1997) read
-    bottom-up, and what a live run can go on to do depends on q and F
-    alone.  The walk starts at (i, ``can_finish``) for each initial state i
-    that can finish, in sorted order, and tries from each node (q, F):
-
-    - a level move, one well-matched summary q -> p, to (p, F);
-    - an ascent, one call from q pushing γ and then one summary from its
-      target to p, to (p, F') with F' the finishers after pushing γ onto F.
-
-    A move is kept only when it lands live, p in F or in F'.  Every prefix
-    of an input word splits into well-matched segments and the calls left
-    pending between them, and every configuration on a live run is live,
-    so the nodes the walk meets are exactly the (state, finishers) pairs of
-    the live configurations that runs reach from the initial ones, each
-    node reached by its access word, and a run's stack height is the
-    number of ascents on its path.
-
-    Returns (access, ascents): ``access`` maps each node, in the order
-    found, to the first word found reaching it, and ``ascents`` maps each
-    node to its ascents as (node, word) pairs.  Shared by every caller
-    through the cache, so read-only.
-    """
-    wm = well_matched(vpt)
-    summaries: dict[str, list[tuple[str, InputWord]]] = {}
-    for (q, p), word in wm.witnesses.items():
-        summaries.setdefault(q, []).append((p, word))
-    calls = _group(vpt.call_rules, lambda r: r.src)
-    bottom = wm.can_finish
-    access = {(q, bottom): () for q in sorted(vpt.initial) if q in bottom}
-    ascents: dict[_Node, list[tuple[_Node, InputWord]]] = {}
-    queue = deque(access)
-    while queue:
-        node = queue.popleft()
-        q, live = node
-        level = [((p, live), word) for p, word in summaries[q] if p in live]
-        up = ascents[node] = []
-        for c in calls.get(q, ()):
-            above = wm.push(live, c.push)
-            up += [((p, above), (c.symbol,) + word)
-                   for p, word in summaries[c.dst] if p in above]
-        for nxt, word in level + up:
-            if nxt not in access:
-                access[nxt] = access[node] + word
-                queue.append(nxt)
-    return access, ascents
-
 
 def domain_height_bounded(vpt: Vpt):
     """Bounded(h_max) or Unbounded(pump witness) for the domain's stack
@@ -409,23 +352,9 @@ def check_bm(vpt: Vpt) -> Verdict:
     within the domain height h_max, so the cap cuts none of them.  The
     flattening and its twinning product share the one budget
     ``_CONFIG_BUDGET``; past it the verdict is Unknown.  The reduction's
-    flattening maps onto it, rule for rule with the same outputs, through
-    the projection of the reduction's names, and both are twinned or
-    neither is:
-
-    - Two runs of the reduction's flattening that loop on u2 project to two
-      runs of the caller's that loop on u2, with the same outputs and so
-      the same delays.
-    - Take two runs of the caller's flattening on u1 that loop on u2 and
-      move the delay d after u1.  They run through live configurations,
-      so for each n their pumped runs on u1·u2ⁿ lift, one at a time, to
-      runs of the reduction.  Past n = the number of pairs of the
-      reduction's configurations that project onto the loop's pair, two
-      lifted pairs, after u1·u2ⁱ and u1·u2ʲ with i < j, are equal: a loop
-      on u2ᵐ, m = j - i.  In the free group u2 maps a delay x to
-      f(x) = o1⁻¹·x·o2, and fᵐ(x) = o1⁻ᵐ·x·o2ᵐ is x iff (x·o2·x⁻¹)ᵐ = o1ᵐ,
-      iff f(x) = x, since roots are unique in free groups.  So u2ᵐ moves
-      d, and, f being injective, it moves fⁱ(d), the delay after u1·u2ⁱ.
+    reachable configurations project one to one onto the caller's live
+    ones, rule for rule with the same outputs, so its flattening is this
+    one in other names, and both are twinned or neither is.
     """
     shape = domain_height_bounded(vpt)
     if isinstance(shape, Unbounded):
@@ -508,11 +437,8 @@ def _twinning_search(vpt: Vpt, bounds: SearchBounds, horizontal: bool,
     HTP's early exit reads the states with a nonempty well-nested loop
     among the states of the nodes of ``_live_walk``, the (state,
     finishers) pairs of the live configurations reachable from the initial
-    ones.  A state is among them iff the reduction keeps a state over it:
-    the reduction's state (q, t) is live under its top obligation t and
-    reachable, so a run reaches q live, and a run that reaches q live takes
-    a path of the walk, which the reduction follows by committing each
-    pending call to the state its continuation pops onto.
+    ones.  Those nodes are the reduction's states, so a state is among
+    them iff the reduction keeps a state over it.
     """
     if not vpt.initial & well_matched(vpt).can_finish:
         return Verdict(Outcome.NO_WITNESS_UP_TO, bounds=bounds,
@@ -562,23 +488,15 @@ def _search(vpt: Vpt, bounds: SearchBounds, loopers: Optional[set[str]]):
     but reads no further symbol.
 
     The search walks the caller's machine over the live configurations of
-    its ``config_graph``, from the live initial ones, and so meets exactly
-    the projections of the reduction's joint runs.  A run of the reduction
-    is a run of the caller's machine on the same input, with the same
-    outputs and heights, through configurations that can still accept.
-    Conversely a run through live configurations extends to an accepting
-    run, which the reduction keeps under some choice of pop obligations,
-    and the two runs of a joint run lift one at a time.  The loop gates
-    read the caller's states; ``loopers`` holds the caller's states with a
-    nonempty well-nested loop that the reduction keeps (the states of
-    ``_live_walk``'s nodes), and a state met in a live configuration is
-    one iff the reduction's state under it has such a loop: the loop from
-    a live configuration runs through live ones back to it, so it lifts,
-    and a loop of the reduction projects.
-    So the nodes are those of a search of the reduction read in the
-    caller's names, which the reduction holds once per choice of pop
-    obligations.  Children may come in another order, so the witness may
-    be another of the same length.
+    its ``config_graph``, from the live initial ones.  The reduction's
+    reachable configurations project one to one onto those, with the same
+    steps, outputs and heights, so the nodes are those of a search of the
+    reduction read in the caller's names, layer by layer.  The loop gates
+    read the caller's states; ``loopers`` holds those with a nonempty
+    well-nested loop among the states of ``_live_walk``'s nodes, the
+    reduction's states, and such a loop lifts and projects as any run
+    does.  Children may come in another order, so the witness may be
+    another of the same length.
 
     Configurations are the ids of the machine's ``config_graph``, shared
     with every other stage and every bound, and delays are interned as

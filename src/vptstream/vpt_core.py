@@ -19,20 +19,22 @@ heights its own contract names, and the graph steps each configuration at
 most once across them all.
 ``well_matched`` holds the well-matched relation (q, q' joined by a
 well-nested word) with a witness word per pair, plus the pop targets and
-finishing states derived from it; reduction, co-accessibility, the
-domain-height walk and the twinning loop conditions all read it.  Its
-``push`` steps a stack's finishers, the states from which a run holding
-the stack can still accept, one pushed symbol at a time, each step
-computed once per machine and then looked up; ``finishers`` folds it over
-a whole stack, and is the one liveness test of ``co_accessible`` and
-``ConfigGraph``.  ``reduce`` needs
-no forward trim, because the one worklist that builds the reduced machine
-adds only states it can reach.
+finishing states derived from it; co-accessibility, the live walk and
+the twinning loop conditions all read it.  Its ``push`` steps a stack's
+finishers, the states from which a run holding the stack can still
+accept, one pushed symbol at a time, each step computed once per machine
+and then looked up; ``finishers`` folds it over a whole stack, and is the
+one liveness test of ``co_accessible`` and ``ConfigGraph``.
+``_live_walk`` walks the (state, finishers) nodes that runs reach live,
+once per machine, and is the one liveness construction behind the
+domain height, HTP's early exit and ``reduce``, whose states are exactly
+those nodes, so the reduction needs no trim.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Iterable, NamedTuple, Optional
@@ -649,19 +651,67 @@ def co_accessible(vpt: Vpt, config: Configuration) -> bool:
     return config.state in well_matched(vpt).finishers(config.stack)
 
 
-# Annotations used by reduce(): a state carries the (stack symbol, obligation)
-# pair of the current top, or None at the bottom; a stack symbol additionally
-# remembers the annotation to restore below it.
-_Top = Optional[tuple[str, str]]
+_Node = tuple[str, frozenset[str]]
 
 
-def _ann_state_name(q: str, t: _Top) -> str:
-    return q if t is None else f"{q}@{t[0]}>{t[1]}"
+# One entry per machine serves the reduction, the domain height and HTP's
+# early exit.
+@lru_cache(maxsize=16)
+def _live_walk(vpt: Vpt) -> tuple[dict[_Node, InputWord],
+                                  dict[_Node, list[tuple[_Node, InputWord]]]]:
+    """One breadth-first walk over the live (state, F) nodes of ``vpt``.
 
+    A run in state q holding stack s can still accept iff q is among the
+    finishers F of s: ``can_finish`` for the empty stack, and one
+    ``WellMatched.push`` per symbol above it.  That is the automaton of the
+    regular set of co-accessible configurations (Bouajjani, Esparza and
+    Maler, "Reachability analysis of pushdown automata", 1997) read
+    bottom-up, and what a live run can go on to do depends on q and F
+    alone.  The walk starts at (i, ``can_finish``) for each initial state i
+    that can finish, in sorted order, and tries from each node (q, F):
 
-def _ann_symbol_name(gamma: str, p: str, below: _Top) -> str:
-    base = f"{gamma}@{p}"
-    return base if below is None else f"{base}@{below[0]}>{below[1]}"
+    - a level move, one well-matched summary q -> p, to (p, F);
+    - an ascent, one call from q pushing γ and then one summary from its
+      target to p, to (p, F') with F' the finishers after pushing γ onto F.
+
+    A move is kept only when it lands live, p in F or in F'.  Every prefix
+    of an input word splits into well-matched segments and the calls left
+    pending between them, and every configuration on a live run is live,
+    so the nodes the walk meets are exactly the (state, finishers) pairs of
+    the live configurations that runs reach from the initial ones, each
+    node reached by its access word, and a run's stack height is the
+    number of ascents on its path.  There can be |Q|·2^|Q| of them, one
+    per state and finisher set; no budget caps the walk, and the machines
+    of the benchmark pool meet at most 4 finisher sets each.
+
+    Returns (access, ascents): ``access`` maps each node, in the order
+    found, to the first word found reaching it, and ``ascents`` maps each
+    node to its ascents as (node, word) pairs.  Shared by every caller
+    through the cache, so read-only.
+    """
+    wm = well_matched(vpt)
+    summaries: dict[str, list[tuple[str, InputWord]]] = {}
+    for (q, p), word in wm.witnesses.items():
+        summaries.setdefault(q, []).append((p, word))
+    calls = _group(vpt.call_rules, lambda r: r.src)
+    bottom = wm.can_finish
+    access = {(q, bottom): () for q in sorted(vpt.initial) if q in bottom}
+    ascents: dict[_Node, list[tuple[_Node, InputWord]]] = {}
+    queue = deque(access)
+    while queue:
+        node = queue.popleft()
+        q, live = node
+        level = [((p, live), word) for p, word in summaries[q] if p in live]
+        up = ascents[node] = []
+        for c in calls.get(q, ()):
+            above = wm.push(live, c.push)
+            up += [((p, above), (c.symbol,) + word)
+                   for p, word in summaries[c.dst] if p in above]
+        for nxt, word in level + up:
+            if nxt not in access:
+                access[nxt] = access[node] + word
+                queue.append(nxt)
+    return access, ascents
 
 
 def reduce(vpt: Vpt) -> Vpt:
@@ -674,114 +724,85 @@ def reduce(vpt: Vpt) -> Vpt:
 def reduce_with_map(vpt: Vpt) -> tuple[Vpt, dict[str, str], dict[str, str]]:
     """reduce() plus projections of new state/stack names onto the originals.
 
-    Stack symbols are annotated with the state the machine commits to reach
-    when the symbol is popped; call rules only choose commitments that some
-    well-matched continuation can honor, so no run can paint itself into a
-    corner.  States gain the annotation of the current top so return rules can
-    check the commitment.  The result is cached and shared by every caller,
-    so the two maps are read-only.
+    The machine read through its ``_live_walk``: the states are the walk's
+    nodes (q, F), F the finishers of the stack, and a stack symbol is
+    (γ, F) with F the finishers of the stack below it.  A rule of the
+    machine is kept between two nodes when its target is a node: an
+    internal from (q, F) goes to (dst, F); a call from (q, F) pushes (γ, F)
+    and goes to (dst, F') with F' = ``push(F, γ)``; a return pops (γ, F)
+    only from a node (q, F') with F' = ``push(F, γ)``, and goes to
+    (dst, F).  So every reachable configuration carries the finishers of
+    its own stack in its state and symbols, and projecting the names maps
+    the reachable configurations one to one onto the live configurations
+    that runs of the machine reach, with the same steps and outputs: a
+    step of a live run ends live, in a configuration whose (state,
+    finishers) pair is a node.  The states number as many as the walk's
+    nodes, at most |Q|·2^|Q|, where a reduction that guesses the state
+    each pending call is popped onto stays polynomial; but ``check_bm``
+    walks the same nodes for every machine, with no budget, to find the
+    domain height.
 
-    One worklist adds the states and records each rule from a state as it
-    finds it; the machine is built from those records.  Every state it adds
-    is reachable, so no forward trim follows: a state enters ``states`` only
-    through ``add``, as an initial state, as the target of a recorded rule
-    from a state already there, or as the landing (p, t) of a recorded call
-    from (q, t) onto (c.dst, (γ, p)).  The call commits to p only if p is in
-    ``pop_to[(c.dst, γ)]``, so a well-nested path leads from c.dst to a
-    return popping γ onto p; every state on it is live under (γ, p), and by
-    induction on its nesting the worklist records it and that return.  So
-    the landing is reachable, and the worklist adds it with the call.
+    A name keeps the original when F is ``can_finish`` and otherwise gets
+    the index of F in the order the walk first meets it, ``q@1`` and
+    ``g@1``; ``_fresh_names`` resolves clashes, naming every (γ, F) pair
+    so that a symbol's name does not depend on which others are pushed.
+    The result is cached and shared by every caller, so the two maps are
+    read-only.
     """
     wm = well_matched(vpt)
-    pop_to, can_finish = wm.pop_to, wm.can_finish
+    nodes = _live_walk(vpt)[0]
+    index: dict[frozenset[str], int] = {}  # finisher set -> order first met
+    for _, live in nodes:
+        index.setdefault(live, len(index))
+    name = _fresh_names(nodes, index)
+    sym = _fresh_names(itertools.product(vpt.stack_alphabet, index), index)
     internals_from = _group(vpt.internal_rules, lambda r: r.src)
     calls_from = _group(vpt.call_rules, lambda r: r.src)
-    returns_to = _group(vpt.return_rules, lambda r: (r.src, r.pop, r.dst))
+    returns_from = _group(vpt.return_rules, lambda r: r.src)
 
-    def live(q: str, t: _Top) -> bool:
-        if t is None:
-            return q in can_finish
-        gamma, p = t
-        return p in pop_to.get((q, gamma), ())
-
-    states: set[tuple[str, _Top]] = set()
-    frontier: list[tuple[str, _Top]] = []
-    internals: set[tuple[tuple[str, _Top], InternalRule]] = set()
-    calls: set[tuple[tuple[str, _Top], CallRule, str]] = set()
-    returns: set[tuple[tuple[str, _Top], ReturnRule]] = set()
-    below_of: dict[tuple[str, str], set[_Top]] = {}
-
-    def add(st: tuple[str, _Top]) -> None:
-        if st not in states:
-            states.add(st)
-            frontier.append(st)
-
-    for q in vpt.initial:
-        if q in can_finish:
-            add((q, None))
-    while frontier:
-        st = frontier.pop()
-        q, t = st
-        for r in internals_from.get(q, ()):
-            if live(r.dst, t):
-                internals.add((st, r))
-                add((r.dst, t))
+    internals, calls = set(), set()
+    below: dict[tuple[str, frozenset[str]], set[frozenset[str]]] = {}  # (γ, F') -> F
+    for node in nodes:
+        q, live = node
+        internals |= {InternalRule(name[node], r.symbol, r.out, name[r.dst, live])
+                      for r in internals_from.get(q, ()) if (r.dst, live) in nodes}
         for r in calls_from.get(q, ()):
-            for p in pop_to.get((r.dst, r.push), ()):
-                if not live(p, t):
-                    continue
-                calls.add((st, r, p))
-                add((r.dst, (r.push, p)))
-                below_of.setdefault((r.push, p), set()).add(t)
-                add((p, t))
-        if t is not None and (q, *t) in returns_to:
-            returns.update((st, r) for r in returns_to[(q, *t)])
+            above = wm.push(live, r.push)
+            if (r.dst, above) in nodes:
+                calls.add(CallRule(name[node], r.symbol, r.out, sym[r.push, live],
+                                   name[r.dst, above]))
+                below.setdefault((r.push, above), set()).add(live)
+    returns = {ReturnRule(name[node], r.symbol, r.out, sym[r.pop, live], name[r.dst, live])
+               for node in nodes for r in returns_from.get(node[0], ())
+               for live in below.get((r.pop, node[1]), ()) if (r.dst, live) in nodes}
 
-    state_name = _fresh_names(states, _ann_key, _ann_state_name)
-    sym_name = _fresh_names({(gamma, p, below) for (gamma, p), belows in below_of.items()
-                             for below in belows}, _ann_key, _ann_symbol_name)
-    reduced = Vpt(
-        alphabet=vpt.alphabet,
-        states=frozenset(state_name.values()),
-        initial=frozenset(state_name[(q, None)] for q in vpt.initial
-                          if (q, None) in states),
-        final=frozenset(state_name[(q, None)] for q in vpt.final
-                        if (q, None) in states),
-        stack_alphabet=frozenset(sym_name.values()),
-        call_rules=frozenset(
-            CallRule(state_name[src], r.symbol, r.out, sym_name[(r.push, p, src[1])],
-                     state_name[(r.dst, (r.push, p))])
-            for src, r, p in calls),
-        return_rules=frozenset(
-            ReturnRule(state_name[src], r.symbol, r.out, sym_name[(*src[1], below)],
-                       state_name[(r.dst, below)])
-            for src, r in returns for below in below_of[src[1]]),
-        internal_rules=frozenset(
-            InternalRule(state_name[src], r.symbol, r.out, state_name[(r.dst, src[1])])
-            for src, r in internals),
-    )
-    return (reduced, {name: st[0] for st, name in state_name.items()},
-            {name: s[0] for s, name in sym_name.items()})
+    bottom = {q: n for (q, live), n in name.items() if not index[live]}
+    pushed = {r.push for r in calls}
+    reduced = Vpt(alphabet=vpt.alphabet, states=frozenset(name.values()),
+                  initial=frozenset(bottom[q] for q in vpt.initial & bottom.keys()),
+                  final=frozenset(bottom[q] for q in vpt.final & bottom.keys()),
+                  stack_alphabet=frozenset(pushed), call_rules=frozenset(calls),
+                  return_rules=frozenset(returns), internal_rules=frozenset(internals))
+    return (reduced, {n: q for (q, _), n in name.items()},
+            {n: gamma for (gamma, _), n in sym.items() if n in pushed})
 
 
-def _fresh_names(items: Iterable[tuple], key, name) -> dict[tuple, str]:
-    """``name(*item)`` for each item, taken in ``key`` order, with primes
-    appended until it differs from every earlier name."""
-    names: dict[tuple, str] = {}
+def _fresh_names(items: Iterable[_Node], index: dict[frozenset[str], int]) -> dict[_Node, str]:
+    """The reduced name of each (name, finisher set) pair: the name itself
+    under the set of index 0, ``can_finish``, else ``name@i`` with i the
+    set's ``index``, with primes appended until it differs from every
+    earlier one.  Pairs are taken by index, then name, so the original
+    names come first and the result does not depend on the order of
+    ``items``."""
+    names: dict[_Node, str] = {}
     used: set[str] = set()
-    for item in sorted(items, key=key):
-        fresh = name(*item)
+    for base, live in sorted(items, key=lambda item: (index[item[1]], item[0])):
+        fresh = f"{base}@{index[live]}" if index[live] else base
         while fresh in used:
             fresh += "'"
-        names[item] = fresh
+        names[base, live] = fresh
         used.add(fresh)
     return names
-
-
-def _ann_key(item: tuple):
-    """Sort key of an annotated state or symbol, whose last part may be None."""
-    *head, top = item
-    return (*head, top is not None, top or ("", ""))
 
 
 # ---------------------------------------------------------------------------

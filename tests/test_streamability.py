@@ -16,6 +16,7 @@ from vptstream import (
     DelayPair,
     FstMachine,
     FstRule,
+    FstTwinWitness,
     NotFunctionalWitness,
     Outcome,
     SearchBounds,
@@ -142,6 +143,17 @@ def test_twinning_witness_verifier_rejects_tampering():
     with pytest.raises(AssertionError):
         verify_fst_twinning_witness(m, dataclasses.replace(
             w, delay_after=w.delay_before))
+
+
+def test_twinning_witness_verifier_rejects_an_empty_loop():
+    m = fst([FstRule("q0", "s", ("x",), "q0")], ["q0"], ["q0"])
+    empty = DelayPair((), ())
+    for u1, rules in (((), ()), (("s",), (FstRule("q0", "s", ("x",), "q0"),))):
+        w = FstTwinWitness(u1=u1, u2=(), run1_rules=rules, run2_rules=rules,
+                           v1=(), v2=(), w1=(), w2=(),
+                           delay_before=empty, delay_after=empty)
+        with pytest.raises(AssertionError, match="the loop u2 is empty"):
+            verify_fst_twinning_witness(m, w)
 
 
 # ---------------------------------------------------------------------------

@@ -288,7 +288,8 @@ def test_functional_probe_steps_each_configuration_once(machine, monkeypatch):
     assert seen
     assert len(set(seen)) == len(seen)
     graph = {id(shared(m))}
-    assert used["reduced fst_of"] == {id(shared(reduce(m)))} != graph
+    assert used["reduced fst_of"] == {id(shared(reduce(m)))}
+    assert (used["reduced fst_of"] == graph) == (reduce(m) == m)  # fig2_t1 is its own
     assert used["fst_of"] == used["probe"] == used["mtp"] == used["bm"] == graph
     assert used.get("htp", graph) == graph
     assert {g for g, _ in seen} == graph | used["reduced fst_of"]  # no graph of its own
@@ -403,7 +404,10 @@ trans s3 r - pop g1 s4
 def test_bundled_machines_reduced_status():
     # fig2_t1 ships reduced; the others can strand their second-family final
     # state with calls still pending (reachable but stuck), which reduce()
-    # repairs.
+    # repairs.  The reduction has one state per live (state, finisher set)
+    # node, and a return only from a node whose finisher set is that of
+    # the popped symbol's set with the symbol pushed
+    sizes = {"fig2_t1": (2, 5), "fig3_full": (9, 18), "fig3_plain": (8, 12), "fig4": (8, 12)}
     for name in machines.names():
         m = machines.load(name)
         stuck = [c for c in accessible_configs(m, 3)
@@ -415,6 +419,8 @@ def test_bundled_machines_reduced_status():
         r = reduce(m)
         for cfg in accessible_configs(r, 3):
             assert co_accessible(r, cfg), (name, cfg)
+        rules = len(r.call_rules) + len(r.return_rules) + len(r.internal_rules)
+        assert (len(r.states), rules) == sizes[name]
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +472,8 @@ def test_reduce_differential_on_random_machines():
 
 
 def test_reduction_reaches_every_state():
-    # the reduction keeps every state its worklist adds, with no forward
-    # trim after it, so each one must be reachable from an initial state
+    # the reduction's states are the nodes of the live walk, with no trim
+    # after it, so each one must be reachable from an initial state
     rng = random.Random(11)
     corpus = [machines.load(name) for name in machines.names()]
     corpus += [(random_det_vpt if i % 2 == 0 else random_nondet_vpt)(rng)
