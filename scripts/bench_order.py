@@ -1,0 +1,259 @@
+"""Compare the evaluator and the checkers of two checkouts, and time them.
+
+    python3 scripts/bench_order.py equiv PARENT CHANGE --out BENCH_order.json
+    python3 scripts/bench_order.py pairs PARENT CHANGE --out BENCH_order.json \
+        [--pairs 3] [--seconds 20]
+
+``equiv`` runs one child process per checkout (``dump``), each importing
+the package from that checkout's ``src`` and the machine helpers from its
+``tests``, and compares what they recorded:
+
+- eval: the four builtins and the 804 ``gen.check_pool()`` machines, the
+  first 400 prefixes of ``helpers.live_prefixes(m, 6)`` of each, with
+  factorize on and off; after every step the fragment, ``memory_snapshot``
+  and ``decode`` set, then the ``finish`` result and the reject position.
+  An ``EvalDiagnostic`` is recorded as its step and text;
+- cli: the stdout, stderr and exit code of ``eval`` and ``bench`` on the
+  builtins;
+- classify: SHA-1 over ``repr(classify_streamability(m, bounds))``, or the
+  ``NotFunctionalWitness``, over the pool plus ``random_vpts(8, 1500)`` and
+  ``random_vpts(11, 1500)``, at four bounds;
+- reduce: the states and rules of ``reduce(m)`` over the builtins and the
+  pool, and SHA-1 over ``enumerate_domain(reduce(m), 7)``.
+
+``pairs`` runs ``perfbench/run.py`` on every workload, parent and change
+alternating which goes first, and records the last line of each run.
+Both merge their section into the JSON file at ``--out``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import pickle
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+PREFIXES = 400
+PREFIX_LEN = 6
+CLASSIFY_BOUNDS = ((3, 24), (2, 5), (3, 9), (1, 14))
+WORKLOADS = ("deep", "flat", "check", "telemetry")
+
+
+def _digest(value) -> str:
+    return hashlib.sha1(repr(value).encode()).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# One checkout's record (runs in a child process)
+
+def _corpus(tree: Path):
+    sys.path[:0] = [str(tree / "src"), str(tree / "tests")]
+    from vptstream import machines, parse_vpt
+    import helpers
+    builtins = [(f"builtin:{name}", machines.load(name)) for name in machines.names()]
+    pool = [(label, parse_vpt(text)) for label, text in helpers.load_gen().check_pool()]
+    return helpers, builtins, pool
+
+
+def _eval_runs(helpers, corpus) -> dict:
+    from vptstream.streaming_eval import (EvalDiagnostic, Status, decode, finish,
+                                          memory_snapshot, start, step)
+    runs = {}
+    for label, m in corpus:
+        prefixes = []
+        for prefix, _ in helpers.live_prefixes(m, PREFIX_LEN):
+            prefixes.append(prefix)
+            if len(prefixes) == PREFIXES:
+                break
+        for factorize in (True, False):
+            for prefix in prefixes:
+                record = []
+                try:
+                    state = start(m, factorize=factorize)
+                    for symbol in prefix:
+                        fragment = step(state, symbol)
+                        record.append((fragment, memory_snapshot(state),
+                                       sorted(decode(state.dag))))
+                        if state.status is not Status.RUNNING:
+                            break
+                    else:
+                        record.append(("finish", finish(state)))
+                    outcome = ("ok", state.reject_position, _digest(record))
+                except EvalDiagnostic as exc:
+                    outcome = ("diagnostic", len(record), str(exc))
+                runs[label, factorize, prefix] = outcome
+    return runs
+
+
+def _cli_outputs(builtins) -> dict:
+    from click.testing import CliRunner
+    from vptstream import enumerate_domain
+    from vptstream.cli import main
+    runner = CliRunner()
+    out = {}
+    for label, m in builtins:
+        words = [" ".join(w) for w, _ in enumerate_domain(m, 6)]
+        words += [w + " " + s for w in words[:5] for s in sorted(m.alphabet.symbols)]
+        words += ["z", "c z r", ""]
+        for word in words:
+            for flags in ([], ["--no-factorize"], ["--unsafe"]):
+                res = runner.invoke(main, ["eval", label, *flags], input=word + "\n")
+                out["eval", label, tuple(flags), word] = (res.exit_code, res.stdout, res.stderr)
+            res = runner.invoke(main, ["bench", label, "--family", "custom"], input=word + "\n")
+            out["bench custom", label, word] = (res.exit_code, res.stdout, res.stderr)
+        for family in ("cnrn", "ccnrnrp"):
+            for n in (1, 3, 8):
+                res = runner.invoke(main, ["bench", label, "--family", family, "--n-max", str(n)])
+                out["bench", label, family, n] = (res.exit_code, res.stdout, res.stderr)
+    return out
+
+
+def _classify(helpers, pool) -> dict:
+    from vptstream import NotFunctionalWitness, SearchBounds, classify_streamability
+    corpus = [m for _, m in pool] + helpers.random_vpts(8, 1500) + helpers.random_vpts(11, 1500)
+    shas = {}
+    for h, n in CLASSIFY_BOUNDS:
+        sha = hashlib.sha1()
+        for m in corpus:
+            try:
+                sha.update(repr(classify_streamability(m, SearchBounds(h, n))).encode())
+            except NotFunctionalWitness as exc:
+                sha.update(repr((exc.word, exc.out1, exc.out2)).encode())
+        shas[f"({h}, {n})"] = sha.hexdigest()
+    return shas
+
+
+def _reduce(corpus) -> dict:
+    from vptstream import NotFunctionalWitness, enumerate_domain, reduce
+    states = returns = rules = 0
+    sha = hashlib.sha1()
+    for _, m in corpus:
+        r = reduce(m)
+        states += len(r.states)
+        returns += len(r.return_rules)
+        rules += len(r.call_rules) + len(r.return_rules) + len(r.internal_rules)
+        try:
+            sha.update(repr(enumerate_domain(r, 7)).encode())
+        except NotFunctionalWitness as exc:
+            sha.update(repr((exc.word, exc.out1, exc.out2)).encode())
+    return {"machines": len(corpus), "states": states, "rules": rules,
+            "return_rules": returns, "enumerate_domain_7_sha1": sha.hexdigest()}
+
+
+def dump(tree: Path, out: Path) -> None:
+    helpers, builtins, pool = _corpus(tree)
+    record = {}
+    for name, work in (("eval", lambda: _eval_runs(helpers, builtins + pool)),
+                       ("cli", lambda: _cli_outputs(builtins)),
+                       ("classify", lambda: _classify(helpers, pool)),
+                       ("reduce", lambda: _reduce(builtins + pool))):
+        t0 = time.perf_counter()
+        record[name] = work()
+        record[name + "_s"] = round(time.perf_counter() - t0, 1)
+    out.write_bytes(pickle.dumps(record))
+
+
+# ---------------------------------------------------------------------------
+# Comparison
+
+def _compare_eval(parent: dict, change: dict) -> dict:
+    assert parent.keys() == change.keys()
+    result = {"runs": len(parent), "runs_identical": 0, "ok_runs": 0, "ok_runs_differ": 0,
+              "diagnostic_runs": 0, "diagnostic_step_differs": 0,
+              "diagnostic_text_differs": 0, "outcome_kind_differs": 0}
+    for key, a in parent.items():
+        b = change[key]
+        result["runs_identical"] += a == b
+        if a[0] != b[0]:
+            result["outcome_kind_differs"] += 1
+        elif a[0] == "ok":
+            result["ok_runs"] += 1
+            result["ok_runs_differ"] += a != b
+        else:
+            result["diagnostic_runs"] += 1
+            result["diagnostic_step_differs"] += a[1] != b[1]
+            result["diagnostic_text_differs"] += a[2] != b[2]
+    random604 = [(key, parent[key][2], change[key][2]) for key in parent
+                 if key[0] == "random604" and parent[key][0] == "diagnostic"]
+    result["random604_diagnostic_runs"] = len(random604)
+    result["random604_text_unchanged"] = all(a == b for _, a, b in random604)
+    if random604:
+        result["random604_text"] = random604[0][2]
+    return result
+
+
+def equiv(parent_tree: Path, change_tree: Path) -> dict:
+    records = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        for side, tree in (("parent", parent_tree), ("change", change_tree)):
+            out = Path(scratch) / f"{side}.pkl"
+            subprocess.run([sys.executable, __file__, "dump", str(tree), str(out)], check=True)
+            records[side] = pickle.loads(out.read_bytes())
+    parent, change = records["parent"], records["change"]
+    cli_differ = sorted(repr(k) for k in parent["cli"] if parent["cli"][k] != change["cli"].get(k))
+    return {
+        "eval": _compare_eval(parent["eval"], change["eval"]),
+        "cli": {"invocations": len(parent["cli"]), "differ": cli_differ},
+        "classify_sha1": {side: records[side]["classify"] for side in records},
+        "classify_identical": parent["classify"] == change["classify"],
+        "reduce": {side: records[side]["reduce"] for side in records},
+        "seconds": {side: {k: v for k, v in records[side].items() if k.endswith("_s")}
+                    for side in records},
+    }
+
+
+def pairs(parent_tree: Path, change_tree: Path, n: int, seconds: int) -> dict:
+    runs = {w: [] for w in WORKLOADS}
+    for i in range(n):
+        for workload in WORKLOADS:
+            order = [("parent", parent_tree), ("change", change_tree)]
+            if i % 2:
+                order.reverse()
+            pair = {}
+            for side, tree in order:
+                proc = subprocess.run(
+                    [sys.executable, "perfbench/run.py", "--workload", workload,
+                     "--seed", str(21 + i), "--seconds", str(seconds), "--trace", "0"],
+                    cwd=tree, capture_output=True, text=True, check=True)
+                last = json.loads(proc.stdout.strip().splitlines()[-1])
+                pair[side] = {"correct": last["correct"], "attempted": last["attempted"],
+                              "failed": last["failed"], "metrics": last["metrics"]}
+            runs[workload].append(pair)
+    return {"seconds": seconds, "pairs_per_workload": n, "seeds": list(range(21, 21 + n)),
+            "runs": runs}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    d = sub.add_parser("dump")
+    d.add_argument("tree", type=Path)
+    d.add_argument("out", type=Path)
+    for name in ("equiv", "pairs"):
+        p = sub.add_parser(name)
+        p.add_argument("parent", type=Path)
+        p.add_argument("change", type=Path)
+        p.add_argument("--out", type=Path, required=True)
+        if name == "pairs":
+            p.add_argument("--pairs", type=int, default=3)
+            p.add_argument("--seconds", type=int, default=20)
+    args = parser.parse_args()
+    if args.command == "dump":
+        dump(args.tree.resolve(), args.out)
+        return
+    parent, change = args.parent.resolve(), args.change.resolve()
+    result = json.loads(args.out.read_text()) if args.out.exists() else {}
+    if args.command == "equiv":
+        result["equivalence"] = equiv(parent, change)
+    else:
+        result["perfbench_pairs"] = pairs(parent, change, args.pairs, args.seconds)
+    args.out.write_text(json.dumps(result, indent=1, ensure_ascii=False) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -355,6 +355,10 @@ def check_bm(vpt: Vpt) -> Verdict:
     reachable configurations project one to one onto the caller's live
     ones, rule for rule with the same outputs, so its flattening is this
     one in other names, and both are twinned or neither is.
+
+    A twinning witness is replayed twice: rule by rule on the flattening,
+    by ``verify_fst_twinning_witness``, and on the caller's machine, by
+    ``_verify_flat_runs``.
     """
     shape = domain_height_bounded(vpt)
     if isinstance(shape, Unbounded):
@@ -366,9 +370,26 @@ def check_bm(vpt: Vpt) -> Verdict:
     except StateExplosion as exc:
         return Verdict(Outcome.UNKNOWN, diagnostics=str(exc))
     if verdict.outcome is Outcome.VIOLATED:
+        _verify_flat_runs(vpt, verdict.witness)
         return replace(verdict, diagnostics=(
             f"twinning fails on the height-{shape.h_max} restriction"))
     return replace(verdict, diagnostics=f"domain height bounded by {shape.h_max}")
+
+
+def _verify_flat_runs(vpt: Vpt, w: FstTwinWitness) -> None:
+    """The runs of a flattening's witness are runs of ``vpt`` itself: each
+    starts in an initial configuration at height 0, every rule is one step
+    of the machine with its output, and the configuration the loop comes
+    back to can still accept."""
+    k = len(w.u1)
+    for rules in (w.run1_rules, w.run2_rules):
+        _require(rules[0].src.state in vpt.initial and not rules[0].src.stack,
+                 "run does not start in an initial configuration")
+        for r in rules:
+            _require((r.dst, r.out) in step_runs(vpt, r.src, (r.symbol,)),
+                     f"rule {r} is not a step of the machine")
+        _require(co_accessible(vpt, rules[k - 1].dst if k else rules[0].src),
+                 "the loop's configuration cannot accept")
 
 
 def _verify_pump(vpt: Vpt, w: Unbounded) -> None:
@@ -476,6 +497,17 @@ def _search(vpt: Vpt, bounds: SearchBounds, loopers: Optional[set[str]]):
     in phase 2, the end of u3 in phase 4).  ε-steps hand over from one
     phase to the next.  A loop closes in the last phase, back at the anchor
     height in states s1/s2 with dA != dF, which needs u2·u4 nonempty.
+
+    Only a child, a node reached by a symbol, is tested for closing.  An
+    ε-step into phase 4 at the anchor height, which keeps the states s1/s2,
+    never needs the test.  Say it leads to a node with dA != dF after
+    u1·u2·u3.  If u3 = ε, the path (u1, ε, ε, u2) reads u2 in phase 4 with
+    the same heights, states and delays, so the same node is first made
+    one layer earlier, as a child, and closes there.  If u3 != ε, both
+    delays are the ones after u1 and after u1·u2, each extended by u3's
+    two outputs, and appending outputs maps delays injectively (see
+    ``check_fst_twinning``), so the delays after u1 and u1·u2 differ, and
+    the path (u1, ε, ε, u2) closes at a shorter length.
 
     Horizontal mode (``loopers`` given) ends in phase 2, so u3 = u4 = ε,
     and enters phase 2 only on a pair of states with a nonempty
@@ -595,9 +627,6 @@ def _search(vpt: Vpt, bounds: SearchBounds, loopers: Optional[set[str]]):
                 eps = (4, i1, i2, a, f, ah, ah, state[i1], state[i2])
             if eps is not None and eps not in preds:
                 preds[eps] = (node, None, (), ())
-                # entering phase 4 keeps the states, so only height and delay
-                if eps[0] == 4 and height[i1] == ah and a != f:
-                    return chain(eps), None
                 work.append(eps)
             if not reads:
                 continue

@@ -25,6 +25,17 @@ label moves up whole, and a fold extends the list of the edge it replaces.
 The fragments ``step`` and ``finish`` return and the residuals ``decode``
 lists are tuples.
 
+``start`` resolves the machine once, to its ``rule_index``, and ``step``
+reads each symbol's kind and rules from that table alone.  Every walk over
+nodes runs in the order the DAG built them: a level is a dict of its nodes,
+and a node's parents are an insertion-ordered dict, each filled in the
+order the update that made them ran.  That order is a function of the input
+and of the sorted rule buckets of ``rule_index``, so a run is reproducible
+with no sorting; only ``level`` sorts, for readers off the per-symbol path.
+The one set of nodes, ``EvalDag.dirty``, is read depth by depth, and the
+nodes of one depth hoist onto distinct chain tops, so their order changes
+nothing.
+
 ``memory_snapshot`` reports the DAG's size and pending output, exact after
 every step.  ``out_neq`` is the longest pending residual over the candidate
 runs, the longest label sum on a root-to-leaf path: with factorization the
@@ -42,8 +53,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .delay_algebra import Word, lcp
-from .nested_words import ScanState, SymbolKind, UnknownSymbol, classify
-from .vpt_core import DConfiguration, Vpt, rule_index
+from .nested_words import ScanState, SymbolKind, UnknownSymbol
+from .vpt_core import DConfiguration, RuleIndex, Vpt, rule_index
 
 
 class NoInitialStates(ValueError):
@@ -75,10 +86,6 @@ class Node:
         self.reach = 0
 
 
-def _node_key(n: Node) -> tuple[str, str]:
-    return (n.state, n.symbol or "")
-
-
 class EvalDag:
     """Mutable layered DAG below ``root``; ``depth`` tracks the current
     leaf level."""
@@ -88,7 +95,8 @@ class EvalDag:
         # the live (parented) nodes of every non-empty level, by (state,
         # stack symbol)
         self.levels: dict[int, dict[tuple[str, Optional[str]], Node]] = {}
-        self.parents: dict[Node, set[Node]] = {}
+        # node -> its parents, in the order its in-edges were added
+        self.parents: dict[Node, dict[Node, None]] = {}
         # node -> an ancestor up its chain (see ``chain_top``)
         self.chain: dict[Node, Node] = {}
         self.depth = 0
@@ -117,10 +125,12 @@ class EvalDag:
         return node
 
     def level(self, depth: int) -> list[Node]:
-        return sorted(self.levels.get(depth, {}).values(), key=_node_key)
+        return sorted(self.levels.get(depth, {}).values(),
+                      key=lambda n: (n.state, n.symbol or ""))
 
-    def leaves(self) -> list[Node]:
-        return self.level(self.depth)
+    def leaves(self) -> Iterable[Node]:
+        """The leaf level, in the order its nodes were made."""
+        return self.levels.get(self.depth, {}).values()
 
     def add_edge(self, src: Node, dst: Node, label: list[str]) -> None:
         """Add src -> dst with ``label``, which the edge takes over."""
@@ -141,10 +151,10 @@ class EvalDag:
         reach = self.reach_of(src) + len(label)
         ps = self.parents.get(dst)
         if ps is None:
-            self.parents[dst] = {src}
+            self.parents[dst] = {src: None}
             dst.reach = reach
         else:
-            ps.add(src)
+            ps[src] = None
             if reach > dst.reach:
                 dst.reach = reach
         self.dirty.add(src)
@@ -231,11 +241,6 @@ class EvalDag:
             up = self.chain.get(node)
         return node.reach
 
-    # -- traversal ---------------------------------------------------------
-
-    def sorted_children(self, node: Node) -> list[Node]:
-        return sorted(node.out, key=_node_key)
-
 
 class Status(enum.Enum):
     RUNNING = "Running"
@@ -245,11 +250,15 @@ class Status(enum.Enum):
 
 @dataclass
 class EvalState:
+    """One evaluation in progress: the run DAG, the scan of the input read
+    so far, and the machine with its ``rule_index``, which ``start`` looks
+    up once so that ``step`` does no per-symbol lookup of the machine."""
     dag: EvalDag
     scan: ScanState
     emitted_len: int
     status: Status
     machine: Vpt
+    index: RuleIndex
     factorize: bool = True
     last_symbol: str = ""
     reject_position: Optional[int] = None
@@ -272,23 +281,26 @@ def start(vpt: Vpt, factorize: bool = True) -> EvalState:
     runs, those that can no longer accept, stay candidates: they take part
     in the lcp, so output can wait for them, and in the conflict check, so
     two dead runs that differ only in output raise ``EvalDiagnostic`` on a
-    functional machine.  ``reduce(vpt)`` has no dead runs."""
+    functional machine.  ``reduce(vpt)`` has no dead runs.
+    The machine's ``rule_index`` is looked up here, once for every step."""
     if not vpt.initial:
         raise NoInitialStates("machine has no initial state")
     dag = EvalDag()
     for q0 in sorted(vpt.initial):
         dag.add_edge(dag.root, dag.node(q0, None, 0), [])
     return EvalState(dag=dag, scan=ScanState(), emitted_len=0,
-                     status=Status.RUNNING, machine=vpt, factorize=factorize)
+                     status=Status.RUNNING, machine=vpt, index=rule_index(vpt),
+                     factorize=factorize)
 
 
 # ---------------------------------------------------------------------------
 # Per-symbol DAG updates
 
-def update_call(dag: EvalDag, symbol: str, vpt: Vpt) -> EvalDag:
-    depth = dag.depth
-    rules_from = rule_index(vpt).rules
+# Each update reads ``rules_from``, the ``rules`` table of the machine's
+# ``rule_index``, and walks the leaves and their parents in build order.
 
+def update_call(dag: EvalDag, symbol: str, rules_from: dict) -> EvalDag:
+    depth = dag.depth
     orphans = []
     for leaf in dag.leaves():
         rules = rules_from[leaf.state].get(symbol)
@@ -302,11 +314,10 @@ def update_call(dag: EvalDag, symbol: str, vpt: Vpt) -> EvalDag:
     return dag
 
 
-def update_return(dag: EvalDag, symbol: str, vpt: Vpt) -> EvalDag:
+def update_return(dag: EvalDag, symbol: str, rules_from: dict) -> EvalDag:
     depth = dag.depth
     if depth == 0:
         raise PopOnEmpty(symbol)
-    rules_from = rule_index(vpt).rules
 
     # Collect the replacement level before touching anything: each surviving
     # leaf folds its parent edge, its rule output, and every grandparent edge
@@ -320,9 +331,9 @@ def update_return(dag: EvalDag, symbol: str, vpt: Vpt) -> EvalDag:
         if not rules:
             orphans.append(leaf)
             continue
-        for parent in sorted(dag.parents[leaf], key=_node_key):
+        for parent in dag.parents[leaf]:
             v0 = parent.out[leaf]
-            for gp in sorted(dag.parents[parent], key=_node_key):
+            for gp in dag.parents[parent]:
                 v1 = gp.out[parent]
                 for r in rules:
                     new_edges.append((gp, r.dst, parent.symbol, v1, v0, r.out))
@@ -335,9 +346,8 @@ def update_return(dag: EvalDag, symbol: str, vpt: Vpt) -> EvalDag:
     return dag
 
 
-def update_internal(dag: EvalDag, symbol: str, vpt: Vpt) -> EvalDag:
+def update_internal(dag: EvalDag, symbol: str, rules_from: dict) -> EvalDag:
     depth = dag.depth
-    rules_from = rule_index(vpt).rules
 
     new_edges = []
     last_use = {}
@@ -347,7 +357,7 @@ def update_internal(dag: EvalDag, symbol: str, vpt: Vpt) -> EvalDag:
         if not rules:
             orphans.append(leaf)
             continue
-        for parent in sorted(dag.parents[leaf], key=_node_key):
+        for parent in dag.parents[leaf]:
             v0 = parent.out[leaf]
             for r in rules:
                 new_edges.append((parent, r.dst, leaf.symbol, v0, (), r.out))
@@ -459,19 +469,20 @@ def step(state: EvalState, symbol: str) -> Word:
     """Consume one symbol and return the fragment emitted for it."""
     if state.status is not Status.RUNNING:
         raise EvalDiagnostic(f"step() after {state.status.value}")
-    kind = classify(symbol, state.machine.alphabet)
-    if kind is SymbolKind.UNKNOWN:
+    kind = state.index.kind.get(symbol)
+    if kind is None:
         raise UnknownSymbol(f"symbol {symbol!r} is not in the machine's alphabet")
     state.scan = state.scan.step(kind)
     state.last_symbol = symbol
 
+    rules_from = state.index.rules
     try:
         if kind is SymbolKind.CALL:
-            update_call(state.dag, symbol, state.machine)
+            update_call(state.dag, symbol, rules_from)
         elif kind is SymbolKind.RETURN:
-            update_return(state.dag, symbol, state.machine)
+            update_return(state.dag, symbol, rules_from)
         else:
-            update_internal(state.dag, symbol, state.machine)
+            update_internal(state.dag, symbol, rules_from)
     except PopOnEmpty:
         state.status = Status.REJECTED
         state.reject_position = state.scan.position
@@ -498,10 +509,8 @@ def finish(state: EvalState) -> Optional[Word]:
         state.status = Status.REJECTED
         state.reject_position = state.scan.position
         return None
-    labels = []
-    for node in dag.sorted_children(dag.root):
-        if node.state in state.machine.final:
-            labels.append(dag.root.out[node])
+    final = state.machine.final
+    labels = [label for node, label in dag.root.out.items() if node.state in final]
     if not labels:
         state.status = Status.REJECTED
         state.reject_position = state.scan.position
@@ -529,7 +538,7 @@ def decode(dag: EvalDag) -> set[DConfiguration]:
             if node is not dag.root:
                 result.add(DConfiguration(node.state, stack, residual))
             continue
-        for child in dag.sorted_children(node):
+        for child in children:
             child_stack = stack + (child.symbol,) if child.symbol else stack
             pending.append((child, child_stack, (*residual, *children[child])))
     return result
@@ -543,7 +552,6 @@ def memory_snapshot(state: EvalState) -> MemoryReport:
     """
     dag = state.dag
     emitted = dag.root.reach
-    leaves = dag.levels.get(dag.depth, {}).values()
     return MemoryReport(
         position=state.scan.position,
         symbol=state.last_symbol,
@@ -551,7 +559,7 @@ def memory_snapshot(state: EvalState) -> MemoryReport:
         node_count=len(dag.parents),
         edge_count=dag.edge_count,
         label_tokens_total=dag.label_tokens,
-        out_neq=max(map(dag.reach_of, leaves), default=emitted) - emitted,
+        out_neq=max(map(dag.reach_of, dag.leaves()), default=emitted) - emitted,
         emitted_total=state.emitted_len,
     )
 

@@ -725,22 +725,26 @@ def reduce_with_map(vpt: Vpt) -> tuple[Vpt, dict[str, str], dict[str, str]]:
     """reduce() plus projections of new state/stack names onto the originals.
 
     The machine read through its ``_live_walk``: the states are the walk's
-    nodes (q, F), F the finishers of the stack, and a stack symbol is
-    (γ, F) with F the finishers of the stack below it.  A rule of the
-    machine is kept between two nodes when its target is a node: an
-    internal from (q, F) goes to (dst, F); a call from (q, F) pushes (γ, F)
-    and goes to (dst, F') with F' = ``push(F, γ)``; a return pops (γ, F)
-    only from a node (q, F') with F' = ``push(F, γ)``, and goes to
-    (dst, F).  So every reachable configuration carries the finishers of
-    its own stack in its state and symbols, and projecting the names maps
-    the reachable configurations one to one onto the live configurations
-    that runs of the machine reach, with the same steps and outputs: a
-    step of a live run ends live, in a configuration whose (state,
-    finishers) pair is a node.  The states number as many as the walk's
-    nodes, at most |Q|·2^|Q|, where a reduction that guesses the state
-    each pending call is popped onto stays polynomial; but ``check_bm``
-    walks the same nodes for every machine, with no budget, to find the
-    domain height.
+    nodes (q, F), F the finishers of the stack, and a stack symbol is (γ, F)
+    with F the finishers of the stack below it.  A rule of the machine is
+    kept between two nodes when its target is a node: an internal from
+    (q, F) goes to (dst, F); a call from (q, F) pushes (γ, F) and goes to
+    (dst, F') with F' = ``push(F, γ)``.  Returns are kept at the calls that
+    push what they pop: for each kept call as above, a return from x popping
+    γ is kept from every node (x, F') that a well-matched word leads dst to,
+    popping (γ, F) and going to (y, F), y its target, when that is a node.
+    So a return is kept exactly when a reachable configuration takes it to a
+    node: the call's run goes on over that word to (x, F') with (γ, F) on
+    top, every configuration on the way live because the last one is.  Every
+    reachable configuration carries the finishers of its own stack in its
+    state and symbols, and projecting the names maps the reachable
+    configurations one to one onto the live configurations that runs of the
+    machine reach, with the same steps and outputs: a step of a live run
+    ends live, in a configuration whose (state, finishers) pair is a node.
+    The states number as many as the walk's nodes, at most |Q|·2^|Q|, where
+    a reduction that guesses the state each pending call is popped onto
+    stays polynomial; but ``check_bm`` walks the same nodes for every
+    machine, with no budget, to find the domain height.
 
     A name keeps the original when F is ``can_finish`` and otherwise gets
     the index of F in the order the walk first meets it, ``q@1`` and
@@ -758,10 +762,12 @@ def reduce_with_map(vpt: Vpt) -> tuple[Vpt, dict[str, str], dict[str, str]]:
     sym = _fresh_names(itertools.product(vpt.stack_alphabet, index), index)
     internals_from = _group(vpt.internal_rules, lambda r: r.src)
     calls_from = _group(vpt.call_rules, lambda r: r.src)
-    returns_from = _group(vpt.return_rules, lambda r: r.src)
+    returns_from = _group(vpt.return_rules, lambda r: (r.src, r.pop))
+    leads_to: dict[str, list[str]] = {}  # q -> the states a well-matched word leads q to
+    for q, p in wm.witnesses:
+        leads_to.setdefault(q, []).append(p)
 
-    internals, calls = set(), set()
-    below: dict[tuple[str, frozenset[str]], set[frozenset[str]]] = {}  # (γ, F') -> F
+    internals, calls, returns = set(), set(), set()
     for node in nodes:
         q, live = node
         internals |= {InternalRule(name[node], r.symbol, r.out, name[r.dst, live])
@@ -771,10 +777,11 @@ def reduce_with_map(vpt: Vpt) -> tuple[Vpt, dict[str, str], dict[str, str]]:
             if (r.dst, above) in nodes:
                 calls.add(CallRule(name[node], r.symbol, r.out, sym[r.push, live],
                                    name[r.dst, above]))
-                below.setdefault((r.push, above), set()).add(live)
-    returns = {ReturnRule(name[node], r.symbol, r.out, sym[r.pop, live], name[r.dst, live])
-               for node in nodes for r in returns_from.get(node[0], ())
-               for live in below.get((r.pop, node[1]), ()) if (r.dst, live) in nodes}
+                returns |= {ReturnRule(name[x, above], ret.symbol, ret.out, sym[r.push, live],
+                                       name[ret.dst, live])
+                            for x in leads_to[r.dst] if (x, above) in nodes
+                            for ret in returns_from.get((x, r.push), ())
+                            if (ret.dst, live) in nodes}
 
     bottom = {q: n for (q, live), n in name.items() if not index[live]}
     pushed = {r.push for r in calls}

@@ -13,8 +13,9 @@ horizontal verdict from an exhausted matched search.  With seeded helper
 machines, they also guard what the checkers rest on: the live configuration
 graph, and that the order in which stages warm a machine's one cached graph
 changes no result; searching and flattening the caller's machine in place
-of its reduction, the domain height of machines that are not reduced, and
-the indexed well-matched fixpoint.
+of its reduction, the domain height of machines that are not reduced, the
+rules of the reduction, each taken by some reachable configuration, and the
+indexed well-matched fixpoint.
 """
 
 import json
@@ -295,6 +296,23 @@ def test_reduction_is_the_live_part_of_the_machine():
         assert len(image) == len(reached), serialize_vpt(m)
         assert image == {c for c in accessible_configs(m, 3)
                          if c.state in finishers_by_definition(m, c.stack)}, serialize_vpt(m)
+
+
+def test_every_rule_of_the_reduction_is_taken():
+    # each rule of the reduction is taken by a configuration it reaches with
+    # height <= 5, a return only with its pop symbol on top; random12's
+    # `q0 r - pop g q1` was once kept at a node that no run reaches with g
+    # on top
+    gen, sample = _sample()
+    texts = [text for _, _, _, text in sample] + [dict(gen.check_pool())["random12"]]
+    for text in texts:
+        r = reduce(parse_vpt(text))
+        taken = set()
+        for cfg in accessible_configs(r, 5):
+            taken |= {rule for rule in r.call_rules | r.internal_rules if rule.src == cfg.state}
+            taken |= {rule for rule in r.return_rules
+                      if rule.src == cfg.state and cfg.stack[-1:] == (rule.pop,)}
+        assert taken == r.call_rules | r.return_rules | r.internal_rules, text
 
 
 def test_indexed_fixpoint_matches_the_rescanning_one():

@@ -86,6 +86,10 @@ def test_eval_reject_names_position():
     assert res.exit_code == 1
     assert "reject at position 5" in res.stderr
     assert "'r'" in res.stderr
+    # a symbol outside the alphabet rejects where it stands
+    res = invoke(["eval", "builtin:fig4"], stdin="c z r\n")
+    assert res.exit_code == 1
+    assert res.stderr == "reject at position 2 (symbol 'z')\n"
 
 
 def test_eval_partial_output_before_reject():
@@ -357,6 +361,17 @@ def test_bench_streams_telemetry():
     assert rows[6][6] == "0"
 
 
+def test_bench_ccnrnrp_family():
+    # c c^n r^n rp on fig3_full at n = 2: the header and six rows
+    res = invoke(["bench", "builtin:fig3_full", "--family", "ccnrnrp", "--n-max", "2"])
+    assert res.exit_code == 0
+    rows = list(csv.reader(io.StringIO(res.output)))
+    assert len(res.output.splitlines()) == len(rows) == 7
+    assert [row[1] for row in rows[1:]] == ["c", "c", "c", "r", "r", "rp"]
+    res = invoke(["bench", "builtin:fig3_full", "--family", "ccnrnrp", "--n-max", "0"])
+    assert res.exit_code == 2
+
+
 def test_bench_custom_reads_stdin():
     res = invoke(["bench", "builtin:fig3_plain", "--family", "custom"],
                  stdin="c r\n")
@@ -378,9 +393,15 @@ EVAL_ERRORS = {
     "disagree": ("calls: c\nreturns: r\nstates: i p q\ninitial: i\nfinal: p q\n"
                  "stack: g\ntrans i c x push g p\ntrans i c y push g q\n"
                  "trans p r - pop g p\ntrans q r - pop g q\n"),
+    # on `c` two rules from i reach (p, g) with outputs x and y
+    "same_node": ("calls: c\nreturns: r\nstates: i p\ninitial: i\nfinal: i\n"
+                  "stack: g\ntrans i c x push g p\ntrans i c y push g p\n"
+                  "trans p r - pop g i\n"),
 }
 DISAGREE_LINE = ("accepting branches disagree on the remaining output; "
                  "the machine is not functional")
+SAME_NODE_LINE = ("two run bundles reach (p,g,1) from the same node with different "
+                  "outputs x vs y; the machine is not reduced functional")
 
 
 @pytest.mark.parametrize("machine, args, message", [
@@ -388,6 +409,8 @@ DISAGREE_LINE = ("accepting branches disagree on the remaining output; "
     ("no_initial", ["bench", "--family", "custom"], "machine has no initial state"),
     ("disagree", ["eval", "--unsafe"], DISAGREE_LINE),
     ("disagree", ["bench", "--family", "custom"], DISAGREE_LINE),
+    ("same_node", ["eval", "--unsafe"], SAME_NODE_LINE),
+    ("same_node", ["bench", "--family", "custom"], SAME_NODE_LINE),
 ])
 def test_evaluator_errors_exit_one_without_traceback(tmp_path, machine, args, message):
     p = tmp_path / "m.vpt"

@@ -231,6 +231,23 @@ trans p|g e - int f
 """)
 
 
+def test_bm_replays_its_twinning_witness_on_the_machine(monkeypatch):
+    # two made-up loops on `a` at the initial configuration, with outputs x
+    # and y, make the flattening untwinned; the witness replays on the
+    # flattening but is no run of the machine, so check_bm raises
+    real = streamability.fst_of
+
+    def bogus(vpt, k):
+        flat = real(vpt, k)
+        s0 = Configuration("s0")
+        loops = {FstRule(s0, "a", (out,), s0) for out in ("x", "y")}
+        return dataclasses.replace(flat, rules=flat.rules | loops)
+
+    monkeypatch.setattr(streamability, "fst_of", bogus)
+    with pytest.raises(AssertionError, match="is not a step of the machine"):
+        check_bm(FINITE)
+
+
 def test_bm_keeps_configurations_with_similar_names_apart(tmp_path):
     v = check_bm(BAR_IN_NAME)
     assert v.outcome is Outcome.HOLDS
