@@ -1,6 +1,7 @@
 """Compare the evaluator and the checkers of two checkouts, and time them.
 
-    python3 scripts/bench_order.py equiv PARENT CHANGE --out BENCH_order.json
+    python3 scripts/bench_order.py equiv PARENT CHANGE --out BENCH_order.json \
+        [--section equivalence]
     python3 scripts/bench_order.py pairs PARENT CHANGE --out BENCH_order.json \
         [--pairs 3] [--seconds 20]
 
@@ -14,7 +15,8 @@ the package from that checkout's ``src`` and the machine helpers from its
   and ``decode`` set, then the ``finish`` result and the reject position.
   An ``EvalDiagnostic`` is recorded as its step and text;
 - cli: the stdout, stderr and exit code of ``eval`` and ``bench`` on the
-  builtins;
+  builtins, and of ``check --property bm|htp|mtp|all`` on the builtins and
+  on the machines of ``CLI_MACHINES``, which ``eval`` also reads;
 - classify: SHA-1 over ``repr(classify_streamability(m, bounds))``, or the
   ``NotFunctionalWitness``, over the pool plus ``random_vpts(8, 1500)`` and
   ``random_vpts(11, 1500)``, at four bounds;
@@ -23,7 +25,8 @@ the package from that checkout's ``src`` and the machine helpers from its
 
 ``pairs`` runs ``perfbench/run.py`` on every workload, parent and change
 alternating which goes first, and records the last line of each run.
-Both merge their section into the JSON file at ``--out``.
+Both merge their section into the JSON file at ``--out``; ``equiv`` writes
+``--section``, so that one file can hold several comparisons.
 """
 
 from __future__ import annotations
@@ -42,6 +45,15 @@ PREFIXES = 400
 PREFIX_LEN = 6
 CLASSIFY_BOUNDS = ((3, 24), (2, 5), (3, 9), (1, 14))
 WORKLOADS = ("deep", "flat", "check", "telemetry")
+CLI_MACHINES = {
+    # on `c r` the two calls emit x and y and both runs accept
+    "not_functional": ("calls: c\nreturns: r\nstates: i p f\ninitial: i\nfinal: f\n"
+                       "stack: g\ntrans i c x push g p\ntrans i c y push g p\n"
+                       "trans p r - pop g f\n"),
+    # an initial state, but no word is accepted
+    "empty_domain": ("calls: c\nreturns: r\nstates: i p\ninitial: i\nfinal: p\n"
+                     "stack: g\ntrans i c x push g p\n"),
+}
 
 
 def _digest(value) -> str:
@@ -90,12 +102,25 @@ def _eval_runs(helpers, corpus) -> dict:
     return runs
 
 
-def _cli_outputs(builtins) -> dict:
+def _cli_outputs(builtins, scratch: Path) -> dict:
     from click.testing import CliRunner
     from vptstream import enumerate_domain
     from vptstream.cli import main
     runner = CliRunner()
     out = {}
+    extra = []
+    for name, text in CLI_MACHINES.items():
+        path = scratch / f"{name}.vpt"
+        path.write_text(text)
+        extra.append(str(path))
+    for label in [label for label, _ in builtins] + extra:
+        for prop in ("bm", "htp", "mtp", "all"):
+            res = runner.invoke(main, ["check", label, "--property", prop])
+            out["check", Path(label).stem, prop] = (res.exit_code, res.stdout, res.stderr)
+    for path in extra:
+        for word in ("", "c", "c r", "c c r r", "r"):
+            res = runner.invoke(main, ["eval", path], input=word + "\n")
+            out["eval", Path(path).stem, (), word] = (res.exit_code, res.stdout, res.stderr)
     for label, m in builtins:
         words = [" ".join(w) for w, _ in enumerate_domain(m, 6)]
         words += [w + " " + s for w in words[:5] for s in sorted(m.alphabet.symbols)]
@@ -149,7 +174,7 @@ def dump(tree: Path, out: Path) -> None:
     helpers, builtins, pool = _corpus(tree)
     record = {}
     for name, work in (("eval", lambda: _eval_runs(helpers, builtins + pool)),
-                       ("cli", lambda: _cli_outputs(builtins)),
+                       ("cli", lambda: _cli_outputs(builtins, out.parent)),
                        ("classify", lambda: _classify(helpers, pool)),
                        ("reduce", lambda: _reduce(builtins + pool))):
         t0 = time.perf_counter()
@@ -195,10 +220,15 @@ def equiv(parent_tree: Path, change_tree: Path) -> dict:
             subprocess.run([sys.executable, __file__, "dump", str(tree), str(out)], check=True)
             records[side] = pickle.loads(out.read_bytes())
     parent, change = records["parent"], records["change"]
-    cli_differ = sorted(repr(k) for k in parent["cli"] if parent["cli"][k] != change["cli"].get(k))
+    differ = [k for k in parent["cli"] if parent["cli"][k] != change["cli"].get(k)]
+    by_command: dict[str, int] = {}
+    for key in differ:
+        name = f"{key[0]} {key[1]}"
+        by_command[name] = by_command.get(name, 0) + 1
     return {
         "eval": _compare_eval(parent["eval"], change["eval"]),
-        "cli": {"invocations": len(parent["cli"]), "differ": cli_differ},
+        "cli": {"invocations": len(parent["cli"]), "differ_by_command": by_command,
+                "differ": sorted(repr(k) for k in differ)},
         "classify_sha1": {side: records[side]["classify"] for side in records},
         "classify_identical": parent["classify"] == change["classify"],
         "reduce": {side: records[side]["reduce"] for side in records},
@@ -239,6 +269,8 @@ def main() -> None:
         p.add_argument("parent", type=Path)
         p.add_argument("change", type=Path)
         p.add_argument("--out", type=Path, required=True)
+        if name == "equiv":
+            p.add_argument("--section", default="equivalence")
         if name == "pairs":
             p.add_argument("--pairs", type=int, default=3)
             p.add_argument("--seconds", type=int, default=20)
@@ -249,7 +281,7 @@ def main() -> None:
     parent, change = args.parent.resolve(), args.change.resolve()
     result = json.loads(args.out.read_text()) if args.out.exists() else {}
     if args.command == "equiv":
-        result["equivalence"] = equiv(parent, change)
+        result[args.section] = equiv(parent, change)
     else:
         result["perfbench_pairs"] = pairs(parent, change, args.pairs, args.seconds)
     args.out.write_text(json.dumps(result, indent=1, ensure_ascii=False) + "\n")

@@ -31,9 +31,11 @@ from .streamability import (
     classify_streamability,
 )
 from .streaming_eval import (
+    EvalDag,
     EvalDiagnostic,
     EvalState,
     NoInitialStates,
+    RunConflict,
     finish,
     memory_snapshot,
     start,
@@ -50,6 +52,7 @@ from .vpt_core import (
     enumerate_domain,
     parse_vpt,
     reduce,
+    reduce_with_map,
     serialize_vpt,
 )
 
@@ -171,14 +174,31 @@ class _Emitter:
             self.out.flush()
 
 
+def _start_live(vpt: Vpt, factorize: bool) -> tuple[EvalState, dict[str, str],
+                                                    dict[str, str]]:
+    """The evaluator over the live part of ``vpt``, its reduction, plus the
+    maps from the reduction's state and stack-symbol names to those of
+    ``vpt``.  No run of the reduction is dead, so the evaluator emits the
+    lcp of the live runs' outputs and its conflict check is exact on a
+    functional machine.  A machine with an initial state but an empty
+    domain reduces to one with none: it starts with no run, so that every
+    input reads as a rejection."""
+    live, states, symbols = reduce_with_map(vpt)
+    state = start(live if live.initial else vpt, factorize=factorize)
+    if not live.initial:
+        state.dag = EvalDag()
+    return state, states, symbols
+
+
 def _stream(vpt: Vpt, factorize: bool, symbols: Iterable[str],
             emit: Callable[[Word], None], writer) -> None:
-    """Step the evaluator through ``symbols``, handing every fragment to
-    ``emit`` and, given a csv ``writer``, one telemetry row per symbol after
-    the header.  Rejection, and an evaluator error (no initial state, or two
-    runs that disagree on their output), print one stderr line and exit 1."""
+    """Step the evaluator over the live part of ``vpt`` through ``symbols``,
+    handing every fragment to ``emit`` and, given a csv ``writer``, one
+    telemetry row per symbol after the header.  Rejection, and an evaluator
+    error (no initial state, or two runs that disagree on their output),
+    print one stderr line, in the machine's own names, and exit 1."""
     try:
-        state = start(vpt, factorize=factorize)
+        state, state_names, symbol_names = _start_live(vpt, factorize)
         if writer:
             writer.writerow(TELEMETRY_COLUMNS)
         position = 0
@@ -200,6 +220,9 @@ def _stream(vpt: Vpt, factorize: bool, symbols: Iterable[str],
                 return
             position, symbol = state.reject_position or position, "<end>"
         problem = f"reject at position {position} (symbol {symbol!r})"
+    except RunConflict as exc:
+        q, gamma, *rest = exc.args
+        problem = str(RunConflict(state_names[q], symbol_names.get(gamma), *rest))
     except (NoInitialStates, EvalDiagnostic) as exc:
         problem = str(exc)
     click.echo(problem, err=True)
@@ -301,12 +324,14 @@ def _report(name: str, verdict: Verdict) -> None:
 @click.option("--property", "prop",
               type=click.Choice(["bm", "htp", "mtp", "all"]), default="all",
               show_default=True)
-@click.option("--max-height", type=click.IntRange(min=0), default=6,
-              show_default=True)
-@click.option("--max-len", type=click.IntRange(min=0), default=24,
-              show_default=True)
+@click.option("--max-height", type=click.IntRange(min=0),
+              default=SearchBounds.max_height, show_default=True)
+@click.option("--max-len", type=click.IntRange(min=0),
+              default=SearchBounds.max_len, show_default=True)
 def check(path: str, prop: str, max_height: int, max_len: int) -> None:
-    """Check memory-boundedness properties of the machine at PATH."""
+    """Check memory-boundedness properties of the machine at PATH.  Every
+    property first runs the bounded functionality probe, up to length
+    min(--max-len, 10), and a machine it finds not functional fails."""
     vpt = _load(path)
     bounds = SearchBounds(max_height=max_height, max_len=max_len)
     verdicts: dict[str, Verdict] = {}
@@ -316,12 +341,16 @@ def check(path: str, prop: str, max_height: int, max_len: int) -> None:
             click.echo("functional: no conflict up to length "
                        f"{report.functional.max_len}")
             verdicts = {"bm": report.bm, "htp": report.hbm, "mtp": report.obm}
-        elif prop == "bm":
-            verdicts = {"bm": check_bm(vpt)}
-        elif prop == "htp":
-            verdicts = {"htp": check_htp(vpt, bounds)}
         else:
-            verdicts = {"mtp": check_mtp(vpt, bounds)}
+            # the probe classify_streamability runs first
+            probe = check_functional_bounded(vpt, min(max_len, _FUNCTIONAL_PROBE_LEN))
+            if isinstance(probe, CounterExample):
+                _not_functional(probe)
+            if prop == "bm":
+                verdicts = {"bm": check_bm(vpt)}
+            else:
+                search = check_htp if prop == "htp" else check_mtp
+                verdicts = {prop: search(vpt, bounds)}
     except NotFunctionalWitness as exc:
         _not_functional(exc)
     for name in verdicts:

@@ -13,7 +13,10 @@ what can be emitted without betting on the future.
 A step costs the width of the levels it touches plus the letters it moves,
 not the stack height and not the output held.  Each node is one object,
 hashed by identity, that holds its out-edges (child -> label) and its reach.
-``EvalDag`` interns the nodes of each level by (state, stack symbol) and
+Every update builds its new leaf level from an empty one: a call grows a
+level, an internal first drops the level it replaces and a return the two
+it replaces.  So ``EvalDag`` keys only the leaf level, by (state, stack
+symbol), each update interning into the fresh dict that becomes it, and
 keeps every node's parents and chain link in maps of its own, so no node
 refers to an ancestor and reference counting alone frees a dropped DAG.
 Factorization visits only the depths that hold changed nodes, and a hoist
@@ -31,7 +34,7 @@ nodes runs in the order the DAG built them: a level is a dict of its nodes,
 and a node's parents are an insertion-ordered dict, each filled in the
 order the update that made them ran.  That order is a function of the input
 and of the sorted rule buckets of ``rule_index``, so a run is reproducible
-with no sorting; only ``level`` sorts, for readers off the per-symbol path.
+with no sorting.
 The one set of nodes, ``EvalDag.dirty``, is read depth by depth, and the
 nodes of one depth hoist onto distinct chain tops, so their order changes
 nothing.
@@ -61,17 +64,24 @@ class NoInitialStates(ValueError):
     pass
 
 
-class PopOnEmpty(Exception):
-    """A return symbol arrived while the DAG sat at depth 0."""
-
-
 class EvalDiagnostic(Exception):
     """Structural evidence that the machine is not reduced functional."""
 
 
+class RunConflict(EvalDiagnostic):
+    """Two run bundles reach the node (state, symbol, depth) from one node
+    with different outputs: ``args`` is (state, symbol, depth, out1, out2)."""
+
+    def __str__(self) -> str:
+        state, symbol, depth, out1, out2 = self.args
+        return (f"two run bundles reach ({state},{symbol},{depth}) from the same "
+                f"node with different outputs {''.join(out1) or 'ε'} vs "
+                f"{''.join(out2) or 'ε'}; the machine is not reduced functional")
+
+
 class Node:
     # hashed by identity, so that the dict and set operations on nodes, a
-    # few dozen per step, need no tuple hash; ``EvalDag.node`` interns them
+    # few dozen per step, need no tuple hash; ``_intern`` interns them
     __slots__ = ("state", "symbol", "depth", "out", "reach")
 
     def __init__(self, state: str, symbol: Optional[str], depth: int):
@@ -92,9 +102,9 @@ class EvalDag:
 
     def __init__(self):
         self.root = Node("#", None, -1)
-        # the live (parented) nodes of every non-empty level, by (state,
-        # stack symbol)
-        self.levels: dict[int, dict[tuple[str, Optional[str]], Node]] = {}
+        # the leaf level, at ``depth``, by (state, stack symbol), in the
+        # order its nodes were made; each update replaces it whole
+        self.leaf_level: dict[tuple[str, Optional[str]], Node] = {}
         # node -> its parents, in the order its in-edges were added
         self.parents: dict[Node, dict[Node, None]] = {}
         # node -> an ancestor up its chain (see ``chain_top``)
@@ -113,35 +123,12 @@ class EvalDag:
     def alive(self) -> bool:
         return bool(self.root.out)
 
-    def node(self, state: str, symbol: Optional[str], depth: int) -> Node:
-        """The node (state, symbol) at ``depth``, made on first use; the
-        caller gives it a parent in the same step."""
-        level = self.levels.get(depth)
-        if level is None:
-            level = self.levels[depth] = {}
-        node = level.get((state, symbol))
-        if node is None:
-            node = level[state, symbol] = Node(state, symbol, depth)
-        return node
-
-    def level(self, depth: int) -> list[Node]:
-        return sorted(self.levels.get(depth, {}).values(),
-                      key=lambda n: (n.state, n.symbol or ""))
-
-    def leaves(self) -> Iterable[Node]:
-        """The leaf level, in the order its nodes were made."""
-        return self.levels.get(self.depth, {}).values()
-
     def add_edge(self, src: Node, dst: Node, label: list[str]) -> None:
         """Add src -> dst with ``label``, which the edge takes over."""
         out = src.out
         if dst in out:
             if out[dst] != label:
-                raise EvalDiagnostic(
-                    f"two run bundles reach ({dst.state},{dst.symbol},{dst.depth}) "
-                    f"from the same node with different outputs "
-                    f"{''.join(out[dst]) or 'ε'} vs {''.join(label) or 'ε'}; "
-                    "the machine is not reduced functional")
+                raise RunConflict(dst.state, dst.symbol, dst.depth, out[dst], label)
             return
         out[dst] = label
         self.edge_count += 1
@@ -160,10 +147,6 @@ class EvalDag:
         self.dirty.add(src)
 
     def _drop_node(self, node: Node) -> None:
-        level = self.levels[node.depth]
-        del level[node.state, node.symbol]
-        if not level:
-            del self.levels[node.depth]
         for p in self.parents.pop(node):
             label = p.out.pop(node)
             self.edge_count -= 1
@@ -190,8 +173,9 @@ class EvalDag:
                 if p is not self.root and not p.out:
                     pending.append(p)
 
-    def remove_level(self, depth: int) -> None:
-        for node in list(self.levels.get(depth, {}).values()):
+    def remove_nodes(self, nodes: Iterable[Node]) -> None:
+        """Remove ``nodes``, each childless by its turn."""
+        for node in nodes:
             self._drop_node(node)
 
     def chain_top(self, node: Node) -> Node:
@@ -287,7 +271,7 @@ def start(vpt: Vpt, factorize: bool = True) -> EvalState:
         raise NoInitialStates("machine has no initial state")
     dag = EvalDag()
     for q0 in sorted(vpt.initial):
-        dag.add_edge(dag.root, dag.node(q0, None, 0), [])
+        dag.add_edge(dag.root, _intern(dag.leaf_level, q0, None, 0), [])
     return EvalState(dag=dag, scan=ScanState(), emitted_len=0,
                      status=Status.RUNNING, machine=vpt, index=rule_index(vpt),
                      factorize=factorize)
@@ -297,40 +281,53 @@ def start(vpt: Vpt, factorize: bool = True) -> EvalState:
 # Per-symbol DAG updates
 
 # Each update reads ``rules_from``, the ``rules`` table of the machine's
-# ``rule_index``, and walks the leaves and their parents in build order.
+# ``rule_index``, walks the leaves and their parents in build order, and
+# interns its new nodes into a fresh dict that becomes ``dag.leaf_level``.
+
+def _intern(level: dict, state: str, symbol: Optional[str], depth: int) -> Node:
+    """The node (state, symbol) of ``level``, made on first use; the caller
+    gives it a parent in the same step."""
+    node = level.get((state, symbol))
+    if node is None:
+        node = level[state, symbol] = Node(state, symbol, depth)
+    return node
+
 
 def update_call(dag: EvalDag, symbol: str, rules_from: dict) -> EvalDag:
-    depth = dag.depth
+    depth = dag.depth + 1
+    level = {}
     orphans = []
-    for leaf in dag.leaves():
+    for leaf in dag.leaf_level.values():
         rules = rules_from[leaf.state].get(symbol)
         if not rules:
             orphans.append(leaf)
             continue
         for r in rules:
-            dag.add_edge(leaf, dag.node(r.dst, r.push, depth + 1), [*r.out])
+            dag.add_edge(leaf, _intern(level, r.dst, r.push, depth), [*r.out])
     dag.cascade_remove(orphans)
-    dag.depth = depth + 1
+    dag.leaf_level = level
+    dag.depth = depth
     return dag
 
 
 def update_return(dag: EvalDag, symbol: str, rules_from: dict) -> EvalDag:
-    depth = dag.depth
-    if depth == 0:
-        raise PopOnEmpty(symbol)
-
+    """Pop into the level above; ``step`` rejects a return at depth 0."""
     # Collect the replacement level before touching anything: each surviving
     # leaf folds its parent edge, its rule output, and every grandparent edge
-    # into one new edge landing beside the grandparent.  A new node may have
-    # the key of a parent the update removes, so it is made only afterwards.
+    # into one new edge landing beside the grandparent.  The folds take over
+    # the labels of the edges they replace, so those edges go first.
     new_edges = []
     last_use = {}
     orphans = []
-    for leaf in dag.leaves():
+    leaves = []
+    parents: dict[Node, None] = {}
+    for leaf in dag.leaf_level.values():
         rules = rules_from[leaf.state].get(symbol, {}).get(leaf.symbol)
         if not rules:
             orphans.append(leaf)
             continue
+        leaves.append(leaf)
+        parents.update(dag.parents[leaf])
         for parent in dag.parents[leaf]:
             v0 = parent.out[leaf]
             for gp in dag.parents[parent]:
@@ -339,40 +336,39 @@ def update_return(dag: EvalDag, symbol: str, rules_from: dict) -> EvalDag:
                     new_edges.append((gp, r.dst, parent.symbol, v1, v0, r.out))
                 last_use[id(v1)] = len(new_edges) - 1
     dag.cascade_remove(orphans)
-    dag.remove_level(depth)
-    dag.remove_level(depth - 1)
-    _add_folded(dag, depth - 1, new_edges, last_use)
-    dag.depth = depth - 1
+    dag.remove_nodes(leaves)
+    dag.remove_nodes(parents)
+    dag.depth -= 1
+    _add_folded(dag, new_edges, last_use)
     return dag
 
 
 def update_internal(dag: EvalDag, symbol: str, rules_from: dict) -> EvalDag:
-    depth = dag.depth
-
     new_edges = []
     last_use = {}
     orphans = []
-    for leaf in dag.leaves():
+    leaves = []
+    for leaf in dag.leaf_level.values():
         rules = rules_from[leaf.state].get(symbol)
         if not rules:
             orphans.append(leaf)
             continue
+        leaves.append(leaf)
         for parent in dag.parents[leaf]:
             v0 = parent.out[leaf]
             for r in rules:
                 new_edges.append((parent, r.dst, leaf.symbol, v0, (), r.out))
             last_use[id(v0)] = len(new_edges) - 1
     dag.cascade_remove(orphans)
-    dag.remove_level(depth)
-    _add_folded(dag, depth, new_edges, last_use)
+    dag.remove_nodes(leaves)
+    _add_folded(dag, new_edges, last_use)
     return dag
 
 
-def _add_folded(dag: EvalDag, depth: int, new_edges: list,
-                last_use: dict) -> None:
+def _add_folded(dag: EvalDag, new_edges: list, last_use: dict) -> None:
     """Add each ``(src, state, symbol, head, mid, out)`` as src -> the node
-    (state, symbol) at ``depth``, labelled head + mid + out; every source is
-    the root or a live node.
+    (state, symbol) of a fresh leaf level at ``dag.depth``, labelled head +
+    mid + out; every source is the root or a live node.
 
     ``head`` is the label of an edge the update has removed, and every edge
     that folds it leaves the same source.  ``last_use`` maps each head (by
@@ -381,6 +377,8 @@ def _add_folded(dag: EvalDag, depth: int, new_edges: list,
     the other folds copy it first.  The old edges are off the counters by
     now, so a reused list is counted once, as the new edge's label.
     """
+    depth = dag.depth
+    level = dag.leaf_level = {}
     for i, (src, state, symbol, head, mid, out) in enumerate(new_edges):
         assert src is dag.root or src in dag.parents  # above a surviving leaf
         if last_use[id(head)] == i:
@@ -388,7 +386,7 @@ def _add_folded(dag: EvalDag, depth: int, new_edges: list,
             head += out
         else:
             head = [*head, *mid, *out]
-        dag.add_edge(src, dag.node(state, symbol, depth), head)
+        dag.add_edge(src, _intern(level, state, symbol, depth), head)
 
 
 # ---------------------------------------------------------------------------
@@ -475,25 +473,20 @@ def step(state: EvalState, symbol: str) -> Word:
     state.scan = state.scan.step(kind)
     state.last_symbol = symbol
 
-    rules_from = state.index.rules
-    try:
-        if kind is SymbolKind.CALL:
-            update_call(state.dag, symbol, rules_from)
-        elif kind is SymbolKind.RETURN:
-            update_return(state.dag, symbol, rules_from)
-        else:
-            update_internal(state.dag, symbol, rules_from)
-    except PopOnEmpty:
-        state.status = Status.REJECTED
-        state.reject_position = state.scan.position
-        return ()
-    if not state.dag.alive:
-        state.status = Status.REJECTED
-        state.reject_position = state.scan.position
-        return ()
+    dag, rules_from = state.dag, state.index.rules
+    if kind is SymbolKind.CALL:
+        update_call(dag, symbol, rules_from)
+    elif kind is SymbolKind.INTERNAL:
+        update_internal(dag, symbol, rules_from)
+    elif dag.depth:
+        update_return(dag, symbol, rules_from)
+    else:
+        return _reject(state)  # a return with no call pending
+    if not dag.alive:
+        return _reject(state)
     if not state.factorize:
         return ()
-    fragment = factorize_and_emit(state.dag)
+    fragment = factorize_and_emit(dag)
     state.emitted_len += len(fragment)
     return fragment
 
@@ -505,15 +498,11 @@ def finish(state: EvalState) -> Optional[Word]:
     if state.status is not Status.RUNNING:
         raise EvalDiagnostic("finish() called twice")
     dag = state.dag
-    if not dag.alive or dag.depth != 0:
-        state.status = Status.REJECTED
-        state.reject_position = state.scan.position
-        return None
     final = state.machine.final
-    labels = [label for node, label in dag.root.out.items() if node.state in final]
+    labels = [] if dag.depth else [label for node, label in dag.root.out.items()
+                                   if node.state in final]
     if not labels:
-        state.status = Status.REJECTED
-        state.reject_position = state.scan.position
+        _reject(state)
         return None
     if any(lab != labels[0] for lab in labels):
         raise EvalDiagnostic(
@@ -523,6 +512,13 @@ def finish(state: EvalState) -> Optional[Word]:
     fragment = tuple(labels[0])
     state.emitted_len += len(fragment)
     return fragment
+
+
+def _reject(state: EvalState) -> Word:
+    """Mark ``state`` rejected at the position read; the empty fragment."""
+    state.status = Status.REJECTED
+    state.reject_position = state.scan.position
+    return ()
 
 
 def decode(dag: EvalDag) -> set[DConfiguration]:
@@ -559,7 +555,7 @@ def memory_snapshot(state: EvalState) -> MemoryReport:
         node_count=len(dag.parents),
         edge_count=dag.edge_count,
         label_tokens_total=dag.label_tokens,
-        out_neq=max(map(dag.reach_of, dag.leaves()), default=emitted) - emitted,
+        out_neq=max(map(dag.reach_of, dag.leaf_level.values()), default=emitted) - emitted,
         emitted_total=state.emitted_len,
     )
 

@@ -483,6 +483,21 @@ def snapshot_by_walk(state) -> MemoryReport:
     )
 
 
+def dag_level(dag, depth: int) -> list:
+    """The live nodes at ``depth``, sorted by (state, stack symbol)."""
+    return sorted((n for n in dag_nodes(dag) if n.depth == depth),
+                  key=lambda n: (n.state, n.symbol or ""))
+
+
+def level_widths(dag) -> list[int]:
+    """The number of live nodes at each depth from 0 to ``dag.depth``, from
+    one walk of the DAG."""
+    widths = [0] * (dag.depth + 1)
+    for node in dag_nodes(dag)[:-1]:
+        widths[node.depth] += 1
+    return widths
+
+
 def assert_dag_invariants(state) -> None:
     """Structural bounds on the run DAG: one level per pending call plus the
     bottom, and per-level width at most |states| * |stack symbols|.  Also the
@@ -491,9 +506,10 @@ def assert_dag_invariants(state) -> None:
     same letters compare unequal), every recorded parent is the root or a
     live node, the nodes with recorded parents are exactly those reachable
     from the root, every edge is in both its parent's ``out`` and its
-    child's ``parents`` and goes one level down, ``levels[d][(state,
-    symbol)]`` is the node itself and holds exactly the live nodes (a
-    dropped node is left in no map), chain links join live nodes and start
+    child's ``parents`` and goes one level down, no two live nodes share
+    (depth, state, symbol), ``leaf_level[(state, symbol)]`` is the node
+    itself and holds exactly the live nodes at ``dag.depth`` (a dropped node
+    is left in no map), chain links join live nodes and start
     where a link may (single parent, only child, ε label), and after
     factorization every node's out-labels have an empty lcp."""
     dag = state.dag
@@ -511,16 +527,19 @@ def assert_dag_invariants(state) -> None:
     for node, ps in dag.parents.items():
         assert all(p is dag.root or p in dag.parents for p in ps), (node, ps)
         assert all(node in p.out for p in ps), (node, ps)
-    interned: dict[int, dict] = {}
+    interned: dict[tuple, object] = {}
     for node in dag.parents:
-        interned.setdefault(node.depth, {})[node.state, node.symbol] = node
-    assert dag.levels == interned, (sorted(dag.levels), sorted(interned))
+        key = (node.depth, node.state, node.symbol)
+        assert key not in interned, (key, node, interned[key])
+        interned[key] = node
+    leaves = {(state, symbol): node for (depth, state, symbol), node
+              in interned.items() if depth == dag.depth}
+    assert dag.leaf_level == leaves, (sorted(dag.leaf_level), sorted(leaves))
     if not dag.alive:
         return
     bound = len(state.machine.states) * max(len(state.machine.stack_alphabet), 1)
     assert dag.depth == state.scan.hc, (dag.depth, state.scan.hc)
-    for d in range(dag.depth + 1):
-        width = len(dag.level(d))
+    for d, width in enumerate(level_widths(dag)):
         assert 0 < width <= bound, (d, width, bound)
     for node, top in dag.chain.items():
         assert node in dag.parents and top in dag.parents, (node, top)

@@ -15,7 +15,8 @@ graph, and that the order in which stages warm a machine's one cached graph
 changes no result; searching and flattening the caller's machine in place
 of its reduction, the domain height of machines that are not reduced, the
 rules of the reduction, each taken by some reachable configuration, and the
-indexed well-matched fixpoint.
+indexed well-matched fixpoint.  On the functional ones, the CLI's evaluator
+emits after every prefix what the machine's live runs agree on.
 """
 
 import json
@@ -26,13 +27,13 @@ import pytest
 
 from vptstream import (Bounded, Configuration, NotFunctionalWitness, Outcome, SearchBounds,
                        Unbounded, check_bm, check_fst_twinning, check_htp, check_mtp,
-                       classify_streamability, co_accessible, domain_height_bounded, fst_of,
-                       machines, parse_vpt, reduce, reduce_with_map, serialize_vpt,
-                       step_runs, streamability, trim_fst, verify_fst_twinning_witness,
-                       well_matched_witnesses)
-from vptstream import vpt_core
+                       classify_streamability, co_accessible, domain_height_bounded,
+                       enumerate_domain, finish, fst_of, lcp, machines, parse_vpt, reduce,
+                       reduce_with_map, serialize_vpt, step_runs, streamability, trim_fst,
+                       verify_fst_twinning_witness, well_matched_witnesses)
+from vptstream import cli, vpt_core
 from vptstream.streaming_eval import Status, memory_snapshot, start, step
-from vptstream.vpt_core import ConfigGraph
+from vptstream.vpt_core import ConfigGraph, run_dconfigs
 
 from helpers import (PERFBENCH, SILENT_STEPS, accessible_configs,
                      domain_height_of_reduction, finishers_by_definition, load_gen,
@@ -445,3 +446,25 @@ def test_bm_flattens_the_callers_machine():
         outcomes.append(verdict.outcome)
     assert outcomes.count(Outcome.VIOLATED) > 30, outcomes.count(Outcome.VIOLATED)
     assert outcomes.count(Outcome.HOLDS) > 30, outcomes.count(Outcome.HOLDS)
+
+
+def test_cli_evaluator_emits_what_the_live_runs_agree_on():
+    # on the machine as given, random604 raised EvalDiagnostic on `c d r c d
+    # r r r`: two dead runs that differ only in output reached one node
+    machines = [(label, text) for label, _, verdict, text in _sample()[1] if verdict != "NF"]
+    machines.append(("random604", dict(load_gen().check_pool())["random604"]))
+    words = 0
+    for label, text in machines:
+        m = parse_vpt(text)
+        for word, out in enumerate_domain(m, 8):
+            state, _, _ = cli._start_live(m, True)
+            emitted, configs = (), run_dconfigs(m, ())
+            for i, symbol in enumerate(word):
+                emitted += step(state, symbol)
+                configs = run_dconfigs(m, (symbol,), configs)
+                live = [dc.residual for dc in configs
+                        if co_accessible(m, Configuration(dc.state, dc.stack))]
+                assert emitted == lcp(live), (label, word[:i + 1], emitted, live)
+            assert emitted + finish(state) == out, (label, word)
+            words += 1
+    assert words > 500, words

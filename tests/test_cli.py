@@ -271,6 +271,22 @@ def test_negative_bounds_are_usage_errors(args):
     assert "x>=0" in res.stderr
 
 
+NOT_FUNCTIONAL = ("calls: c\nreturns: r\nstates: i p f\ninitial: i\nfinal: f\n"
+                  "stack: g\ntrans i c x push g p\ntrans i c y push g p\n"
+                  "trans p r - pop g f\n")
+
+
+@pytest.mark.parametrize("prop", ["bm", "htp", "mtp", "all"])
+def test_check_any_property_refuses_a_machine_that_is_not_functional(tmp_path, prop):
+    # single properties used to print `bm: Holds` or `NoWitnessUpTo` here
+    p = tmp_path / "nf.vpt"
+    p.write_text(NOT_FUNCTIONAL)
+    res = invoke(["check", str(p), "--property", prop])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr == "machine is not functional: input c r has outputs x and y\n"
+
+
 def test_check_nonfunctional_machine_fails(tmp_path):
     p = tmp_path / "nf.vpt"
     p.write_text("internals: a\nstates: s0 s1\ninitial: s0\nfinal: s1\n"
@@ -420,6 +436,29 @@ def test_evaluator_errors_exit_one_without_traceback(tmp_path, machine, args, me
     assert isinstance(res.exception, SystemExit)  # no traceback
     assert "Traceback" not in res.output
     assert res.stderr == message + "\n"
+
+
+def test_eval_runs_the_live_part_of_the_machine(tmp_path):
+    # two dead runs of random604 differ only in output; on the machine as
+    # given they stopped `eval` after `a a b`
+    p = tmp_path / "random604.vpt"
+    p.write_text(dict(load_gen().check_pool())["random604"])
+    res = invoke(["eval", str(p)], stdin="c d r c d r r r\n")
+    assert (res.exit_code, res.stdout, res.stderr) == (0, "a a b a a a b\n", "")
+
+
+@pytest.mark.parametrize("args", [["eval"], ["bench", "--family", "custom"]])
+def test_empty_domain_rejects_at_the_first_symbol(tmp_path, args):
+    # an initial state but no accepted word: the reduction has no initial
+    # state, and no output is emitted for the call
+    p = tmp_path / "m.vpt"
+    p.write_text("calls: c\nreturns: r\nstates: i p\ninitial: i\nfinal: p\n"
+                 "stack: g\ntrans i c x push g p\n")
+    res = invoke([args[0], str(p)] + args[1:], stdin="c r\n")
+    assert res.exit_code == 1
+    assert res.stderr == "reject at position 1 (symbol 'c')\n"
+    if args == ["eval"]:
+        assert res.stdout == ""
 
 
 def test_bench_end_of_input_reject_reads_like_eval():

@@ -29,6 +29,8 @@ from vptstream.vpt_core import (
 
 from helpers import (
     assert_dag_invariants,
+    dag_level,
+    level_widths,
     live_prefixes,
     random_det_vpt,
     random_nondet_vpt,
@@ -57,14 +59,14 @@ def test_run_stream_totals(fig3_plain):
 def test_dag_levels_track_pending_calls(fig2_t1):
     st = start(fig2_t1)
     step(st, "c")
-    assert [(n.state, n.symbol) for n in st.dag.level(1)] == \
+    assert [(n.state, n.symbol) for n in dag_level(st.dag, 1)] == \
         [("q0", "g1"), ("q0", "g2")]
     step(st, "c")
-    assert [len(st.dag.level(d)) for d in range(st.dag.depth + 1)] == [1, 2, 2]
+    assert level_widths(st.dag) == [1, 2, 2]
     step(st, "r1")
     # the pop resolves the top push; both first-call choices stay open
     assert st.dag.depth == 1
-    assert [(n.state, n.symbol) for n in st.dag.level(1)] == \
+    assert [(n.state, n.symbol) for n in dag_level(st.dag, 1)] == \
         [("q1", "g1"), ("q1", "g2")]
 
 
@@ -190,7 +192,7 @@ def test_factorized_dag_decodes_like_the_plain_one():
             assert fast.status is plain.status is Status.RUNNING
             assert_dag_invariants(fast)
             dag = fast.dag
-            if math.prod(len(dag.level(d)) for d in range(dag.depth + 1)) > 2048:
+            if math.prod(level_widths(dag)) > 2048:
                 continue
             got = {(dc.state, dc.stack, emitted + dc.residual)
                    for dc in decode(dag)}
