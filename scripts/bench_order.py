@@ -4,6 +4,8 @@
         [--section equivalence]
     python3 scripts/bench_order.py pairs PARENT CHANGE --out BENCH_order.json \
         [--pairs 3] [--seconds 20]
+    python3 scripts/bench_order.py scaling PARENT CHANGE --out BENCH_order.json \
+        [--rounds 5]
 
 ``equiv`` runs one child process per checkout (``dump``), each importing
 the package from that checkout's ``src`` and the machine helpers from its
@@ -14,6 +16,12 @@ the package from that checkout's ``src`` and the machine helpers from its
   factorize on and off; after every step the fragment, ``memory_snapshot``
   and ``decode`` set, then the ``finish`` result and the reject position.
   An ``EvalDiagnostic`` is recorded as its step and text;
+- schedules: one round of each eval schedule of ``perfbench/gen.py``, seed
+  1, on the machine as given, as the workloads run it: SHA-1 over the
+  fragment and the ``memory_snapshot`` (the telemetry row) after every
+  step and the ``finish`` result, or the diagnostic text.  These documents
+  hold thousands of pending letters, which the short prefixes above never
+  reach;
 - cli: the stdout, stderr and exit code of ``eval`` and ``bench`` on the
   builtins, and of ``check --property bm|htp|mtp|all`` on the builtins and
   on the machines of ``CLI_MACHINES``, which ``eval`` also reads;
@@ -25,8 +33,14 @@ the package from that checkout's ``src`` and the machine helpers from its
 
 ``pairs`` runs ``perfbench/run.py`` on every workload, parent and change
 alternating which goes first, and records the last line of each run.
-Both merge their section into the JSON file at ``--out``; ``equiv`` writes
-``--section``, so that one file can hold several comparisons.
+``scaling`` times the library step loop, in µs per symbol, on each
+builtin at n = 500 and 2 000 and on fig3_full's (c c r r)^m up to 32 000
+symbols (``_scaling_cases``), one child process per checkout and round,
+alternating which goes first, and keeps each case's minimum over the
+rounds and the median over the rounds of the change's time over the
+parent's.
+All three merge their section into the JSON file at ``--out``; ``equiv``
+writes ``--section``, so that one file can hold several comparisons.
 """
 
 from __future__ import annotations
@@ -35,6 +49,7 @@ import argparse
 import hashlib
 import json
 import pickle
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -45,6 +60,7 @@ PREFIXES = 400
 PREFIX_LEN = 6
 CLASSIFY_BOUNDS = ((3, 24), (2, 5), (3, 9), (1, 14))
 WORKLOADS = ("deep", "flat", "check", "telemetry")
+SCALING_REPEATS = 3
 CLI_MACHINES = {
     # on `c r` the two calls emit x and y and both runs accept
     "not_functional": ("calls: c\nreturns: r\nstates: i p f\ninitial: i\nfinal: f\n"
@@ -99,6 +115,32 @@ def _eval_runs(helpers, corpus) -> dict:
                 except EvalDiagnostic as exc:
                     outcome = ("diagnostic", len(record), str(exc))
                 runs[label, factorize, prefix] = outcome
+    return runs
+
+
+def _schedule_runs(helpers) -> dict:
+    from vptstream import machines
+    from vptstream.streaming_eval import (EvalDiagnostic, Status, finish,
+                                          memory_snapshot, start, step)
+    gen = helpers.load_gen()
+    runs = {}
+    for workload, rounds in sorted(gen.SCHEDULES.items()):
+        for i, doc in enumerate(next(rounds(1))):
+            sha = hashlib.sha1()
+            steps = 0
+            try:
+                state = start(machines.load(doc.machine))
+                for symbol in doc.symbols:
+                    sha.update(repr((step(state, symbol), memory_snapshot(state))).encode())
+                    steps += 1
+                    if state.status is not Status.RUNNING:
+                        break
+                else:
+                    sha.update(repr(("finish", finish(state))).encode())
+                outcome = ("ok", state.reject_position, sha.hexdigest())
+            except EvalDiagnostic as exc:
+                outcome = ("diagnostic", steps, str(exc))
+            runs[workload, i, doc.family, len(doc.symbols)] = outcome
     return runs
 
 
@@ -174,6 +216,7 @@ def dump(tree: Path, out: Path) -> None:
     helpers, builtins, pool = _corpus(tree)
     record = {}
     for name, work in (("eval", lambda: _eval_runs(helpers, builtins + pool)),
+                       ("schedules", lambda: _schedule_runs(helpers)),
                        ("cli", lambda: _cli_outputs(builtins, out.parent)),
                        ("classify", lambda: _classify(helpers, pool)),
                        ("reduce", lambda: _reduce(builtins + pool))):
@@ -181,6 +224,38 @@ def dump(tree: Path, out: Path) -> None:
         record[name] = work()
         record[name + "_s"] = round(time.perf_counter() - t0, 1)
     out.write_bytes(pickle.dumps(record))
+
+
+def _scaling_cases():
+    """(machine, family, n, word): each builtin at n = 500 and 2 000, and
+    fig3_full's blocks of height 2, whose pending output grows by four
+    letters a block, at 2 000 to 32 000 symbols."""
+    for n in (500, 2000):
+        yield "fig4", "c^n r^n", n, ["c"] * n + ["r"] * n
+        yield "fig3_plain", "c^n r^n", n, ["c"] * n + ["r"] * n
+        yield "fig3_full", "(c r)^n", n, ["c", "r"] * n
+        yield "fig2_t1", "c^n r1^n", n, ["c"] * n + ["r1"] * n
+    for n in (2000, 8000, 32000):
+        yield "fig3_full", "(c c r r)^(n/4)", n, ["c", "c", "r", "r"] * (n // 4)
+
+
+def scale(tree: Path, out: Path) -> None:
+    sys.path[:0] = [str(tree / "src")]
+    from vptstream import machines
+    from vptstream.streaming_eval import finish, start, step
+    result = {}
+    for machine, family, n, word in _scaling_cases():
+        m = machines.load(machine)
+        best = float("inf")
+        for _ in range(SCALING_REPEATS):
+            t0 = time.perf_counter()
+            state = start(m)
+            for symbol in word:
+                step(state, symbol)
+            assert finish(state) is not None
+            best = min(best, time.perf_counter() - t0)
+        result[f"{machine} {family} n={n}"] = round(best / len(word) * 1e6, 2)
+    out.write_text(json.dumps(result))
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +300,18 @@ def equiv(parent_tree: Path, change_tree: Path) -> dict:
     for key in differ:
         name = f"{key[0]} {key[1]}"
         by_command[name] = by_command.get(name, 0) + 1
+    schedules = parent["schedules"]
+    assert schedules.keys() == change["schedules"].keys()
     return {
         "eval": _compare_eval(parent["eval"], change["eval"]),
+        "schedules": {"documents": len(schedules),
+                      "symbols": sum(key[3] for key in schedules),
+                      "identical": sum(a == change["schedules"][key]
+                                       for key, a in schedules.items()),
+                      "differ": sorted(" ".join(map(str, key)) for key, a in schedules.items()
+                                       if a != change["schedules"][key]),
+                      "parent": {" ".join(map(str, key)): list(a)
+                                 for key, a in schedules.items()}},
         "cli": {"invocations": len(parent["cli"]), "differ_by_command": by_command,
                 "differ": sorted(repr(k) for k in differ)},
         "classify_sha1": {side: records[side]["classify"] for side in records},
@@ -258,13 +343,42 @@ def pairs(parent_tree: Path, change_tree: Path, n: int, seconds: int) -> dict:
             "runs": runs}
 
 
+def scaling(parent_tree: Path, change_tree: Path, rounds: int) -> dict:
+    runs: dict[str, list] = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory() as scratch:
+        for i in range(rounds):
+            order = [("parent", parent_tree), ("change", change_tree)]
+            if i % 2:
+                order.reverse()
+            for side, tree in order:
+                out = Path(scratch) / f"{side}.json"
+                subprocess.run([sys.executable, __file__, "scale", str(tree), str(out)],
+                               check=True)
+                runs[side].append(json.loads(out.read_text()))
+    best = {side: {case: min(r[case] for r in runs[side]) for case in runs[side][0]}
+            for side in runs}
+    # the two sides of one round ran back to back, so their ratio is less
+    # exposed to the host's drift than the two minima
+    ratio = {case: round(statistics.median(c[case] / p[case] for p, c
+                                           in zip(runs["parent"], runs["change"])), 3)
+             for case in best["parent"]}
+    for case in best["parent"]:
+        print(f"{case:36} {best['parent'][case]:8.2f} {best['change'][case]:8.2f}"
+              f" {ratio[case]:7.3f}")
+    return {"unit": f"µs/symbol: library step loop, best of {SCALING_REPEATS} passes, "
+                    "then the minimum over the rounds",
+            "rounds": rounds, "min": best,
+            "change_over_parent_median_of_rounds": ratio, "runs": runs}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    d = sub.add_parser("dump")
-    d.add_argument("tree", type=Path)
-    d.add_argument("out", type=Path)
-    for name in ("equiv", "pairs"):
+    for name in ("dump", "scale"):
+        d = sub.add_parser(name)
+        d.add_argument("tree", type=Path)
+        d.add_argument("out", type=Path)
+    for name in ("equiv", "pairs", "scaling"):
         p = sub.add_parser(name)
         p.add_argument("parent", type=Path)
         p.add_argument("change", type=Path)
@@ -274,14 +388,18 @@ def main() -> None:
         if name == "pairs":
             p.add_argument("--pairs", type=int, default=3)
             p.add_argument("--seconds", type=int, default=20)
+        if name == "scaling":
+            p.add_argument("--rounds", type=int, default=5)
     args = parser.parse_args()
-    if args.command == "dump":
-        dump(args.tree.resolve(), args.out)
+    if args.command in ("dump", "scale"):
+        (dump if args.command == "dump" else scale)(args.tree.resolve(), args.out)
         return
     parent, change = args.parent.resolve(), args.change.resolve()
     result = json.loads(args.out.read_text()) if args.out.exists() else {}
     if args.command == "equiv":
         result[args.section] = equiv(parent, change)
+    elif args.command == "scaling":
+        result["scaling"] = scaling(parent, change, args.rounds)
     else:
         result["perfbench_pairs"] = pairs(parent, change, args.pairs, args.seconds)
     args.out.write_text(json.dumps(result, indent=1, ensure_ascii=False) + "\n")

@@ -11,6 +11,7 @@ import csv
 import re
 import sys
 from contextlib import nullcontext
+from dataclasses import replace
 from typing import Callable, Iterable, Iterator, NoReturn, Optional, TextIO
 
 import click
@@ -367,9 +368,16 @@ def check(path: str, prop: str, max_height: int, max_len: int) -> None:
 @click.argument("out_path")
 def reduce_cmd(path: str, out_path: str) -> None:
     """Write a trimmed machine (every reachable configuration can still
-    accept) equivalent to the one at PATH."""
+    accept) equivalent to the one at PATH.  A machine with an initial state
+    but an empty domain reduces to one with no state; it is written with its
+    initial states and no rule instead, so that ``eval`` of the written file
+    rejects at the first symbol as it does on PATH, where a file with no
+    initial state is an error."""
     vpt = _load(path)
-    text = serialize_vpt(reduce(vpt))
+    reduced = reduce(vpt)
+    if vpt.initial and not reduced.initial:
+        reduced = replace(reduced, states=vpt.initial, initial=vpt.initial)
+    text = serialize_vpt(reduced)
     if out_path == "-":
         sys.stdout.write(text)
     else:

@@ -21,10 +21,17 @@ keeps every node's parents and chain link in maps of its own, so no node
 refers to an ancestor and reference counting alone frees a dropped DAG.
 Factorization visits only the depths that hold changed nodes, and a hoist
 that would climb a chain of single-child nodes with empty labels jumps to
-the chain's top through union-find style links.  Each edge label is a list
-that belongs to that edge alone, so a hoist appends to the labels at the
-chain's top in place, a strip deletes a prefix in place, an only child's
-label moves up whole, and a fold extends the list of the edge it replaces.
+the chain's top through union-find style links.  Each edge label is a
+list, edited in place: a hoist appends to the labels at the chain's top, a
+strip deletes a prefix, an only child's label moves up whole, and a fold
+extends the list of the edge it replaces.  A list mostly belongs to one
+edge.  The exception is a fold of a long held label into several edges
+with the same letters, such as a return that forks to two states with one
+output: the list is built once and every such edge holds it, so that a fork
+costs the letters it appends, not the output held.  All those edges leave
+one node, ``EvalDag.shared`` counts them, and a hoist onto one of them
+copies the list first, while a strip, which applies to every out-edge of
+the node alike, cuts it once.
 The fragments ``step`` and ``finish`` return and the residuals ``decode``
 lists are tuples.
 
@@ -88,8 +95,8 @@ class Node:
         self.state = state
         self.symbol = symbol  # stack symbol at this level; None is bottom
         self.depth = depth
-        # child -> label; every label is a list that belongs to its edge
-        # alone, so hoists, strips and folds edit it in place
+        # child -> label; hoists, strips and folds edit the lists in place,
+        # and a list that more than one edge holds is in ``EvalDag.shared``
         self.out: dict[Node, list[str]] = {}
         # letters emitted plus the longest label sum from the root (see
         # ``EvalDag.reach_of``)
@@ -113,9 +120,15 @@ class EvalDag:
         # nodes whose out-edge set changed since the last factorization;
         # only these can have picked up a non-trivial label lcp
         self.dirty: set[Node] = set()
-        # running totals over every edge, kept exact by each edit below
+        # running totals over every edge, kept exact by each edit below; a
+        # shared label counts once per edge that holds it
         self.edge_count = 0
         self.label_tokens = 0
+        # id(list) -> the number of edges holding it, for each label list
+        # that more than one edge holds (see ``_add_folded``); all those
+        # edges leave one node.  Usually empty, and every test of it is
+        # guarded, so that labels held by one edge take no bookkeeping.
+        self.shared: dict[int, int] = {}
 
     # -- structure ---------------------------------------------------------
 
@@ -151,12 +164,24 @@ class EvalDag:
             label = p.out.pop(node)
             self.edge_count -= 1
             self.label_tokens -= len(label)
+            if self.shared:
+                self.release(label)
             self.dirty.add(p)
         # the updates drop a level only after the level below it, and the
         # cascade only childless nodes
         assert not node.out, node
         self.chain.pop(node, None)
         self.dirty.discard(node)
+
+    def release(self, label: list[str]) -> None:
+        """One edge no longer holds ``label``: its count drops, and a list
+        left on one edge leaves ``shared``, that edge owning it."""
+        key = id(label)
+        holders = self.shared.get(key)
+        if holders == 2:
+            del self.shared[key]
+        elif holders is not None:
+            self.shared[key] = holders - 1
 
     def cascade_remove(self, seeds: list[Node]) -> None:
         """Remove childless nodes, cascading to parents left childless."""
@@ -365,6 +390,15 @@ def update_internal(dag: EvalDag, symbol: str, rules_from: dict) -> EvalDag:
     return dag
 
 
+# A fold shares its head only from this length on.  Sharing costs a count in
+# ``EvalDag.shared``, a release when an edge goes and a copy when a hoist
+# lands on a shared label; a copy of a shorter head costs less.  The deep
+# workload's folds carry a few letters each and stay on the copying path (4
+# of its 8 074 folds in a round share); fig3_full's fork holds its whole
+# pending output, thousands of letters.
+SHARE_FLOOR = 32
+
+
 def _add_folded(dag: EvalDag, new_edges: list, last_use: dict) -> None:
     """Add each ``(src, state, symbol, head, mid, out)`` as src -> the node
     (state, symbol) of a fresh leaf level at ``dag.depth``, labelled head +
@@ -374,19 +408,48 @@ def _add_folded(dag: EvalDag, new_edges: list, last_use: dict) -> None:
     that folds it leaves the same source.  ``last_use`` maps each head (by
     ``id``) to the index of its last fold, which takes the list over and
     extends it, so a fold costs the letters it appends, not those it keeps;
-    the other folds copy it first.  The old edges are off the counters by
-    now, so a reused list is counted once, as the new edge's label.
+    the other folds copy it first.  A fold of a head of ``SHARE_FLOOR``
+    letters or more with the last fold's ``mid`` (the same object) and
+    ``out`` (equal) would copy the very label that fold builds: the first
+    such fold builds it in place instead, every fold alike holds that one
+    list, and ``dag.shared`` counts the edges that do; a later fold of the
+    head that differs copies the letters the head had.  The old edges are
+    off the counters by now, so a reused list is counted once per edge.
+    The first alike fold sets the head's ``last_use`` to -1, so that the
+    last fold takes the built list rather than extending it again.
     """
     depth = dag.depth
     level = dag.leaf_level = {}
+    # id(head) -> [its length before, the last fold's mid and out, the
+    # edges holding it] for each head built in place ahead of its last fold
+    built = {}
     for i, (src, state, symbol, head, mid, out) in enumerate(new_edges):
         assert src is dag.root or src in dag.parents  # above a surviving leaf
+        dst = _intern(level, state, symbol, depth)
         if last_use[id(head)] == i:
             head += mid
             head += out
-        else:
+        elif len(head) < SHARE_FLOOR:
             head = [*head, *mid, *out]
-        dag.add_edge(src, _intern(level, state, symbol, depth), head)
+        else:
+            entry = built.get(id(head))
+            if entry is None:
+                _, _, _, _, last_mid, last_out = new_edges[last_use[id(head)]]
+                if mid is last_mid and out == last_out:
+                    entry = built[id(head)] = [len(head), mid, out, 0]
+                    last_use[id(head)] = -1
+                    head += mid
+                    head += out
+            if entry is None:
+                head = [*head, *mid, *out]
+            elif mid is not entry[1] or out != entry[2]:
+                head = [*head[:entry[0]], *mid, *out]
+            elif dst not in src.out:  # else add_edge keeps the edge there
+                entry[3] += 1
+        dag.add_edge(src, dst, head)
+    for key, (_, _, _, holders) in built.items():
+        if holders > 1:
+            dag.shared[key] = holders
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +467,15 @@ def factorize_and_emit(dag: EvalDag) -> Word:
     ``dag.chain_top(node)``, the labels it would otherwise have passed
     through level by level being ε.  An only child's label is the lcp
     itself, so it moves up without a comparison and the edge keeps a fresh
-    empty list.
+    empty list.  A label in ``dag.shared`` is copied before a hoist appends
+    to it, and cut once by a strip, every edge that holds it being an
+    out-edge of the node stripped.
     """
     if not dag.alive:
         dag.dirty.clear()
         return ()
     root = dag.root
+    shared = dag.shared
     by_depth: dict[int, list[Node]] = {}
     for node in dag.dirty:
         if node is not root and node in dag.parents:
@@ -423,7 +489,8 @@ def factorize_and_emit(dag: EvalDag) -> Word:
             if not out_edges:
                 continue
             if len(out_edges) == 1:
-                # an only child's label moves up whole
+                # an only child's label moves up whole; it is never shared,
+                # the edges sharing a list all leaving one node
                 (child, common), = out_edges.items()
                 if not common:
                     continue
@@ -432,7 +499,7 @@ def factorize_and_emit(dag: EvalDag) -> Word:
                 common = lcp(list(out_edges.values()))
                 if not common:
                     continue
-                for label in out_edges.values():
+                for label in _distinct(out_edges.values()) if shared else out_edges.values():
                     del label[:len(common)]
             k = len(common)
             top = dag.chain_top(node)
@@ -440,7 +507,11 @@ def factorize_and_emit(dag: EvalDag) -> Word:
             dag.label_tokens += k * (len(top_parents) - len(out_edges))
             top.reach += k
             for p in top_parents:
-                p.out[top] += common
+                label = p.out[top]
+                if shared and id(label) in shared:
+                    dag.release(label)
+                    label = p.out[top] = [*label]
+                label += common
                 if p is root:
                     continue
                 level = by_depth.get(p.depth)
@@ -453,11 +524,17 @@ def factorize_and_emit(dag: EvalDag) -> Word:
     emitted = lcp(list(root_edges.values()))
     if emitted:
         k = len(emitted)
-        for label in root_edges.values():
+        for label in _distinct(root_edges.values()) if shared else root_edges.values():
             del label[:k]
         dag.label_tokens -= k * len(root_edges)
         root.reach += k
     return emitted
+
+
+def _distinct(labels: Iterable[list[str]]) -> Iterable[list[str]]:
+    """``labels`` with each list once, for a strip that cuts a shared
+    list for every edge that holds it."""
+    return {id(label): label for label in labels}.values()
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import importlib.util
 import random
 import sys
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterator
@@ -502,8 +503,10 @@ def assert_dag_invariants(state) -> None:
     """Structural bounds on the run DAG: one level per pending call plus the
     bottom, and per-level width at most |states| * |stack symbols|.  Also the
     evaluator's bookkeeping: ``memory_snapshot`` equals the walk above, every
-    label is a list that sits on one edge only (a list and a tuple with the
-    same letters compare unequal), every recorded parent is the root or a
+    label is a list (a list and a tuple with the same letters compare
+    unequal), a list that n > 1 edges hold has the count n in ``dag.shared``
+    and every entry there names a list that sits on that many live edges,
+    all leaving one node, every recorded parent is the root or a
     live node, the nodes with recorded parents are exactly those reachable
     from the root, every edge is in both its parent's ``out`` and its
     child's ``parents`` and goes one level down, no two live nodes share
@@ -516,7 +519,13 @@ def assert_dag_invariants(state) -> None:
     order = dag_nodes(dag)
     labels = [label for node in order for label in node.out.values()]
     assert all(type(label) is list for label in labels), labels
-    assert len({id(label) for label in labels}) == len(labels), labels
+    holders = Counter(id(label) for label in labels)
+    assert {key: n for key, n in holders.items() if n > 1} == dag.shared, \
+        (holders, dag.shared)
+    for key in dag.shared:
+        sources = [node for node in order
+                   if any(id(label) == key for label in node.out.values())]
+        assert len(sources) == 1, sources
     assert memory_snapshot(state) == snapshot_by_walk(state), \
         (memory_snapshot(state), snapshot_by_walk(state))
     assert set(dag.parents) == set(order[:-1]), (len(dag.parents), len(order))

@@ -461,6 +461,22 @@ def test_empty_domain_rejects_at_the_first_symbol(tmp_path, args):
         assert res.stdout == ""
 
 
+def test_the_reduction_of_an_empty_domain_evaluates_like_the_machine(tmp_path):
+    # the reduction has no state; it is written with the initial state, so
+    # that its `eval` rejects instead of reporting no initial state
+    p, out = tmp_path / "m.vpt", tmp_path / "out.vpt"
+    p.write_text("calls: c\nreturns: r\nstates: i p\ninitial: i\nfinal: p\n"
+                 "stack: g\ntrans i c x push g p\n")
+    assert invoke(["reduce", str(p), str(out)]).exit_code == 0
+    assert parse_vpt(out.read_text()).initial == {"i"}
+    assert invoke(["reduce", str(out), "-"]).stdout == out.read_text()
+    for word in ("c r", ""):
+        runs = [invoke(["eval", str(path)], stdin=word + "\n") for path in (p, out)]
+        assert [(r.exit_code, r.stdout, r.stderr) for r in runs] == \
+            [(1, "", runs[0].stderr)] * 2
+        assert runs[0].stderr.startswith("reject at position ")
+
+
 def test_bench_end_of_input_reject_reads_like_eval():
     word = "c c\n"
     lines = [invoke(args, stdin=word).stderr for args in (

@@ -19,7 +19,7 @@ from vptstream import (
     start,
     step,
 )
-from vptstream.streaming_eval import Status
+from vptstream.streaming_eval import SHARE_FLOOR, EvalDag, Status, _add_folded
 from vptstream.vpt_core import (
     initial_dconfigs,
     reduce,
@@ -363,6 +363,113 @@ def test_hoist_appends_to_the_root_label_in_place(fig3_full):
     for top, label in st.dag.root.out.items():
         assert label is before[top][0]
         assert len(label) == before[top][1] + 1
+
+
+def test_a_fork_of_a_long_held_label_shares_one_list(fig3_full):
+    # p2 --r/c--> {p2, p3} folds the held root label into two edges with
+    # one output: past SHARE_FLOOR letters both edges hold one list
+    word = ["c", "c", "r", "r"] * 21
+    st = start(fig3_full)
+    for sym in word:
+        assert step(st, sym) == ()
+    assert_dag_invariants(st)
+    labels = {node.state: label for node, label in st.dag.root.out.items()}
+    assert labels.keys() == {"p2", "p3", "q2"}
+    assert labels["p2"] is labels["p3"]
+    assert len(labels["p2"]) >= SHARE_FLOOR
+    assert st.dag.shared == {id(labels["p2"]): 2}
+    assert finish(st) == ("a", "a", "c", "c") * 21
+
+
+# fig3_full with two more ways to go on from its fork p2 --r/c--> {p2, p3}.
+# p3 reads a call with an output other than p2's, so each edge sharing the
+# held label takes a hoist of its own.  The s states copy the p states
+# without the fork; the internal k kills the q branch and appends e to the p
+# branch and d to the s branch, so the root emits all of the shared label
+# but the e, cutting it once for two edges.  Behind the call o, which is
+# never popped, the same happens one level down, below the node j.
+FORKS = parse_vpt("""
+calls: c o
+returns: r rp
+internals: k f
+states: i j p1 p2 p3 p4 p5 s1 s2 s3 q1 q2 q3
+initial: i j
+final: p2 p3 p5 s3 q3
+stack: g h
+trans j o - push h i
+trans i c a push g p1
+trans p1 c a push g p1
+trans p1 r c pop g p2
+trans p2 r c pop g p2
+trans p2 r c pop g p3
+trans p2 c a push g p1
+trans p3 c x push h p4
+trans p4 rp z pop h p5
+trans p2 k e int p2
+trans p3 k e int p3
+trans i c a push g s1
+trans s1 c a push g s1
+trans s1 r c pop g s2
+trans s2 r c pop g s2
+trans s2 c a push g s1
+trans s2 k d int s2
+trans s2 f - int s3
+trans i c b push g q1
+trans q1 c b push g q1
+trans q1 r c pop g q2
+trans q2 r c pop g q2
+trans q2 rp c pop g q3
+trans q2 c b push g q1
+""")
+
+
+def test_a_shared_label_is_copied_by_a_hoist_and_cut_once_by_a_strip():
+    held = ["c", "c", "r", "r"] * 9
+    tails = (["c", "rp"], ["c", "r", "c", "c", "r", "r"], ["c", "c", "r", "rp"],
+             ["c", "c", "r", "r", "c", "rp"], ["k"], ["k", "f"], ["k", "k", "c", "r"])
+    for word in [head + held + tail for head in ([], ["o"]) for tail in tails]:
+        st = start(FORKS)
+        emitted = ()
+        for i, sym in enumerate(word, 1):
+            emitted += step(st, sym)
+            assert_dag_invariants(st)
+            assert emitted == lcp(reach(FORKS, word[:i])), (word, i)
+        tail = finish(st)
+        assert (None if tail is None else emitted + tail) == naive_eval(FORKS, word), word
+    st = start(FORKS)
+    for sym in held:
+        step(st, sym)
+    labels = {node.state: label for node, label in st.dag.root.out.items()}
+    assert labels["p2"] is labels["p3"] and len(labels["p2"]) > SHARE_FLOOR
+    step(st, "c")
+    labels = {node.state: label for node, label in st.dag.root.out.items()}
+    assert labels["p2"][-1] == "a" and labels["p3"][-1] == "x" and not st.dag.shared
+    st = start(FORKS)
+    for sym in held:
+        step(st, sym)
+    assert step(st, "k") == ("a", "a", "c", "c") * 9
+    assert finish(st) == ("e",)
+
+
+def test_a_fold_unlike_the_shared_one_copies_the_head_as_it_was():
+    # folds of one long head: the first, onto A, is like the last and
+    # builds the shared label in place, so the fold onto B must copy the
+    # head without the letters that build appended; the second fold onto A
+    # adds no edge, so it holds no share
+    dag = EvalDag()
+    head = list("h" * SHARE_FLOOR)
+    mid, other = ["m"], ["n"]
+    folds = [(dag.root, "A", None, head, mid, ("c",)),
+             (dag.root, "B", None, head, other, ("c",)),
+             (dag.root, "A", None, head, mid, ("c",)),
+             (dag.root, "C", None, head, mid, ("c",))]
+    _add_folded(dag, folds, {id(head): 3})
+    labels = {node.state: label for node, label in dag.root.out.items()}
+    assert labels["A"] is labels["C"] is head
+    assert head == list("h" * SHARE_FLOOR + "mc")
+    assert labels["B"] == list("h" * SHARE_FLOOR + "nc")
+    assert dag.shared == {id(head): 2}
+    assert dag.label_tokens == 3 * (SHARE_FLOOR + 2)
 
 
 def test_a_dropped_state_is_freed_without_the_cycle_collector(fig3_full):
