@@ -3,7 +3,7 @@
     python3 scripts/bench_order.py equiv PARENT CHANGE --out BENCH_order.json \
         [--section equivalence]
     python3 scripts/bench_order.py pairs PARENT CHANGE --out BENCH_order.json \
-        [--pairs 3] [--seconds 20]
+        [--pairs 3] [--seconds 20] [--first-seed 21]
     python3 scripts/bench_order.py scaling PARENT CHANGE --out BENCH_order.json \
         [--rounds 5]
 
@@ -32,7 +32,11 @@ the package from that checkout's ``src`` and the machine helpers from its
   pool, and SHA-1 over ``enumerate_domain(reduce(m), 7)``.
 
 ``pairs`` runs ``perfbench/run.py`` on every workload, parent and change
-alternating which goes first, and records the last line of each run.
+alternating which goes first, pair i on seed ``--first-seed`` + i, and
+records the last line of each run and a summary of each end-to-end metric
+(``summarize_pairs``): the medians and quartiles, the pairs the change
+wins, whether a gain would count and whether ``BENCHMARK.json``'s bound
+holds.
 ``scaling`` times the library step loop, in µs per symbol, on each
 builtin at n = 500 and 2 000 and on fig3_full's (c c r r)^m up to 32 000
 symbols (``_scaling_cases``), one child process per checkout and round,
@@ -313,6 +317,10 @@ def equiv(parent_tree: Path, change_tree: Path) -> dict:
                       "parent": {" ".join(map(str, key)): list(a)
                                  for key, a in schedules.items()}},
         "cli": {"invocations": len(parent["cli"]), "differ_by_command": by_command,
+                # same exit code and stderr, and stdout only gained a line end
+                "differ_by_a_line_end_only": sum(
+                    (b[0], b[1], b[2]) == (a[0], a[1] + "\n", a[2])
+                    for a, b in ((parent["cli"][k], change["cli"][k]) for k in differ)),
                 "differ": sorted(repr(k) for k in differ)},
         "classify_sha1": {side: records[side]["classify"] for side in records},
         "classify_identical": parent["classify"] == change["classify"],
@@ -322,7 +330,49 @@ def equiv(parent_tree: Path, change_tree: Path) -> dict:
     }
 
 
-def pairs(parent_tree: Path, change_tree: Path, n: int, seconds: int) -> dict:
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarize_pairs(runs: dict, metrics: list[dict]) -> dict:
+    """For each workload and end-to-end metric of ``BENCHMARK.json``: each
+    side's median and quartiles, the pairs the change wins, whether a gain
+    would count (the change wins at least 9 in 10 pairs, and its median is
+    better than the parent's by more than the parent's interquartile range)
+    and whether the median stays within the metric's bound of the parent's."""
+    summary = {}
+    for workload, pair_list in runs.items():
+        rows = {"failed": {side: sum(p[side]["failed"] for p in pair_list)
+                           for side in ("parent", "change")}}
+        for metric in metrics:
+            name, higher = metric["name"], metric["better"] == "higher"
+            if any(name not in p[side]["metrics"] for p in pair_list for side in p):
+                continue
+            values = {side: [p[side]["metrics"][name]["value"] for p in pair_list]
+                      for side in ("parent", "change")}
+            sign = 1 if higher else -1
+            wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+            q = {side: _quartiles(values[side]) for side in values}
+            parent_median, change_median = q["parent"][1], q["change"][1]
+            gain = sign * (change_median - parent_median)
+            relative = (change_median - parent_median) / parent_median if parent_median else 0.0
+            rows[name] = {
+                **{side: {"q1": q[side][0], "median": q[side][1], "q3": q[side][2]}
+                   for side in q},
+                "change_wins": f"{wins} of {len(pair_list)}",
+                "gain_rule_holds": (wins * 10 >= 9 * len(pair_list)
+                                    and gain > q["parent"][2] - q["parent"][0]),
+                "relative_change": round(relative, 4),
+                "bound": metric["bound"],
+                "bound_holds": -sign * relative <= metric["bound"],
+            }
+        summary[workload] = rows
+    return summary
+
+
+def pairs(parent_tree: Path, change_tree: Path, n: int, seconds: int,
+          first_seed: int) -> dict:
     runs = {w: [] for w in WORKLOADS}
     for i in range(n):
         for workload in WORKLOADS:
@@ -333,14 +383,24 @@ def pairs(parent_tree: Path, change_tree: Path, n: int, seconds: int) -> dict:
             for side, tree in order:
                 proc = subprocess.run(
                     [sys.executable, "perfbench/run.py", "--workload", workload,
-                     "--seed", str(21 + i), "--seconds", str(seconds), "--trace", "0"],
+                     "--seed", str(first_seed + i), "--seconds", str(seconds),
+                     "--trace", "0"],
                     cwd=tree, capture_output=True, text=True, check=True)
                 last = json.loads(proc.stdout.strip().splitlines()[-1])
                 pair[side] = {"correct": last["correct"], "attempted": last["attempted"],
                               "failed": last["failed"], "metrics": last["metrics"]}
             runs[workload].append(pair)
-    return {"seconds": seconds, "pairs_per_workload": n, "seeds": list(range(21, 21 + n)),
-            "runs": runs}
+    metrics = json.loads((change_tree / "BENCHMARK.json").read_text())["end_to_end"]
+    summary = summarize_pairs(runs, metrics)
+    for workload, rows in summary.items():
+        for name, row in rows.items():
+            if name != "failed":
+                print(f"{workload:10} {name:17} {row['parent']['median']:12.4g}"
+                      f" {row['change']['median']:12.4g} {row['change_wins']:>9}"
+                      f" gain={row['gain_rule_holds']!s:5} bound={row['bound_holds']}")
+    return {"seconds": seconds, "pairs_per_workload": n,
+            "seeds": list(range(first_seed, first_seed + n)),
+            "summary": summary, "runs": runs}
 
 
 def scaling(parent_tree: Path, change_tree: Path, rounds: int) -> dict:
@@ -388,6 +448,7 @@ def main() -> None:
         if name == "pairs":
             p.add_argument("--pairs", type=int, default=3)
             p.add_argument("--seconds", type=int, default=20)
+            p.add_argument("--first-seed", type=int, default=21)
         if name == "scaling":
             p.add_argument("--rounds", type=int, default=5)
     args = parser.parse_args()
@@ -401,7 +462,8 @@ def main() -> None:
     elif args.command == "scaling":
         result["scaling"] = scaling(parent, change, args.rounds)
     else:
-        result["perfbench_pairs"] = pairs(parent, change, args.pairs, args.seconds)
+        result["perfbench_pairs"] = pairs(parent, change, args.pairs, args.seconds,
+                                          args.first_seed)
     args.out.write_text(json.dumps(result, indent=1, ensure_ascii=False) + "\n")
 
 

@@ -192,12 +192,15 @@ def _start_live(vpt: Vpt, factorize: bool) -> tuple[EvalState, dict[str, str],
 
 
 def _stream(vpt: Vpt, factorize: bool, symbols: Iterable[str],
-            emit: Callable[[Word], None], writer) -> None:
+            emit: Callable[[Word], None], writer,
+            end: Callable[[], None] = lambda: None) -> None:
     """Step the evaluator over the live part of ``vpt`` through ``symbols``,
     handing every fragment to ``emit`` and, given a csv ``writer``, one
-    telemetry row per symbol after the header.  Rejection, and an evaluator
-    error (no initial state, or two runs that disagree on their output),
-    print one stderr line, in the machine's own names, and exit 1."""
+    telemetry row per symbol after the header; then call ``end``, which
+    ends the output, whether the input is accepted or not.  Rejection, and
+    an evaluator error (no initial state, or two runs that disagree on
+    their output), then print one stderr line, in the machine's own names,
+    and exit 1."""
     try:
         state, state_names, symbol_names = _start_live(vpt, factorize)
         if writer:
@@ -218,6 +221,7 @@ def _stream(vpt: Vpt, factorize: bool, symbols: Iterable[str],
             tail = finish(state)
             if tail is not None:
                 emit(tail)
+                end()
                 return
             position, symbol = state.reject_position or position, "<end>"
         problem = f"reject at position {position} (symbol {symbol!r})"
@@ -226,6 +230,7 @@ def _stream(vpt: Vpt, factorize: bool, symbols: Iterable[str],
         problem = str(RunConflict(state_names[q], symbol_names.get(gamma), *rest))
     except (NoInitialStates, EvalDiagnostic) as exc:
         problem = str(exc)
+    end()
     click.echo(problem, err=True)
     sys.exit(1)
 
@@ -260,8 +265,7 @@ def eval_cmd(path: str, no_factorize: bool, telemetry_path: Optional[str],
     with (open(telemetry_path, "w", encoding="utf-8", newline="")
           if telemetry_path else nullcontext()) as telemetry:
         _stream(vpt, not no_factorize, symbols, emitter.emit,
-                csv.writer(telemetry) if telemetry else None)
-    emitter.close()
+                csv.writer(telemetry) if telemetry else None, emitter.close)
 
 
 # ---------------------------------------------------------------------------

@@ -74,8 +74,9 @@ class ScanState(NamedTuple):
 
     ``hc`` is the number of pending calls after the consumed prefix, ``h``
     the maximum ``hc`` over all prefixes, and ``valid`` is False once some
-    prefix consumed a return at height 0.  ``valid`` is monotone.  A tuple,
-    because the evaluator steps one per symbol.
+    prefix consumed a return at height 0.  ``valid`` is monotone.  ``scan``
+    steps one per symbol; the evaluator keeps these counts in its own state
+    and builds one only when asked (``EvalState.scan``).
     """
 
     position: int = 0

@@ -11,7 +11,12 @@ is the longest output prefix common to every candidate — which is exactly
 what can be emitted without betting on the future.
 
 A step costs the width of the levels it touches plus the letters it moves,
-not the stack height and not the output held.  Each node is one object,
+not the stack height and not the output held.  Its fixed cost, what every
+symbol pays whatever the DAG holds, is a handful of dict and set operations
+per node touched: the scan of the input is counters in ``EvalState``, no
+record per symbol; the updates make their nodes inline; and factorization
+climbs a chain only from a node that can have one and orders its depths
+through a heap only when more than one is dirty.  Each node is one object,
 hashed by identity, that holds its out-edges (child -> label) and its reach.
 Every update builds its new leaf level from an empty one: a call grows a
 level, an internal first drops the level it replaces and a return the two
@@ -88,7 +93,7 @@ class RunConflict(EvalDiagnostic):
 
 class Node:
     # hashed by identity, so that the dict and set operations on nodes, a
-    # few dozen per step, need no tuple hash; ``_intern`` interns them
+    # few dozen per step, need no tuple hash; the updates intern them
     __slots__ = ("state", "symbol", "depth", "out", "reach")
 
     def __init__(self, state: str, symbol: Optional[str], depth: int):
@@ -132,10 +137,6 @@ class EvalDag:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def alive(self) -> bool:
-        return bool(self.root.out)
-
     def add_edge(self, src: Node, dst: Node, label: list[str]) -> None:
         """Add src -> dst with ``label``, which the edge takes over."""
         out = src.out
@@ -148,7 +149,7 @@ class EvalDag:
         self.label_tokens += len(label)
         # dst gets all its in-edges in the step that creates it, from
         # parents that outlive it: the max over them stays its longest path
-        reach = self.reach_of(src) + len(label)
+        reach = (self.reach_of(src) if src in self.chain else src.reach) + len(label)
         ps = self.parents.get(dst)
         if ps is None:
             self.parents[dst] = {src: None}
@@ -159,19 +160,22 @@ class EvalDag:
                 dst.reach = reach
         self.dirty.add(src)
 
-    def _drop_node(self, node: Node) -> None:
-        for p in self.parents.pop(node):
-            label = p.out.pop(node)
-            self.edge_count -= 1
-            self.label_tokens -= len(label)
-            if self.shared:
-                self.release(label)
-            self.dirty.add(p)
-        # the updates drop a level only after the level below it, and the
-        # cascade only childless nodes
-        assert not node.out, node
-        self.chain.pop(node, None)
-        self.dirty.discard(node)
+    def _drop_nodes(self, nodes: Iterable[Node]) -> None:
+        """Remove ``nodes``, each childless by its turn, with their
+        in-edges; their parents become dirty."""
+        for node in nodes:
+            for p in self.parents.pop(node):
+                label = p.out.pop(node)
+                self.edge_count -= 1
+                self.label_tokens -= len(label)
+                if self.shared:
+                    self.release(label)
+                self.dirty.add(p)
+            # the updates drop a level only after the level below it, and
+            # the cascade only childless nodes
+            assert not node.out, node
+            self.chain.pop(node, None)
+            self.dirty.discard(node)
 
     def release(self, label: list[str]) -> None:
         """One edge no longer holds ``label``: its count drops, and a list
@@ -193,15 +197,10 @@ class EvalDag:
             if node.out:
                 continue  # still has children, keep
             ps = list(self.parents[node])
-            self._drop_node(node)
+            self._drop_nodes((node,))
             for p in ps:
                 if p is not self.root and not p.out:
                     pending.append(p)
-
-    def remove_nodes(self, nodes: Iterable[Node]) -> None:
-        """Remove ``nodes``, each childless by its turn."""
-        for node in nodes:
-            self._drop_node(node)
 
     def chain_top(self, node: Node) -> Node:
         """The highest node a hoist from ``node`` climbs unchanged.
@@ -259,11 +258,13 @@ class Status(enum.Enum):
 
 @dataclass
 class EvalState:
-    """One evaluation in progress: the run DAG, the scan of the input read
-    so far, and the machine with its ``rule_index``, which ``start`` looks
-    up once so that ``step`` does no per-symbol lookup of the machine."""
+    """One evaluation in progress: the run DAG, the machine with its
+    ``rule_index``, which ``start`` looks up once so that ``step`` does no
+    per-symbol lookup of the machine, and what ``scan`` reports of the input
+    read so far.  The current height is ``dag.depth``; ``step`` counts the
+    symbols read and keeps the highest depth reached and whether a return
+    came at height 0, so that a symbol builds no record of its own."""
     dag: EvalDag
-    scan: ScanState
     emitted_len: int
     status: Status
     machine: Vpt
@@ -271,6 +272,15 @@ class EvalState:
     factorize: bool = True
     last_symbol: str = ""
     reject_position: Optional[int] = None
+    position: int = 0
+    max_depth: int = 0
+    valid: bool = True
+
+    @property
+    def scan(self) -> ScanState:
+        """The nested-word scan of the input read so far, built on demand:
+        equal to ``nested_words.scan`` of that input."""
+        return ScanState(self.position, self.dag.depth, self.max_depth, self.valid)
 
 
 @dataclass(frozen=True)
@@ -296,10 +306,10 @@ def start(vpt: Vpt, factorize: bool = True) -> EvalState:
         raise NoInitialStates("machine has no initial state")
     dag = EvalDag()
     for q0 in sorted(vpt.initial):
-        dag.add_edge(dag.root, _intern(dag.leaf_level, q0, None, 0), [])
-    return EvalState(dag=dag, scan=ScanState(), emitted_len=0,
-                     status=Status.RUNNING, machine=vpt, index=rule_index(vpt),
-                     factorize=factorize)
+        node = dag.leaf_level[q0, None] = Node(q0, None, 0)
+        dag.add_edge(dag.root, node, [])
+    return EvalState(dag=dag, emitted_len=0, status=Status.RUNNING, machine=vpt,
+                     index=rule_index(vpt), factorize=factorize)
 
 
 # ---------------------------------------------------------------------------
@@ -307,31 +317,28 @@ def start(vpt: Vpt, factorize: bool = True) -> EvalState:
 
 # Each update reads ``rules_from``, the ``rules`` table of the machine's
 # ``rule_index``, walks the leaves and their parents in build order, and
-# interns its new nodes into a fresh dict that becomes ``dag.leaf_level``.
-
-def _intern(level: dict, state: str, symbol: Optional[str], depth: int) -> Node:
-    """The node (state, symbol) of ``level``, made on first use; the caller
-    gives it a parent in the same step."""
-    node = level.get((state, symbol))
-    if node is None:
-        node = level[state, symbol] = Node(state, symbol, depth)
-    return node
-
+# interns its new nodes, inline, into a fresh dict that becomes
+# ``dag.leaf_level``; each new node gets a parent in the same step.
 
 def update_call(dag: EvalDag, symbol: str, rules_from: dict) -> EvalDag:
-    depth = dag.depth + 1
+    depth = dag.depth = dag.depth + 1
     level = {}
     orphans = []
+    add_edge = dag.add_edge
     for leaf in dag.leaf_level.values():
         rules = rules_from[leaf.state].get(symbol)
         if not rules:
             orphans.append(leaf)
             continue
         for r in rules:
-            dag.add_edge(leaf, _intern(level, r.dst, r.push, depth), [*r.out])
-    dag.cascade_remove(orphans)
+            key = (r.dst, r.push)
+            node = level.get(key)
+            if node is None:
+                node = level[key] = Node(r.dst, r.push, depth)
+            add_edge(leaf, node, [*r.out])
+    if orphans:
+        dag.cascade_remove(orphans)
     dag.leaf_level = level
-    dag.depth = depth
     return dag
 
 
@@ -345,24 +352,31 @@ def update_return(dag: EvalDag, symbol: str, rules_from: dict) -> EvalDag:
     last_use = {}
     orphans = []
     leaves = []
+    parents_of = dag.parents
     parents: dict[Node, None] = {}
     for leaf in dag.leaf_level.values():
-        rules = rules_from[leaf.state].get(symbol, {}).get(leaf.symbol)
+        by_pop = rules_from[leaf.state].get(symbol)
+        rules = by_pop and by_pop.get(leaf.symbol)
         if not rules:
             orphans.append(leaf)
             continue
         leaves.append(leaf)
-        parents.update(dag.parents[leaf])
-        for parent in dag.parents[leaf]:
+        leaf_parents = parents_of[leaf]
+        parents.update(leaf_parents)
+        for parent in leaf_parents:
             v0 = parent.out[leaf]
-            for gp in dag.parents[parent]:
+            symbol_above = parent.symbol
+            for gp in parents_of[parent]:
                 v1 = gp.out[parent]
                 for r in rules:
-                    new_edges.append((gp, r.dst, parent.symbol, v1, v0, r.out))
+                    new_edges.append((gp, r.dst, symbol_above, v1, v0, r.out))
                 last_use[id(v1)] = len(new_edges) - 1
-    dag.cascade_remove(orphans)
-    dag.remove_nodes(leaves)
-    dag.remove_nodes(parents)
+    if orphans:
+        dag.cascade_remove(orphans)
+    # a dropped leaf marks its parent dirty, and the parent's own drop
+    # below clears the mark
+    dag._drop_nodes(leaves)
+    dag._drop_nodes(parents)
     dag.depth -= 1
     _add_folded(dag, new_edges, last_use)
     return dag
@@ -373,19 +387,21 @@ def update_internal(dag: EvalDag, symbol: str, rules_from: dict) -> EvalDag:
     last_use = {}
     orphans = []
     leaves = []
+    parents_of = dag.parents
     for leaf in dag.leaf_level.values():
         rules = rules_from[leaf.state].get(symbol)
         if not rules:
             orphans.append(leaf)
             continue
         leaves.append(leaf)
-        for parent in dag.parents[leaf]:
+        for parent in parents_of[leaf]:
             v0 = parent.out[leaf]
             for r in rules:
                 new_edges.append((parent, r.dst, leaf.symbol, v0, (), r.out))
             last_use[id(v0)] = len(new_edges) - 1
-    dag.cascade_remove(orphans)
-    dag.remove_nodes(leaves)
+    if orphans:
+        dag.cascade_remove(orphans)
+    dag._drop_nodes(leaves)
     _add_folded(dag, new_edges, last_use)
     return dag
 
@@ -423,9 +439,13 @@ def _add_folded(dag: EvalDag, new_edges: list, last_use: dict) -> None:
     # id(head) -> [its length before, the last fold's mid and out, the
     # edges holding it] for each head built in place ahead of its last fold
     built = {}
+    root, parents_of, add_edge = dag.root, dag.parents, dag.add_edge
     for i, (src, state, symbol, head, mid, out) in enumerate(new_edges):
-        assert src is dag.root or src in dag.parents  # above a surviving leaf
-        dst = _intern(level, state, symbol, depth)
+        assert src is root or src in parents_of  # above a surviving leaf
+        key = (state, symbol)
+        dst = level.get(key)
+        if dst is None:
+            dst = level[key] = Node(state, symbol, depth)
         if last_use[id(head)] == i:
             head += mid
             head += out
@@ -446,7 +466,7 @@ def _add_folded(dag: EvalDag, new_edges: list, last_use: dict) -> None:
                 head = [*head[:entry[0]], *mid, *out]
             elif dst not in src.out:  # else add_edge keeps the edge there
                 entry[3] += 1
-        dag.add_edge(src, dst, head)
+        add_edge(src, dst, head)
     for key, (_, _, _, holders) in built.items():
         if holders > 1:
             dag.shared[key] = holders
@@ -471,18 +491,27 @@ def factorize_and_emit(dag: EvalDag) -> Word:
     to it, and cut once by a strip, every edge that holds it being an
     out-edge of the node stripped.
     """
-    if not dag.alive:
-        dag.dirty.clear()
-        return ()
     root = dag.root
-    shared = dag.shared
+    dirty = dag.dirty
+    if not root.out:
+        dirty.clear()
+        return ()
+    parents_of, chain, shared = dag.parents, dag.chain, dag.shared
+    # the root's labels can share a prefix again only if its out-edges
+    # changed or a hoist reaches them
+    emit = root in dirty
     by_depth: dict[int, list[Node]] = {}
-    for node in dag.dirty:
-        if node is not root and node in dag.parents:
-            by_depth.setdefault(node.depth, []).append(node)
-    dag.dirty.clear()
+    for node in dirty:  # the root and live nodes only: a dropped node leaves it
+        if node is not root:
+            level = by_depth.get(node.depth)
+            if level is None:
+                by_depth[node.depth] = [node]
+            else:
+                level.append(node)
+    dirty.clear()
     heap = [-d for d in by_depth]
-    heapq.heapify(heap)
+    if len(heap) > 1:
+        heapq.heapify(heap)
     while heap:
         for node in by_depth.pop(-heapq.heappop(heap)):
             out_edges = node.out
@@ -502,17 +531,26 @@ def factorize_and_emit(dag: EvalDag) -> Word:
                 for label in _distinct(out_edges.values()) if shared else out_edges.values():
                     del label[:len(common)]
             k = len(common)
-            top = dag.chain_top(node)
-            top_parents = dag.parents[top]
+            # a node hanging from the root, or with no link and several
+            # parents, is its own chain top
+            if node in chain or node.depth and len(parents_of[node]) == 1:
+                node = dag.chain_top(node)
+            top_parents = parents_of[node]
             dag.label_tokens += k * (len(top_parents) - len(out_edges))
-            top.reach += k
+            node.reach += k
             for p in top_parents:
-                label = p.out[top]
+                label = p.out[node]
                 if shared and id(label) in shared:
                     dag.release(label)
-                    label = p.out[top] = [*label]
+                    label = p.out[node] = [*label]
+                # p's labels part at once (see the docstring), so that
+                # appending to a label with a letter keeps them parted
+                settled = bool(label)
                 label += common
+                if settled:
+                    continue
                 if p is root:
+                    emit = True
                     continue
                 level = by_depth.get(p.depth)
                 if level is None:
@@ -520,6 +558,8 @@ def factorize_and_emit(dag: EvalDag) -> Word:
                     heapq.heappush(heap, -p.depth)
                 else:
                     level.append(p)
+    if not emit:
+        return ()
     root_edges = root.out
     emitted = lcp(list(root_edges.values()))
     if emitted:
@@ -540,26 +580,36 @@ def _distinct(labels: Iterable[list[str]]) -> Iterable[list[str]]:
 # ---------------------------------------------------------------------------
 # Driver
 
+# Enum members read as module globals: a class attribute lookup on an enum
+# costs about 0.1 µs, several times a plain global's.
+_RUNNING = Status.RUNNING
+_CALL = SymbolKind.CALL
+_INTERNAL = SymbolKind.INTERNAL
+
+
 def step(state: EvalState, symbol: str) -> Word:
     """Consume one symbol and return the fragment emitted for it."""
-    if state.status is not Status.RUNNING:
+    if state.status is not _RUNNING:
         raise EvalDiagnostic(f"step() after {state.status.value}")
     kind = state.index.kind.get(symbol)
     if kind is None:
         raise UnknownSymbol(f"symbol {symbol!r} is not in the machine's alphabet")
-    state.scan = state.scan.step(kind)
+    state.position += 1
     state.last_symbol = symbol
 
     dag, rules_from = state.dag, state.index.rules
-    if kind is SymbolKind.CALL:
+    if kind is _CALL:
+        if dag.depth == state.max_depth:
+            state.max_depth += 1
         update_call(dag, symbol, rules_from)
-    elif kind is SymbolKind.INTERNAL:
+    elif kind is _INTERNAL:
         update_internal(dag, symbol, rules_from)
     elif dag.depth:
         update_return(dag, symbol, rules_from)
     else:
+        state.valid = False
         return _reject(state)  # a return with no call pending
-    if not dag.alive:
+    if not dag.root.out:
         return _reject(state)
     if not state.factorize:
         return ()
@@ -594,7 +644,7 @@ def finish(state: EvalState) -> Optional[Word]:
 def _reject(state: EvalState) -> Word:
     """Mark ``state`` rejected at the position read; the empty fragment."""
     state.status = Status.REJECTED
-    state.reject_position = state.scan.position
+    state.reject_position = state.position
     return ()
 
 
@@ -624,16 +674,23 @@ def memory_snapshot(state: EvalState) -> MemoryReport:
     costs the width of the leaf level, not the size of the DAG.
     """
     dag = state.dag
-    emitted = dag.root.reach
+    chain = dag.chain
+    emitted = reach = dag.root.reach
+    for leaf in dag.leaf_level.values():
+        # a leaf with no chain link holds its own reach
+        leaf_reach = dag.reach_of(leaf) if leaf in chain else leaf.reach
+        if leaf_reach > reach:
+            reach = leaf_reach
+    # in field order: passed by keyword, the fields cost a third more
     return MemoryReport(
-        position=state.scan.position,
-        symbol=state.last_symbol,
-        hc=state.scan.hc,
-        node_count=len(dag.parents),
-        edge_count=dag.edge_count,
-        label_tokens_total=dag.label_tokens,
-        out_neq=max(map(dag.reach_of, dag.leaf_level.values()), default=emitted) - emitted,
-        emitted_total=state.emitted_len,
+        state.position,
+        state.last_symbol,
+        dag.depth,                # hc
+        len(dag.parents),         # node_count
+        dag.edge_count,
+        dag.label_tokens,         # label_tokens_total
+        reach - emitted,          # out_neq
+        state.emitted_len,        # emitted_total
     )
 
 

@@ -544,7 +544,7 @@ def assert_dag_invariants(state) -> None:
     leaves = {(state, symbol): node for (depth, state, symbol), node
               in interned.items() if depth == dag.depth}
     assert dag.leaf_level == leaves, (sorted(dag.leaf_level), sorted(leaves))
-    if not dag.alive:
+    if not dag.root.out:
         return
     bound = len(state.machine.states) * max(len(state.machine.stack_alphabet), 1)
     assert dag.depth == state.scan.hc, (dag.depth, state.scan.hc)

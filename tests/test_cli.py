@@ -98,6 +98,32 @@ def test_eval_partial_output_before_reject():
     assert res.output.startswith("b b c c")
 
 
+# emits x on the first call; on `d` two rules reach (q, g) with outputs y, z
+EMITS_THEN_CONFLICTS = ("calls: c d\nreturns: r\nstates: i p q\ninitial: i\n"
+                        "final: i\nstack: g\ntrans i c x push g p\n"
+                        "trans p d y push g q\ntrans p d z push g q\n"
+                        "trans p r - pop g i\ntrans q r - pop g p\n")
+
+
+@pytest.mark.parametrize("machine, args, stdin, stdout, stderr", [
+    ("builtin:fig4", [], "c c r\n", "a a c\n", "reject at position 3 (symbol '<end>')\n"),
+    ("builtin:fig4", [], "c c r r r\n", "a a c c\n", "reject at position 5 (symbol 'r')\n"),
+    ("builtin:fig4", [], "c c z\n", "", "reject at position 3 (symbol 'z')\n"),
+    ("emits", ["--unsafe"], "c d r r\n", "x\n",
+     "two run bundles reach (q,g,2) from the same node with different outputs "
+     "y vs z; the machine is not reduced functional\n"),
+])
+def test_eval_ends_the_output_line_on_reject_and_error(tmp_path, machine, args,
+                                                         stdin, stdout, stderr):
+    if machine == "emits":
+        machine = tmp_path / "emits.vpt"
+        machine.write_text(EMITS_THEN_CONFLICTS)
+    res = invoke(["eval", str(machine), *args], stdin=stdin)
+    assert res.exit_code == 1
+    assert res.stdout == stdout
+    assert res.stderr == stderr
+
+
 def test_emitter_flushes_only_tokens():
     class Counted(io.StringIO):
         flushes = 0

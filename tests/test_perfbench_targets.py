@@ -6,7 +6,7 @@ would only fail when the benchmark runs."""
 import importlib.util
 from pathlib import Path
 
-from vptstream import cli
+from vptstream import cli, machines, streaming_eval
 from vptstream.streaming_eval import EvalDag
 
 RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
@@ -37,3 +37,36 @@ def test_untraced_names_the_benchmark_reads_resolve():
     dag = EvalDag()
     assert dag.dirty == set()
     assert dag.root.depth == -1
+    # ... and its counting pass reads these after a step
+    state = cli.start(machines.load("fig4"))
+    cli.step(state, "c")
+    assert state.scan.position == 1 and state.scan.hc == 1
+    assert state.dag.depth == 1
+    assert isinstance(state.dag.dirty, set)
+    assert {node.depth for node in state.dag.leaf_level.values()} == {1}
+
+
+def test_step_calls_the_updates_through_the_module():
+    # the traced benchmark patches these module attributes; a step that
+    # called them some other way would leave their spans empty
+    seen = []
+    names = ("update_call", "update_return", "factorize_and_emit")
+    originals = {name: getattr(streaming_eval, name) for name in names}
+
+    def patched(name):
+        def call(*args):
+            seen.append(name)
+            return originals[name](*args)
+        return call
+
+    try:
+        for name in names:
+            setattr(streaming_eval, name, patched(name))
+        state = cli.start(machines.load("fig4"))
+        cli.step(state, "c")
+        cli.step(state, "r")
+    finally:
+        for name, fn in originals.items():
+            setattr(streaming_eval, name, fn)
+    assert seen == ["update_call", "factorize_and_emit",
+                    "update_return", "factorize_and_emit"]

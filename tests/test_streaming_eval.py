@@ -6,6 +6,7 @@ import pytest
 
 from vptstream import (
     EvalDiagnostic,
+    ScanState,
     UnknownSymbol,
     decode,
     finish,
@@ -16,6 +17,7 @@ from vptstream import (
     parse_vpt,
     reach,
     run_stream,
+    scan,
     start,
     step,
 )
@@ -32,6 +34,7 @@ from helpers import (
     dag_level,
     level_widths,
     live_prefixes,
+    load_gen,
     random_det_vpt,
     random_nondet_vpt,
     snapshot_by_walk,
@@ -535,6 +538,61 @@ def test_unknown_symbol_raises(fig3_plain):
     st = start(fig3_plain)
     with pytest.raises(UnknownSymbol):
         step(st, "z")
+
+
+def _assert_scan_along(m, word) -> None:
+    """Step ``word`` and compare ``EvalState.scan`` with the nested-word
+    scan of the prefix read after every step, up to a rejection."""
+    st = start(m)
+    for i, symbol in enumerate(word, 1):
+        try:
+            step(st, symbol)
+        except EvalDiagnostic:
+            return  # a machine that is not reduced functional; no state after
+        assert st.scan == scan(word[:i], m.alphabet), (word[:i], st.scan)
+        if st.status is not Status.RUNNING:
+            return
+
+
+def test_scan_view_matches_the_nested_word_scan():
+    pool = load_gen().check_pool()
+    sample = random.Random(29).sample(pool, 40)
+    corpus = [machines.load(name) for name in machines.names()]
+    corpus += [parse_vpt(text) for _, text in sample]
+    for m in corpus:
+        symbols = sorted(m.alphabet.symbols)
+        for count, (prefix, _) in enumerate(live_prefixes(m, 5)):
+            if count == 60:
+                break
+            # every one-symbol extension, including those that reject
+            for symbol in symbols:
+                _assert_scan_along(m, prefix + (symbol,))
+
+
+@pytest.mark.parametrize("word, expected", [
+    # a return at height 0 rejects and makes the scan invalid
+    (("rp",), ScanState(1, 0, 0, False)),
+    (("c", "r", "r"), ScanState(3, 0, 1, False)),
+    # no rule of fig3_plain reads a call after a return: the DAG dies at
+    # height 1, and the scan is still valid
+    (("c", "c", "r", "c"), ScanState(4, 2, 2, True)),
+])
+def test_scan_view_at_a_reject(fig3_plain, word, expected):
+    st = start(fig3_plain)
+    for symbol in word:
+        step(st, symbol)
+    assert st.scan == expected == scan(word, fig3_plain.alphabet)
+    assert st.reject_position == len(word)
+
+
+def test_unknown_symbol_leaves_the_scan_unchanged(fig3_plain):
+    st = start(fig3_plain)
+    step(st, "c")
+    before = st.scan
+    with pytest.raises(UnknownSymbol):
+        step(st, "z")
+    assert st.scan == before == ScanState(1, 1, 1, True)
+    assert st.last_symbol == "c" and st.status is Status.RUNNING
 
 
 def test_partial_emission_can_precede_a_reject(fig3_plain):
