@@ -35,8 +35,8 @@ the package from that checkout's ``src`` and the machine helpers from its
 alternating which goes first, pair i on seed ``--first-seed`` + i, and
 records the last line of each run and a summary of each end-to-end metric
 (``summarize_pairs``): the medians and quartiles, the pairs the change
-wins, whether a gain would count and whether ``BENCHMARK.json``'s bound
-holds.
+wins, whether a gain would count, whether ``BENCHMARK.json``'s bound
+holds and whether the parent's spread lets the runs resolve the bound.
 ``scaling`` times the library step loop, in µs per symbol, on each
 builtin at n = 500 and 2 000 and on fig3_full's (c c r r)^m up to 32 000
 symbols (``_scaling_cases``), one child process per checkout and round,
@@ -340,7 +340,12 @@ def summarize_pairs(runs: dict, metrics: list[dict]) -> dict:
     side's median and quartiles, the pairs the change wins, whether a gain
     would count (the change wins at least 9 in 10 pairs, and its median is
     better than the parent's by more than the parent's interquartile range)
-    and whether the median stays within the metric's bound of the parent's."""
+    and whether the median stays within the metric's bound of the parent's.
+    A metric is ``resolved`` unless the parent's runs spread wider than the
+    bound (their interquartile range over their median, ``parent_spread``)
+    and some parent run is as good as some change run: the medians of an
+    unresolved metric cannot tell a move within the bound from the noise,
+    so its ``bound_holds`` says little."""
     summary = {}
     for workload, pair_list in runs.items():
         rows = {"failed": {side: sum(p[side]["failed"] for p in pair_list)
@@ -357,6 +362,9 @@ def summarize_pairs(runs: dict, metrics: list[dict]) -> dict:
             parent_median, change_median = q["parent"][1], q["change"][1]
             gain = sign * (change_median - parent_median)
             relative = (change_median - parent_median) / parent_median if parent_median else 0.0
+            spread = (q["parent"][2] - q["parent"][0]) / abs(parent_median) if parent_median else 0.0
+            worst_change = min(sign * c for c in values["change"])
+            separated = worst_change > max(sign * p for p in values["parent"])
             rows[name] = {
                 **{side: {"q1": q[side][0], "median": q[side][1], "q3": q[side][2]}
                    for side in q},
@@ -366,6 +374,8 @@ def summarize_pairs(runs: dict, metrics: list[dict]) -> dict:
                 "relative_change": round(relative, 4),
                 "bound": metric["bound"],
                 "bound_holds": -sign * relative <= metric["bound"],
+                "parent_spread": round(spread, 4),
+                "resolved": spread <= metric["bound"] or separated,
             }
         summary[workload] = rows
     return summary
@@ -397,7 +407,8 @@ def pairs(parent_tree: Path, change_tree: Path, n: int, seconds: int,
             if name != "failed":
                 print(f"{workload:10} {name:17} {row['parent']['median']:12.4g}"
                       f" {row['change']['median']:12.4g} {row['change_wins']:>9}"
-                      f" gain={row['gain_rule_holds']!s:5} bound={row['bound_holds']}")
+                      f" gain={row['gain_rule_holds']!s:5} bound={row['bound_holds']!s:5}"
+                      f" resolved={row['resolved']}")
     return {"seconds": seconds, "pairs_per_workload": n,
             "seeds": list(range(first_seed, first_seed + n)),
             "summary": summary, "runs": runs}

@@ -94,6 +94,16 @@ def _load(path: str) -> Vpt:
         sys.exit(2)
 
 
+def _open_output(path: str, newline: Optional[str] = None) -> TextIO:
+    """``path`` opened for writing; if it cannot be, one stderr line and
+    exit 2."""
+    try:
+        return open(path, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        click.echo(f"cannot write {path}: {exc}", err=True)
+        sys.exit(2)
+
+
 def _join(word: Iterable[str]) -> str:
     text = " ".join(word)
     return text if text else "-"
@@ -262,7 +272,7 @@ def eval_cmd(path: str, no_factorize: bool, telemetry_path: Optional[str],
 
     emitter = _Emitter(sys.stdout)
     symbols = _token_stream(sys.stdin, chars, xml)
-    with (open(telemetry_path, "w", encoding="utf-8", newline="")
+    with (_open_output(telemetry_path, newline="")
           if telemetry_path else nullcontext()) as telemetry:
         _stream(vpt, not no_factorize, symbols, emitter.emit,
                 csv.writer(telemetry) if telemetry else None, emitter.close)
@@ -385,7 +395,7 @@ def reduce_cmd(path: str, out_path: str) -> None:
     if out_path == "-":
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8") as handle:
+        with _open_output(out_path) as handle:
             handle.write(text)
 
 

@@ -30,23 +30,24 @@ the chain's top through union-find style links.  Each edge label is a
 list, edited in place: a hoist appends to the labels at the chain's top, a
 strip deletes a prefix, an only child's label moves up whole, and a fold
 extends the list of the edge it replaces.  A list mostly belongs to one
-edge.  The exception is a fold of a long held label into several edges
-with the same letters, such as a return that forks to two states with one
-output: the list is built once and every such edge holds it, so that a fork
-costs the letters it appends, not the output held.  All those edges leave
-one node, ``EvalDag.shared`` counts them, and a hoist onto one of them
-copies the list first, while a strip, which applies to every out-edge of
-the node alike, cuts it once.
+edge.  The exception is a fork of a long held label: a return or internal
+whose rules take one run to several states with one output, which
+``rule_index`` groups once per machine (its ``folds``), so that the update
+makes one fold of them.  The fold builds its list once and every edge of
+the fork holds it, so that a fork costs the letters it appends, not the
+output held.  All those edges leave one node, ``EvalDag.shared`` counts
+them, and a hoist onto one of them copies the list first, while a strip,
+which applies to every out-edge of the node alike, cuts it once.
 The fragments ``step`` and ``finish`` return and the residuals ``decode``
 lists are tuples.
 
 ``start`` resolves the machine once, to its ``rule_index``, and ``step``
-reads each symbol's kind and rules from that table alone.  Every walk over
-nodes runs in the order the DAG built them: a level is a dict of its nodes,
-and a node's parents are an insertion-ordered dict, each filled in the
-order the update that made them ran.  That order is a function of the input
-and of the sorted rule buckets of ``rule_index``, so a run is reproducible
-with no sorting.
+reads each symbol's kind, rules and folds from that index alone.  Every
+walk over nodes runs in the order the DAG built them: a level is a dict of
+its nodes, and a node's parents are an insertion-ordered dict, each filled
+in the order the update that made them ran.  That order is a function of
+the input and of the sorted rule buckets of ``rule_index``, so a run is
+reproducible with no sorting.
 The one set of nodes, ``EvalDag.dirty``, is read depth by depth, and the
 nodes of one depth hoist onto distinct chain tops, so their order changes
 nothing.
@@ -254,6 +255,7 @@ class Status(enum.Enum):
     RUNNING = "Running"
     REJECTED = "Rejected"
     FINISHED = "Finished"
+    FAILED = "Failed"  # ended by an ``EvalDiagnostic``
 
 
 @dataclass
@@ -315,10 +317,11 @@ def start(vpt: Vpt, factorize: bool = True) -> EvalState:
 # ---------------------------------------------------------------------------
 # Per-symbol DAG updates
 
-# Each update reads ``rules_from``, the ``rules`` table of the machine's
-# ``rule_index``, walks the leaves and their parents in build order, and
-# interns its new nodes, inline, into a fresh dict that becomes
-# ``dag.leaf_level``; each new node gets a parent in the same step.
+# Each update reads its table of the machine's ``rule_index``: a call the
+# ``rules`` buckets, an internal or a return the ``folds`` groups, one per
+# output.  It walks the leaves and their parents in build order, and interns
+# its new nodes, inline, into a fresh dict that becomes ``dag.leaf_level``;
+# each new node gets a parent in the same step.
 
 def update_call(dag: EvalDag, symbol: str, rules_from: dict) -> EvalDag:
     depth = dag.depth = dag.depth + 1
@@ -342,11 +345,11 @@ def update_call(dag: EvalDag, symbol: str, rules_from: dict) -> EvalDag:
     return dag
 
 
-def update_return(dag: EvalDag, symbol: str, rules_from: dict) -> EvalDag:
+def update_return(dag: EvalDag, symbol: str, folds_from: dict) -> EvalDag:
     """Pop into the level above; ``step`` rejects a return at depth 0."""
     # Collect the replacement level before touching anything: each surviving
     # leaf folds its parent edge, its rule output, and every grandparent edge
-    # into one new edge landing beside the grandparent.  The folds take over
+    # into new edges landing beside the grandparent.  The folds take over
     # the labels of the edges they replace, so those edges go first.
     new_edges = []
     last_use = {}
@@ -355,9 +358,9 @@ def update_return(dag: EvalDag, symbol: str, rules_from: dict) -> EvalDag:
     parents_of = dag.parents
     parents: dict[Node, None] = {}
     for leaf in dag.leaf_level.values():
-        by_pop = rules_from[leaf.state].get(symbol)
-        rules = by_pop and by_pop.get(leaf.symbol)
-        if not rules:
+        by_pop = folds_from[leaf.state].get(symbol)
+        groups = by_pop and by_pop.get(leaf.symbol)
+        if not groups:
             orphans.append(leaf)
             continue
         leaves.append(leaf)
@@ -368,8 +371,8 @@ def update_return(dag: EvalDag, symbol: str, rules_from: dict) -> EvalDag:
             symbol_above = parent.symbol
             for gp in parents_of[parent]:
                 v1 = gp.out[parent]
-                for r in rules:
-                    new_edges.append((gp, r.dst, symbol_above, v1, v0, r.out))
+                for out, targets in groups:
+                    new_edges.append((gp, targets, symbol_above, v1, v0, out))
                 last_use[id(v1)] = len(new_edges) - 1
     if orphans:
         dag.cascade_remove(orphans)
@@ -382,22 +385,22 @@ def update_return(dag: EvalDag, symbol: str, rules_from: dict) -> EvalDag:
     return dag
 
 
-def update_internal(dag: EvalDag, symbol: str, rules_from: dict) -> EvalDag:
+def update_internal(dag: EvalDag, symbol: str, folds_from: dict) -> EvalDag:
     new_edges = []
     last_use = {}
     orphans = []
     leaves = []
     parents_of = dag.parents
     for leaf in dag.leaf_level.values():
-        rules = rules_from[leaf.state].get(symbol)
-        if not rules:
+        groups = folds_from[leaf.state].get(symbol)
+        if not groups:
             orphans.append(leaf)
             continue
         leaves.append(leaf)
         for parent in parents_of[leaf]:
             v0 = parent.out[leaf]
-            for r in rules:
-                new_edges.append((parent, r.dst, leaf.symbol, v0, (), r.out))
+            for out, targets in groups:
+                new_edges.append((parent, targets, leaf.symbol, v0, (), out))
             last_use[id(v0)] = len(new_edges) - 1
     if orphans:
         dag.cascade_remove(orphans)
@@ -416,60 +419,45 @@ SHARE_FLOOR = 32
 
 
 def _add_folded(dag: EvalDag, new_edges: list, last_use: dict) -> None:
-    """Add each ``(src, state, symbol, head, mid, out)`` as src -> the node
-    (state, symbol) of a fresh leaf level at ``dag.depth``, labelled head +
-    mid + out; every source is the root or a live node.
+    """Add each fold ``(src, targets, symbol, head, mid, out)`` as src -> the
+    node (state, symbol) of a fresh leaf level at ``dag.depth`` for each
+    state of ``targets``, labelled head + mid + out; every source is the
+    root or a live node.
 
-    ``head`` is the label of an edge the update has removed, and every edge
-    that folds it leaves the same source.  ``last_use`` maps each head (by
-    ``id``) to the index of its last fold, which takes the list over and
-    extends it, so a fold costs the letters it appends, not those it keeps;
-    the other folds copy it first.  A fold of a head of ``SHARE_FLOOR``
-    letters or more with the last fold's ``mid`` (the same object) and
-    ``out`` (equal) would copy the very label that fold builds: the first
-    such fold builds it in place instead, every fold alike holds that one
-    list, and ``dag.shared`` counts the edges that do; a later fold of the
-    head that differs copies the letters the head had.  The old edges are
-    off the counters by now, so a reused list is counted once per edge.
-    The first alike fold sets the head's ``last_use`` to -1, so that the
-    last fold takes the built list rather than extending it again.
+    ``head`` is the label of an edge the update has removed, and every fold
+    of it leaves the same source.  ``last_use`` maps each head (by ``id``)
+    to the index of its last fold, which takes the list over and extends
+    it, so a fold costs the letters it appends, not those it keeps; the
+    other folds, all ahead of it, copy the head as it was.  A fold's targets,
+    the rules of one ``folds`` group, get one label: from a head of
+    ``SHARE_FLOOR`` letters on, every edge the fold adds holds that list and
+    ``dag.shared`` counts them; below, the last target takes the list and
+    the others a copy each.  The old edges are off the counters by now, so
+    a reused list is counted once per edge.
     """
     depth = dag.depth
     level = dag.leaf_level = {}
-    # id(head) -> [its length before, the last fold's mid and out, the
-    # edges holding it] for each head built in place ahead of its last fold
-    built = {}
     root, parents_of, add_edge = dag.root, dag.parents, dag.add_edge
-    for i, (src, state, symbol, head, mid, out) in enumerate(new_edges):
+    for i, (src, targets, symbol, head, mid, out) in enumerate(new_edges):
         assert src is root or src in parents_of  # above a surviving leaf
-        key = (state, symbol)
-        dst = level.get(key)
-        if dst is None:
-            dst = level[key] = Node(state, symbol, depth)
+        share = len(targets) > 1 and len(head) >= SHARE_FLOOR
         if last_use[id(head)] == i:
             head += mid
             head += out
-        elif len(head) < SHARE_FLOOR:
-            head = [*head, *mid, *out]
         else:
-            entry = built.get(id(head))
-            if entry is None:
-                _, _, _, _, last_mid, last_out = new_edges[last_use[id(head)]]
-                if mid is last_mid and out == last_out:
-                    entry = built[id(head)] = [len(head), mid, out, 0]
-                    last_use[id(head)] = -1
-                    head += mid
-                    head += out
-            if entry is None:
-                head = [*head, *mid, *out]
-            elif mid is not entry[1] or out != entry[2]:
-                head = [*head[:entry[0]], *mid, *out]
-            elif dst not in src.out:  # else add_edge keeps the edge there
-                entry[3] += 1
-        add_edge(src, dst, head)
-    for key, (_, _, _, holders) in built.items():
+            head = [*head, *mid, *out]
+        holders = 0
+        last = targets[-1]
+        for state in targets:
+            key = (state, symbol)
+            dst = level.get(key)
+            if dst is None:
+                dst = level[key] = Node(state, symbol, depth)
+            if share:
+                holders += dst not in src.out  # else add_edge keeps the edge there
+            add_edge(src, dst, head if share or state is last else [*head])
         if holders > 1:
-            dag.shared[key] = holders
+            dag.shared[id(head)] = holders
 
 
 # ---------------------------------------------------------------------------
@@ -597,18 +585,23 @@ def step(state: EvalState, symbol: str) -> Word:
     state.position += 1
     state.last_symbol = symbol
 
-    dag, rules_from = state.dag, state.index.rules
-    if kind is _CALL:
-        if dag.depth == state.max_depth:
-            state.max_depth += 1
-        update_call(dag, symbol, rules_from)
-    elif kind is _INTERNAL:
-        update_internal(dag, symbol, rules_from)
-    elif dag.depth:
-        update_return(dag, symbol, rules_from)
-    else:
-        state.valid = False
-        return _reject(state)  # a return with no call pending
+    dag, index = state.dag, state.index
+    try:
+        if kind is _CALL:
+            if dag.depth == state.max_depth:
+                state.max_depth += 1
+            update_call(dag, symbol, index.rules)
+        elif kind is _INTERNAL:
+            update_internal(dag, symbol, index.folds)
+        elif dag.depth:
+            update_return(dag, symbol, index.folds)
+        else:
+            state.valid = False
+            return _reject(state)  # a return with no call pending
+    except EvalDiagnostic:
+        # the update stopped half way, so the DAG is no run set any more
+        state.status = Status.FAILED
+        raise
     if not dag.root.out:
         return _reject(state)
     if not state.factorize:
@@ -623,7 +616,7 @@ def finish(state: EvalState) -> Optional[Word]:
     if state.status is Status.REJECTED:
         return None
     if state.status is not Status.RUNNING:
-        raise EvalDiagnostic("finish() called twice")
+        raise EvalDiagnostic(f"finish() after {state.status.value}")
     dag = state.dag
     final = state.machine.final
     labels = [] if dag.depth else [label for node, label in dag.root.out.items()
@@ -632,6 +625,7 @@ def finish(state: EvalState) -> Optional[Word]:
         _reject(state)
         return None
     if any(lab != labels[0] for lab in labels):
+        state.status = Status.FAILED
         raise EvalDiagnostic(
             "accepting branches disagree on the remaining output; "
             "the machine is not functional")

@@ -11,7 +11,10 @@ configurations, within the one budget ``_CONFIG_BUDGET``.
 
 Three per-machine tables serve every later stage.  ``rule_index`` holds the
 rules in one table, by state, then symbol, then (for a return) popped
-symbol, which the naive step, the evaluator and ``ConfigGraph`` all read.
+symbol, which the naive step, the evaluator and ``ConfigGraph`` all read;
+beside it, the evaluator's grouped view of the internal and return rules,
+one entry per output, so that a fork of one run into several states is
+found once per machine.
 ``config_graph`` holds the machine's one ``ConfigGraph``, its live
 configurations with no height bound: the functional probe, the twinning
 searches, ``fst_of`` and the pump replay all walk it, each bounding the
@@ -186,20 +189,6 @@ class DConfiguration(NamedTuple):
     residual: Word
 
 
-@dataclass(frozen=True)
-class MachineMetrics:
-    n: int
-    gamma: int
-    M: int
-
-
-def metrics(vpt: Vpt) -> MachineMetrics:
-    outs = [len(r.out) for r in
-            itertools.chain(vpt.call_rules, vpt.return_rules, vpt.internal_rules)]
-    return MachineMetrics(n=len(vpt.states), gamma=len(vpt.stack_alphabet),
-                          M=max(outs, default=0))
-
-
 # ---------------------------------------------------------------------------
 # Naive (run enumeration) semantics
 
@@ -212,11 +201,15 @@ class RuleIndex(NamedTuple):
     ``rules[q][symbol]`` is the bucket of call or internal rules from q on
     ``symbol``, or, for a return symbol, popped stack symbol -> bucket.
     Every state of the machine has a table, each state's symbols in sorted
-    order and each bucket in ``sorted(rules)`` order.  Plus the sorted
-    input symbols and each one's kind."""
-    symbols: tuple[str, ...]
+    order and each bucket in ``sorted(rules)`` order, so by output, then
+    target.  ``folds`` is the evaluator's view of the internal and return
+    buckets, in the same shape: each bucket as (output, targets) pairs, one
+    per output, in rule order, so that a return or internal rule set that
+    forks one run into several states with one output is one entry.  Plus
+    each input symbol's kind."""
     kind: dict[str, SymbolKind]
     rules: dict[str, dict[str, object]]
+    folds: dict[str, dict[str, object]]
 
 
 def _group(rules, key) -> dict:
@@ -226,20 +219,31 @@ def _group(rules, key) -> dict:
     return {k: tuple(v) for k, v in groups.items()}
 
 
+def _by_output(bucket) -> tuple[tuple[Word, tuple[str, ...]], ...]:
+    """A sorted bucket as (output, targets) pairs, one per output."""
+    targets: dict[Word, list[str]] = {}
+    for r in bucket:
+        targets.setdefault(r.out, []).append(r.dst)
+    return tuple((out, tuple(dsts)) for out, dsts in targets.items())
+
+
 @lru_cache(maxsize=256)
 def rule_index(vpt: Vpt) -> RuleIndex:
-    symbols = tuple(sorted(vpt.alphabet.symbols))
-    kind = {s: classify(s, vpt.alphabet) for s in symbols}
+    kind = {s: classify(s, vpt.alphabet) for s in vpt.alphabet.symbols}
     buckets = {**_group(vpt.call_rules, lambda r: (r.src, r.symbol)),
                **_group(vpt.internal_rules, lambda r: (r.src, r.symbol)),
                **_group(vpt.return_rules, lambda r: (r.src, r.symbol, r.pop))}
     rules: dict[str, dict] = {q: {} for q in vpt.states}
+    folds: dict[str, dict] = {q: {} for q in vpt.states}
     for (q, symbol, *pop), bucket in sorted(buckets.items()):  # symbols in order
         if pop:
             rules[q].setdefault(symbol, {})[pop[0]] = bucket
+            folds[q].setdefault(symbol, {})[pop[0]] = _by_output(bucket)
         else:
             rules[q][symbol] = bucket
-    return RuleIndex(symbols, kind, rules)
+            if kind[symbol] is SymbolKind.INTERNAL:
+                folds[q][symbol] = _by_output(bucket)
+    return RuleIndex(kind, rules, folds)
 
 
 class ConfigGraph:
@@ -255,7 +259,7 @@ class ConfigGraph:
     ``WellMatched.finishers(stack)``, the test of ``co_accessible``.  ``succ[i]``
     is None until ``steps(i)`` fills it with symbol -> [(id, output)]: the
     one-step successors of configuration i that are live, in
-    ``idx.symbols`` order, each symbol's in rule order, symbols with none
+    sorted symbol order, each symbol's in rule order, symbols with none
     left out.  ``steps(i)`` returns ``succ[i]`` once it is filled, so the
     graph itself steps each configuration at most once.  Dead
     configurations get ids but are never a successor, so a walk from live

@@ -46,6 +46,12 @@ VPT_OUTS = [(), ("x",), ("y",), ("x", "y")]
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
+# emits x on the first call; on `d` two rules reach (q, g) with outputs y, z
+EMITS_THEN_CONFLICTS = ("calls: c d\nreturns: r\nstates: i p q\ninitial: i\n"
+                        "final: i\nstack: g\ntrans i c x push g p\n"
+                        "trans p d y push g q\ntrans p d z push g q\n"
+                        "trans p r - pop g i\ntrans q r - pop g p\n")
+
 
 @lru_cache(maxsize=None)
 def load_gen():

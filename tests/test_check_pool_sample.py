@@ -26,8 +26,8 @@ from functools import lru_cache
 import pytest
 
 from vptstream import (Bounded, Configuration, NotFunctionalWitness, Outcome, SearchBounds,
-                       Unbounded, check_bm, check_fst_twinning, check_htp, check_mtp,
-                       classify_streamability, co_accessible, domain_height_bounded,
+                       SymbolKind, Unbounded, check_bm, check_fst_twinning, check_htp,
+                       check_mtp, classify_streamability, co_accessible, domain_height_bounded,
                        enumerate_domain, finish, fst_of, lcp, machines, parse_vpt, reduce,
                        reduce_with_map, serialize_vpt, step_runs, streamability, trim_fst,
                        verify_fst_twinning_witness, well_matched_witnesses)
@@ -187,6 +187,38 @@ def test_htp_is_searched_when_the_matched_search_runs_out(monkeypatch):
 def _pool_machines() -> list:
     _, sample = _sample()
     return [parse_vpt(text) for _label, _digest, _verdict, text in sample]
+
+
+def _fold_buckets(table: dict, kind: dict) -> dict:
+    """(symbol, popped symbol or None) -> entry, over the internal and
+    return entries of one state's ``rules`` or ``folds`` table."""
+    entries = {}
+    for symbol, entry in table.items():
+        if kind[symbol] is SymbolKind.RETURN:
+            entries.update(((symbol, pop), e) for pop, e in entry.items())
+        elif kind[symbol] is SymbolKind.INTERNAL:
+            entries[symbol, None] = entry
+    return entries
+
+
+def test_rule_index_folds_group_each_bucket_by_output():
+    # flattened, a bucket's groups are its (output, target) pairs in rule
+    # order, and no two of its groups share an output
+    corpus = _pool_machines() + random_vpts(12, 400)  # the sample holds the builtins
+    forks = 0
+    for m in corpus:
+        idx = vpt_core.rule_index(m)
+        for q, table in idx.rules.items():
+            buckets = _fold_buckets(table, idx.kind)
+            groups_of = _fold_buckets(idx.folds[q], idx.kind)
+            assert groups_of.keys() == buckets.keys(), m
+            for key, rules in buckets.items():
+                groups = groups_of[key]
+                assert [(out, dst) for out, targets in groups for dst in targets] == [
+                    (r.out, r.dst) for r in rules], m
+                assert len({out for out, _ in groups}) == len(groups), m
+                forks += sum(len(targets) > 1 for _, targets in groups)
+    assert forks > 50, forks
 
 
 def test_config_graph_keeps_exactly_the_live_successors():

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from vptstream import cli, machines, parse_vpt, serialize_vpt
 from vptstream.cli import _Emitter, main
 
-from helpers import load_gen
+from helpers import EMITS_THEN_CONFLICTS, load_gen
 
 runner = CliRunner()
 
@@ -66,6 +66,21 @@ def test_validation_errors_are_listed(tmp_path):
     assert "sX" in res.stderr
 
 
+@pytest.mark.parametrize("args", [["reduce", "builtin:fig4", "{out}"],
+                                  ["eval", "builtin:fig4", "--telemetry", "{out}"]])
+def test_an_output_that_cannot_be_opened_is_one_usage_error(tmp_path, monkeypatch, args):
+    def stream(*_):
+        raise AssertionError("eval read its input")
+
+    monkeypatch.setattr(cli, "_stream", stream)
+    out = tmp_path / "absent" / "out"
+    res = invoke([a.format(out=out) for a in args], stdin="c r\n")
+    assert res.exit_code == 2, res.output
+    assert res.stdout == ""
+    (line,) = res.stderr.splitlines()
+    assert line.startswith(f"cannot write {out}: ")
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -96,13 +111,6 @@ def test_eval_partial_output_before_reject():
     res = invoke(["eval", "builtin:fig3_plain"], stdin="c c r rp c\n")
     assert res.exit_code == 1
     assert res.output.startswith("b b c c")
-
-
-# emits x on the first call; on `d` two rules reach (q, g) with outputs y, z
-EMITS_THEN_CONFLICTS = ("calls: c d\nreturns: r\nstates: i p q\ninitial: i\n"
-                        "final: i\nstack: g\ntrans i c x push g p\n"
-                        "trans p d y push g q\ntrans p d z push g q\n"
-                        "trans p r - pop g i\ntrans q r - pop g p\n")
 
 
 @pytest.mark.parametrize("machine, args, stdin, stdout, stderr", [

@@ -30,6 +30,7 @@ from vptstream.vpt_core import (
 )
 
 from helpers import (
+    EMITS_THEN_CONFLICTS,
     assert_dag_invariants,
     dag_level,
     level_widths,
@@ -455,24 +456,28 @@ def test_a_shared_label_is_copied_by_a_hoist_and_cut_once_by_a_strip():
 
 
 def test_a_fold_unlike_the_shared_one_copies_the_head_as_it_was():
-    # folds of one long head: the first, onto A, is like the last and
-    # builds the shared label in place, so the fold onto B must copy the
-    # head without the letters that build appended; the second fold onto A
-    # adds no edge, so it holds no share
+    # folds of one long head: the two ahead of the last copy the head as it
+    # was, and the last, onto F, extends it in place; the fork onto A, B
+    # and C finds the edge to A already there, so B and C alone hold its
+    # list.  A fork of a short head gives each target a list of its own,
+    # the last target taking the head.
     dag = EvalDag()
-    head = list("h" * SHARE_FLOOR)
-    mid, other = ["m"], ["n"]
-    folds = [(dag.root, "A", None, head, mid, ("c",)),
-             (dag.root, "B", None, head, other, ("c",)),
-             (dag.root, "A", None, head, mid, ("c",)),
-             (dag.root, "C", None, head, mid, ("c",))]
-    _add_folded(dag, folds, {id(head): 3})
-    labels = {node.state: label for node, label in dag.root.out.items()}
-    assert labels["A"] is labels["C"] is head
-    assert head == list("h" * SHARE_FLOOR + "mc")
-    assert labels["B"] == list("h" * SHARE_FLOOR + "nc")
-    assert dag.shared == {id(head): 2}
-    assert dag.label_tokens == 3 * (SHARE_FLOOR + 2)
+    root = dag.root
+    head, short = list("h" * SHARE_FLOOR), ["s"]
+    mid = ["m"]
+    folds = [(root, ("A",), None, head, mid, ("x",)),
+             (root, ("A", "B", "C"), None, head, mid, ("x",)),
+             (root, ("D", "E"), None, short, (), ("y",)),
+             (root, ("F",), None, head, ["n"], ("z",))]
+    _add_folded(dag, folds, {id(head): 3, id(short): 2})
+    labels = {node.state: label for node, label in root.out.items()}
+    assert labels["B"] is labels["C"] is not labels["A"]
+    assert labels["A"] == labels["B"] == list("h" * SHARE_FLOOR + "mx")
+    assert labels["F"] is head and head == list("h" * SHARE_FLOOR + "nz")
+    assert dag.shared == {id(labels["B"]): 2}
+    assert labels["E"] is short and labels["D"] == short == ["s", "y"]
+    assert dag.edge_count == 6
+    assert dag.label_tokens == 4 * (SHARE_FLOOR + 2) + 2 * 2
 
 
 def test_a_dropped_state_is_freed_without_the_cycle_collector(fig3_full):
@@ -640,3 +645,35 @@ trans s0 a y int s1
     # the moment the edges collide, not at the end of the stream
     with pytest.raises(EvalDiagnostic):
         step(st, "a")
+
+
+# On EMITS_THEN_CONFLICTS the call d raises RunConflict; on the second
+# machine the two accepting runs of a disagree, and finish says so.
+@pytest.mark.parametrize("text, read, fail, then", [
+    (EMITS_THEN_CONFLICTS, "c", lambda st: step(st, "d"), "r"),
+    ("internals: a\nstates: i p q\ninitial: i\nfinal: p q\n"
+     "trans i a x int p\ntrans i a y int q\ntrans p a - int p\n", "a", finish, "a"),
+], ids=["conflict", "disagreement"])
+def test_an_eval_diagnostic_ends_the_evaluation(text, read, fail, then):
+    st = start(parse_vpt(text))
+    step(st, read)
+    with pytest.raises(EvalDiagnostic):
+        fail(st)
+    assert st.status is Status.FAILED
+    for later in (lambda: step(st, then), lambda: finish(st)):
+        with pytest.raises(EvalDiagnostic, match="after Failed"):
+            later()
+    assert st.reject_position is None
+
+
+def test_a_generated_flat_document_keeps_the_invariants():
+    # labels past SHARE_FLOOR letters, shared by fig3_full's fork, through
+    # a whole document of the flat workload
+    doc = next(load_gen().flat_rounds(1))[0]
+    st = start(machines.load(doc.machine))
+    emitted = ()
+    for i, sym in enumerate(doc.symbols, 1):
+        emitted += step(st, sym)
+        if i % 64 == 0:
+            assert_dag_invariants(st)
+    assert emitted + finish(st) == doc.output

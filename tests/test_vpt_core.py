@@ -22,7 +22,6 @@ from vptstream import (
     enumerate_domain,
     fst_of,
     machines,
-    metrics,
     naive_eval,
     naive_outputs,
     parse_vpt,
@@ -571,10 +570,3 @@ def test_trim_fst_matches_per_state_search():
         assert t == _trim_by_search(m), m
         trimmed += t != m
     assert trimmed >= 100, trimmed
-
-
-def test_metrics(fig3_plain):
-    m = metrics(fig3_plain)
-    assert m.n == 7
-    assert m.M == 1
-    assert m.gamma == 1
