@@ -6,6 +6,7 @@
         [--pairs 3] [--seconds 20] [--first-seed 21]
     python3 scripts/bench_order.py scaling PARENT CHANGE --out BENCH_order.json \
         [--rounds 5]
+    python3 scripts/bench_order.py loc PARENT CHANGE --out BENCH_order.json
 
 ``equiv`` runs one child process per checkout (``dump``), each importing
 the package from that checkout's ``src`` and the machine helpers from its
@@ -43,14 +44,19 @@ symbols (``_scaling_cases``), one child process per checkout and round,
 alternating which goes first, and keeps each case's minimum over the
 rounds and the median over the rounds of the change's time over the
 parent's.
-All three merge their section into the JSON file at ``--out``; ``equiv``
+``loc`` counts the code lines of each checkout's ``src/vptstream``, per
+module and in total: every ``.py`` but ``machines/__init__.py``, each line
+that holds a token other than a comment or a docstring (``code_lines``).
+All four merge their section into the JSON file at ``--out``; ``equiv``
 writes ``--section``, so that one file can hold several comparisons.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
+import io
 import json
 import pickle
 import statistics
@@ -58,6 +64,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 from pathlib import Path
 
 PREFIXES = 400
@@ -442,6 +449,52 @@ def scaling(parent_tree: Path, change_tree: Path, rounds: int) -> dict:
             "change_over_parent_median_of_rounds": ratio, "runs": runs}
 
 
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(text: str) -> int:
+    """The lines of a module that hold a token other than a comment or a
+    docstring: the module's, a class's or a function's first statement when
+    it is a string."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in _NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def loc_counts(tree: Path) -> dict:
+    """Module -> code lines under ``tree``'s ``src/vptstream``, plus the total."""
+    package = tree / "src" / "vptstream"
+    counts = {}
+    for path in sorted(package.rglob("*.py")):
+        name = path.relative_to(package).as_posix()
+        if name != "machines/__init__.py":  # the builtin machines' texts
+            counts[name] = code_lines(path.read_text(encoding="utf-8"))
+    counts["total"] = sum(counts.values())
+    return counts
+
+
+def loc(parent_tree: Path, change_tree: Path) -> dict:
+    sides = {"parent": loc_counts(parent_tree), "change": loc_counts(change_tree)}
+    names = sorted(set(sides["parent"]) | set(sides["change"]), key=lambda n: (n == "total", n))
+    delta = {n: sides["change"].get(n, 0) - sides["parent"].get(n, 0) for n in names}
+    for n in names:
+        print(f"{n:20} {sides['parent'].get(n, 0):6} {sides['change'].get(n, 0):6}"
+              f" {delta[n]:+6}")
+    return {"how": "every .py under src/vptstream but machines/__init__.py; lines "
+                   "holding a token other than a comment or a docstring",
+            **sides, "delta": delta}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -449,7 +502,7 @@ def main() -> None:
         d = sub.add_parser(name)
         d.add_argument("tree", type=Path)
         d.add_argument("out", type=Path)
-    for name in ("equiv", "pairs", "scaling"):
+    for name in ("equiv", "pairs", "scaling", "loc"):
         p = sub.add_parser(name)
         p.add_argument("parent", type=Path)
         p.add_argument("change", type=Path)
@@ -472,6 +525,8 @@ def main() -> None:
         result[args.section] = equiv(parent, change)
     elif args.command == "scaling":
         result["scaling"] = scaling(parent, change, args.rounds)
+    elif args.command == "loc":
+        result["loc"] = loc(parent, change)
     else:
         result["perfbench_pairs"] = pairs(parent, change, args.pairs, args.seconds,
                                           args.first_seed)

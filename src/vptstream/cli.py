@@ -79,7 +79,8 @@ def _load(path: str) -> Vpt:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        raise click.UsageError(f"cannot read {path}: {exc}")
+        click.echo(f"cannot read {path}: {exc}", err=True)
+        sys.exit(2)
     except UnicodeDecodeError as exc:
         click.echo(f"{path}: {exc}", err=True)
         sys.exit(2)

@@ -32,22 +32,22 @@ strip deletes a prefix, an only child's label moves up whole, and a fold
 extends the list of the edge it replaces.  A list mostly belongs to one
 edge.  The exception is a fork of a long held label: a return or internal
 whose rules take one run to several states with one output, which
-``rule_index`` groups once per machine (its ``folds``), so that the update
-makes one fold of them.  The fold builds its list once and every edge of
-the fork holds it, so that a fork costs the letters it appends, not the
-output held.  All those edges leave one node, ``EvalDag.shared`` counts
-them, and a hoist onto one of them copies the list first, while a strip,
-which applies to every out-edge of the node alike, cuts it once.
+``move_table`` groups once per machine, so that the update makes one fold
+of them.  The fold builds its list once and every edge of the fork holds
+it, so that a fork costs the letters it appends, not the output held.  All
+those edges leave one node, ``EvalDag.shared`` counts them, and a hoist
+onto one of them copies the list first, while a strip, which applies to
+every out-edge of the node alike, cuts it once.
 The fragments ``step`` and ``finish`` return and the residuals ``decode``
 lists are tuples.
 
-``start`` resolves the machine once, to its ``rule_index``, and ``step``
-reads each symbol's kind, rules and folds from that index alone.  Every
+``start`` resolves the machine once, to its ``move_table``, and ``step``
+reads each symbol's kind and moves from that table with one lookup.  Every
 walk over nodes runs in the order the DAG built them: a level is a dict of
 its nodes, and a node's parents are an insertion-ordered dict, each filled
 in the order the update that made them ran.  That order is a function of
-the input and of the sorted rule buckets of ``rule_index``, so a run is
-reproducible with no sorting.
+the input and of the sorted rule buckets of ``rule_index``, which the table
+keeps, so a run is reproducible with no sorting.
 The one set of nodes, ``EvalDag.dirty``, is read depth by depth, and the
 nodes of one depth hoist onto distinct chain tops, so their order changes
 nothing.
@@ -66,11 +66,12 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .delay_algebra import Word, lcp
 from .nested_words import ScanState, SymbolKind, UnknownSymbol
-from .vpt_core import DConfiguration, RuleIndex, Vpt, rule_index
+from .vpt_core import DConfiguration, Vpt, rule_index
 
 
 class NoInitialStates(ValueError):
@@ -261,7 +262,7 @@ class Status(enum.Enum):
 @dataclass
 class EvalState:
     """One evaluation in progress: the run DAG, the machine with its
-    ``rule_index``, which ``start`` looks up once so that ``step`` does no
+    ``move_table``, which ``start`` looks up once so that ``step`` does no
     per-symbol lookup of the machine, and what ``scan`` reports of the input
     read so far.  The current height is ``dag.depth``; ``step`` counts the
     symbols read and keeps the highest depth reached and whether a return
@@ -270,7 +271,7 @@ class EvalState:
     emitted_len: int
     status: Status
     machine: Vpt
-    index: RuleIndex
+    table: dict[str, tuple[SymbolKind, dict]]
     factorize: bool = True
     last_symbol: str = ""
     reject_position: Optional[int] = None
@@ -303,7 +304,7 @@ def start(vpt: Vpt, factorize: bool = True) -> EvalState:
     in the lcp, so output can wait for them, and in the conflict check, so
     two dead runs that differ only in output raise ``EvalDiagnostic`` on a
     functional machine.  ``reduce(vpt)`` has no dead runs.
-    The machine's ``rule_index`` is looked up here, once for every step."""
+    The machine's ``move_table`` is looked up here, once for every step."""
     if not vpt.initial:
         raise NoInitialStates("machine has no initial state")
     dag = EvalDag()
@@ -311,41 +312,75 @@ def start(vpt: Vpt, factorize: bool = True) -> EvalState:
         node = dag.leaf_level[q0, None] = Node(q0, None, 0)
         dag.add_edge(dag.root, node, [])
     return EvalState(dag=dag, emitted_len=0, status=Status.RUNNING, machine=vpt,
-                     index=rule_index(vpt), factorize=factorize)
+                     table=move_table(vpt), factorize=factorize)
 
 
 # ---------------------------------------------------------------------------
 # Per-symbol DAG updates
 
-# Each update reads its table of the machine's ``rule_index``: a call the
-# ``rules`` buckets, an internal or a return the ``folds`` groups, one per
-# output.  It walks the leaves and their parents in build order, and interns
+def _by_output(bucket) -> tuple[tuple[Word, tuple[str, ...]], ...]:
+    """A sorted bucket as (output, targets) pairs, one per output."""
+    targets: dict[Word, list[str]] = {}
+    for r in bucket:
+        targets.setdefault(r.out, []).append(r.dst)
+    return tuple((out, tuple(dsts)) for out, dsts in targets.items())
+
+
+# Cached because one machine is often evaluated many times over (the tests
+# start tens of thousands of evaluations on a few hundred machines); 16
+# entries, as for ``well_matched``, keep the last few machines.
+@lru_cache(maxsize=16)
+def move_table(vpt: Vpt) -> dict[str, tuple[SymbolKind, dict]]:
+    """symbol -> (its kind, state -> the moves from that state), for every
+    symbol of the alphabet, the state map empty when no rule reads it.
+
+    A call's moves are ((target, pushed symbol), output) pairs, the key
+    being that of the target node in ``dag.leaf_level``.  An internal's
+    moves, and a return's for each popped symbol, are (output, targets)
+    groups, one per output, so that a fork of one run into several states
+    with one output is one fold.  Each is built from a bucket of
+    ``rule_index`` in its sorted order, which the runs keep."""
+    index = rule_index(vpt)
+    table = {symbol: (kind, {}) for symbol, kind in index.kind.items()}
+    for q, buckets in index.rules.items():
+        for symbol, bucket in buckets.items():
+            kind, moves = table[symbol]
+            if kind is SymbolKind.CALL:
+                moves[q] = tuple(((r.dst, r.push), r.out) for r in bucket)
+            elif kind is SymbolKind.INTERNAL:
+                moves[q] = _by_output(bucket)
+            else:
+                moves[q] = {pop: _by_output(rules) for pop, rules in bucket.items()}
+    return table
+
+
+# Each update reads the state map of its symbol in ``move_table``, once per
+# leaf.  It walks the leaves and their parents in build order, and interns
 # its new nodes, inline, into a fresh dict that becomes ``dag.leaf_level``;
 # each new node gets a parent in the same step.
 
-def update_call(dag: EvalDag, symbol: str, rules_from: dict) -> EvalDag:
+def update_call(dag: EvalDag, moves_from: dict) -> EvalDag:
     depth = dag.depth = dag.depth + 1
     level = {}
     orphans = []
     add_edge = dag.add_edge
     for leaf in dag.leaf_level.values():
-        rules = rules_from[leaf.state].get(symbol)
-        if not rules:
+        moves = moves_from.get(leaf.state)
+        if moves is None:
             orphans.append(leaf)
             continue
-        for r in rules:
-            key = (r.dst, r.push)
+        for key, out in moves:
             node = level.get(key)
             if node is None:
-                node = level[key] = Node(r.dst, r.push, depth)
-            add_edge(leaf, node, [*r.out])
+                node = level[key] = Node(key[0], key[1], depth)
+            add_edge(leaf, node, [*out])
     if orphans:
         dag.cascade_remove(orphans)
     dag.leaf_level = level
     return dag
 
 
-def update_return(dag: EvalDag, symbol: str, folds_from: dict) -> EvalDag:
+def update_return(dag: EvalDag, moves_from: dict) -> EvalDag:
     """Pop into the level above; ``step`` rejects a return at depth 0."""
     # Collect the replacement level before touching anything: each surviving
     # leaf folds its parent edge, its rule output, and every grandparent edge
@@ -358,7 +393,7 @@ def update_return(dag: EvalDag, symbol: str, folds_from: dict) -> EvalDag:
     parents_of = dag.parents
     parents: dict[Node, None] = {}
     for leaf in dag.leaf_level.values():
-        by_pop = folds_from[leaf.state].get(symbol)
+        by_pop = moves_from.get(leaf.state)
         groups = by_pop and by_pop.get(leaf.symbol)
         if not groups:
             orphans.append(leaf)
@@ -385,14 +420,14 @@ def update_return(dag: EvalDag, symbol: str, folds_from: dict) -> EvalDag:
     return dag
 
 
-def update_internal(dag: EvalDag, symbol: str, folds_from: dict) -> EvalDag:
+def update_internal(dag: EvalDag, moves_from: dict) -> EvalDag:
     new_edges = []
     last_use = {}
     orphans = []
     leaves = []
     parents_of = dag.parents
     for leaf in dag.leaf_level.values():
-        groups = folds_from[leaf.state].get(symbol)
+        groups = moves_from.get(leaf.state)
         if not groups:
             orphans.append(leaf)
             continue
@@ -429,7 +464,7 @@ def _add_folded(dag: EvalDag, new_edges: list, last_use: dict) -> None:
     to the index of its last fold, which takes the list over and extends
     it, so a fold costs the letters it appends, not those it keeps; the
     other folds, all ahead of it, copy the head as it was.  A fold's targets,
-    the rules of one ``folds`` group, get one label: from a head of
+    one group of ``move_table``, get one label: from a head of
     ``SHARE_FLOOR`` letters on, every edge the fold adds holds that list and
     ``dag.shared`` counts them; below, the last target takes the list and
     the others a copy each.  The old edges are off the counters by now, so
@@ -579,22 +614,23 @@ def step(state: EvalState, symbol: str) -> Word:
     """Consume one symbol and return the fragment emitted for it."""
     if state.status is not _RUNNING:
         raise EvalDiagnostic(f"step() after {state.status.value}")
-    kind = state.index.kind.get(symbol)
-    if kind is None:
+    entry = state.table.get(symbol)
+    if entry is None:
         raise UnknownSymbol(f"symbol {symbol!r} is not in the machine's alphabet")
+    kind, moves = entry
     state.position += 1
     state.last_symbol = symbol
 
-    dag, index = state.dag, state.index
+    dag = state.dag
     try:
         if kind is _CALL:
             if dag.depth == state.max_depth:
                 state.max_depth += 1
-            update_call(dag, symbol, index.rules)
+            update_call(dag, moves)
         elif kind is _INTERNAL:
-            update_internal(dag, symbol, index.folds)
+            update_internal(dag, moves)
         elif dag.depth:
-            update_return(dag, symbol, index.folds)
+            update_return(dag, moves)
         else:
             state.valid = False
             return _reject(state)  # a return with no call pending

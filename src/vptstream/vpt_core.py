@@ -11,10 +11,8 @@ configurations, within the one budget ``_CONFIG_BUDGET``.
 
 Three per-machine tables serve every later stage.  ``rule_index`` holds the
 rules in one table, by state, then symbol, then (for a return) popped
-symbol, which the naive step, the evaluator and ``ConfigGraph`` all read;
-beside it, the evaluator's grouped view of the internal and return rules,
-one entry per output, so that a fork of one run into several states is
-found once per machine.
+symbol, which the naive step, ``ConfigGraph`` and the evaluator's
+``move_table`` all read.
 ``config_graph`` holds the machine's one ``ConfigGraph``, its live
 configurations with no height bound: the functional probe, the twinning
 searches, ``fst_of`` and the pump replay all walk it, each bounding the
@@ -202,14 +200,9 @@ class RuleIndex(NamedTuple):
     ``symbol``, or, for a return symbol, popped stack symbol -> bucket.
     Every state of the machine has a table, each state's symbols in sorted
     order and each bucket in ``sorted(rules)`` order, so by output, then
-    target.  ``folds`` is the evaluator's view of the internal and return
-    buckets, in the same shape: each bucket as (output, targets) pairs, one
-    per output, in rule order, so that a return or internal rule set that
-    forks one run into several states with one output is one entry.  Plus
-    each input symbol's kind."""
+    target.  Plus each input symbol's kind."""
     kind: dict[str, SymbolKind]
     rules: dict[str, dict[str, object]]
-    folds: dict[str, dict[str, object]]
 
 
 def _group(rules, key) -> dict:
@@ -219,14 +212,6 @@ def _group(rules, key) -> dict:
     return {k: tuple(v) for k, v in groups.items()}
 
 
-def _by_output(bucket) -> tuple[tuple[Word, tuple[str, ...]], ...]:
-    """A sorted bucket as (output, targets) pairs, one per output."""
-    targets: dict[Word, list[str]] = {}
-    for r in bucket:
-        targets.setdefault(r.out, []).append(r.dst)
-    return tuple((out, tuple(dsts)) for out, dsts in targets.items())
-
-
 @lru_cache(maxsize=256)
 def rule_index(vpt: Vpt) -> RuleIndex:
     kind = {s: classify(s, vpt.alphabet) for s in vpt.alphabet.symbols}
@@ -234,16 +219,12 @@ def rule_index(vpt: Vpt) -> RuleIndex:
                **_group(vpt.internal_rules, lambda r: (r.src, r.symbol)),
                **_group(vpt.return_rules, lambda r: (r.src, r.symbol, r.pop))}
     rules: dict[str, dict] = {q: {} for q in vpt.states}
-    folds: dict[str, dict] = {q: {} for q in vpt.states}
     for (q, symbol, *pop), bucket in sorted(buckets.items()):  # symbols in order
         if pop:
             rules[q].setdefault(symbol, {})[pop[0]] = bucket
-            folds[q].setdefault(symbol, {})[pop[0]] = _by_output(bucket)
         else:
             rules[q][symbol] = bucket
-            if kind[symbol] is SymbolKind.INTERNAL:
-                folds[q][symbol] = _by_output(bucket)
-    return RuleIndex(kind, rules, folds)
+    return RuleIndex(kind, rules)
 
 
 class ConfigGraph:

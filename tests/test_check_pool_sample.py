@@ -16,7 +16,9 @@ changes no result; searching and flattening the caller's machine in place
 of its reduction, the domain height of machines that are not reduced, the
 rules of the reduction, each taken by some reachable configuration, and the
 indexed well-matched fixpoint.  On the functional ones, the CLI's evaluator
-emits after every prefix what the machine's live runs agree on.
+emits after every prefix what the machine's live runs agree on.  The
+evaluator's move table holds the rules of the checkers' index, keyed and
+grouped for its updates, and no checker builds it.
 """
 
 import json
@@ -31,7 +33,7 @@ from vptstream import (Bounded, Configuration, NotFunctionalWitness, Outcome, Se
                        enumerate_domain, finish, fst_of, lcp, machines, parse_vpt, reduce,
                        reduce_with_map, serialize_vpt, step_runs, streamability, trim_fst,
                        verify_fst_twinning_witness, well_matched_witnesses)
-from vptstream import cli, vpt_core
+from vptstream import cli, streaming_eval, vpt_core
 from vptstream.streaming_eval import Status, memory_snapshot, start, step
 from vptstream.vpt_core import ConfigGraph, run_dconfigs
 
@@ -189,36 +191,61 @@ def _pool_machines() -> list:
     return [parse_vpt(text) for _label, _digest, _verdict, text in sample]
 
 
-def _fold_buckets(table: dict, kind: dict) -> dict:
-    """(symbol, popped symbol or None) -> entry, over the internal and
-    return entries of one state's ``rules`` or ``folds`` table."""
-    entries = {}
-    for symbol, entry in table.items():
-        if kind[symbol] is SymbolKind.RETURN:
-            entries.update(((symbol, pop), e) for pop, e in entry.items())
-        elif kind[symbol] is SymbolKind.INTERNAL:
-            entries[symbol, None] = entry
-    return entries
+WIDE_FORK = ("calls: c\nreturns: r\ninternals: a\nstates: i p q s\ninitial: i\n"
+             "final: p q s\nstack: g\ntrans i c x push g i\n"
+             + "".join(f"trans i a y int {q}\ntrans i r z pop g {q}\n" for q in "pqs"))
 
 
-def test_rule_index_folds_group_each_bucket_by_output():
-    # flattened, a bucket's groups are its (output, target) pairs in rule
-    # order, and no two of its groups share an output
-    corpus = _pool_machines() + random_vpts(12, 400)  # the sample holds the builtins
+def test_move_table_keys_calls_and_groups_each_bucket_by_output():
+    # a call's moves are its bucket's (leaf key, output) pairs in rule order;
+    # flattened, an internal or return bucket's groups are its (output,
+    # target) pairs in rule order, and no two of its groups share an output.
+    # The sample holds the builtins; no machine of it or of the random ones
+    # forks one run into three states with one output, ``WIDE_FORK`` does
+    corpus = _pool_machines() + random_vpts(12, 400) + [parse_vpt(WIDE_FORK)]
     forks = 0
     for m in corpus:
         idx = vpt_core.rule_index(m)
-        for q, table in idx.rules.items():
-            buckets = _fold_buckets(table, idx.kind)
-            groups_of = _fold_buckets(idx.folds[q], idx.kind)
-            assert groups_of.keys() == buckets.keys(), m
-            for key, rules in buckets.items():
-                groups = groups_of[key]
-                assert [(out, dst) for out, targets in groups for dst in targets] == [
-                    (r.out, r.dst) for r in rules], m
-                assert len({out for out, _ in groups}) == len(groups), m
-                forks += sum(len(targets) > 1 for _, targets in groups)
+        table = streaming_eval.move_table(m)
+        assert table.keys() == m.alphabet.symbols, m
+        for symbol, (kind, moves_from) in table.items():
+            assert kind is idx.kind[symbol], m
+            buckets = {q: idx.rules[q][symbol] for q in m.states if symbol in idx.rules[q]}
+            assert moves_from.keys() == buckets.keys(), m
+            for q, bucket in buckets.items():
+                if kind is SymbolKind.CALL:
+                    assert moves_from[q] == tuple(((r.dst, r.push), r.out) for r in bucket), m
+                    continue
+                by_pop = bucket if kind is SymbolKind.RETURN else {None: bucket}
+                groups_of = moves_from[q] if kind is SymbolKind.RETURN else {None: moves_from[q]}
+                assert groups_of.keys() == by_pop.keys(), m
+                for pop, rules in by_pop.items():
+                    groups = groups_of[pop]
+                    assert [(out, dst) for out, targets in groups for dst in targets] == [
+                        (r.out, r.dst) for r in rules], m
+                    assert len({out for out, _ in groups}) == len(groups), m
+                    forks += sum(len(targets) > 1 for _, targets in groups)
     assert forks > 50, forks
+
+
+def test_rule_index_carries_only_the_checkers_table(monkeypatch):
+    # the evaluator's grouping is built by ``move_table`` alone, which no
+    # checker reaches
+    assert vpt_core.RuleIndex._fields == ("kind", "rules")
+
+    def refuse(vpt):
+        raise AssertionError("a checker built the evaluator's move table")
+
+    monkeypatch.setattr(streaming_eval, "move_table", refuse)
+    monkeypatch.setattr(streaming_eval, "_by_output", refuse)
+    decided = 0
+    for m in _pool_machines():
+        try:
+            classify_streamability(m, BOUNDS)
+        except NotFunctionalWitness:
+            continue
+        decided += 1
+    assert decided > 40, decided
 
 
 def test_config_graph_keeps_exactly_the_live_successors():

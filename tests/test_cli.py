@@ -36,8 +36,14 @@ def test_unknown_builtin_is_usage_error():
 
 
 def test_missing_file_is_usage_error(tmp_path):
-    res = invoke(["validate", str(tmp_path / "absent.vpt")])
-    assert res.exit_code == 2
+    # a path that cannot be read, missing or a directory, is one stderr
+    # line, as for an output that cannot be written
+    for path in (tmp_path / "absent.vpt", tmp_path):
+        res = invoke(["validate", str(path)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        (line,) = res.stderr.splitlines()
+        assert line.startswith(f"cannot read {path}: ")
 
 
 def test_parse_error_reports_line(tmp_path):
