@@ -39,11 +39,15 @@ records the last line of each run and a summary of each end-to-end metric
 wins, whether a gain would count, whether ``BENCHMARK.json``'s bound
 holds and whether the parent's spread lets the runs resolve the bound.
 ``scaling`` times the library step loop, in µs per symbol, on each
-builtin at n = 500 and 2 000 and on fig3_full's (c c r r)^m up to 32 000
-symbols (``_scaling_cases``), one child process per checkout and round,
-alternating which goes first, and keeps each case's minimum over the
-rounds and the median over the rounds of the change's time over the
-parent's.
+builtin at n = 500 and 2 000, on fig2_t1's c^n r1^n up to n = 16 000 and
+the first fig2_t1 document of ``gen.deep_rounds(1)``, and on fig3_full's
+(c c r r)^m up to 32 000 symbols (``_scaling_cases``), one child process
+per checkout and round, alternating which goes first, and keeps each
+case's minimum over the rounds and the median over the rounds of the
+change's time over the parent's.  Next to the times it records the
+letters each tree writes into labels per symbol (``EvalDag.letters_written``;
+None where a tree does not count them): an exact count, which reads a
+change in shape where the timings of a loaded host cannot.
 ``loc`` counts the code lines of each checkout's ``src/vptstream``, per
 module and in total: every ``.py`` but ``machines/__init__.py``, each line
 that holds a token other than a comment or a docstring (``code_lines``).
@@ -237,25 +241,32 @@ def dump(tree: Path, out: Path) -> None:
     out.write_bytes(pickle.dumps(record))
 
 
-def _scaling_cases():
-    """(machine, family, n, word): each builtin at n = 500 and 2 000, and
-    fig3_full's blocks of height 2, whose pending output grows by four
-    letters a block, at 2 000 to 32 000 symbols."""
+def _scaling_cases(gen):
+    """(machine, family, n, word): each builtin at n = 500 and 2 000, fig2_t1
+    ``c^n r1^n`` up to 16 000, whose held output is the whole height, the
+    fig2_t1 document with mixed returns that ``gen.deep_rounds(1)`` draws
+    first, and fig3_full's blocks of height 2, whose pending output grows
+    by four letters a block, at 2 000 to 32 000 symbols."""
     for n in (500, 2000):
         yield "fig4", "c^n r^n", n, ["c"] * n + ["r"] * n
         yield "fig3_plain", "c^n r^n", n, ["c"] * n + ["r"] * n
         yield "fig3_full", "(c r)^n", n, ["c", "r"] * n
         yield "fig2_t1", "c^n r1^n", n, ["c"] * n + ["r1"] * n
+    for n in (8000, 16000):
+        yield "fig2_t1", "c^n r1^n", n, ["c"] * n + ["r1"] * n
+    doc = next(gen.deep_rounds(1))[0]
+    yield doc.machine, "deep_rounds(1) first", len(doc.symbols) // 2, list(doc.symbols)
     for n in (2000, 8000, 32000):
         yield "fig3_full", "(c c r r)^(n/4)", n, ["c", "c", "r", "r"] * (n // 4)
 
 
 def scale(tree: Path, out: Path) -> None:
-    sys.path[:0] = [str(tree / "src")]
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    import gen
     from vptstream import machines
     from vptstream.streaming_eval import finish, start, step
-    result = {}
-    for machine, family, n, word in _scaling_cases():
+    us, letters = {}, {}
+    for machine, family, n, word in _scaling_cases(gen):
         m = machines.load(machine)
         best = float("inf")
         for _ in range(SCALING_REPEATS):
@@ -265,8 +276,12 @@ def scale(tree: Path, out: Path) -> None:
                 step(state, symbol)
             assert finish(state) is not None
             best = min(best, time.perf_counter() - t0)
-        result[f"{machine} {family} n={n}"] = round(best / len(word) * 1e6, 2)
-    out.write_text(json.dumps(result))
+        case = f"{machine} {family} n={n}"
+        us[case] = round(best / len(word) * 1e6, 2)
+        # letters written into labels per symbol, where the tree counts them
+        written = getattr(state.dag, "letters_written", None)
+        letters[case] = None if written is None else round(written / len(word), 3)
+    out.write_text(json.dumps({"us": us, "letters": letters}))
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +448,9 @@ def scaling(parent_tree: Path, change_tree: Path, rounds: int) -> dict:
                 subprocess.run([sys.executable, __file__, "scale", str(tree), str(out)],
                                check=True)
                 runs[side].append(json.loads(out.read_text()))
+    # the letter counts are exact, the same in every round
+    letters = {side: runs[side][0]["letters"] for side in runs}
+    runs = {side: [r["us"] for r in runs[side]] for side in runs}
     best = {side: {case: min(r[case] for r in runs[side]) for case in runs[side][0]}
             for side in runs}
     # the two sides of one round ran back to back, so their ratio is less
@@ -441,12 +459,14 @@ def scaling(parent_tree: Path, change_tree: Path, rounds: int) -> dict:
                                            in zip(runs["parent"], runs["change"])), 3)
              for case in best["parent"]}
     for case in best["parent"]:
-        print(f"{case:36} {best['parent'][case]:8.2f} {best['change'][case]:8.2f}"
-              f" {ratio[case]:7.3f}")
+        print(f"{case:40} {best['parent'][case]:8.2f} {best['change'][case]:8.2f}"
+              f" {ratio[case]:7.3f}   letters/symbol {letters['parent'][case]}"
+              f" {letters['change'][case]}")
     return {"unit": f"µs/symbol: library step loop, best of {SCALING_REPEATS} passes, "
                     "then the minimum over the rounds",
             "rounds": rounds, "min": best,
-            "change_over_parent_median_of_rounds": ratio, "runs": runs}
+            "change_over_parent_median_of_rounds": ratio,
+            "letters_per_symbol": letters, "runs": runs}
 
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,

@@ -26,18 +26,26 @@ keeps every node's parents and chain link in maps of its own, so no node
 refers to an ancestor and reference counting alone frees a dropped DAG.
 Factorization visits only the depths that hold changed nodes, and a hoist
 that would climb a chain of single-child nodes with empty labels jumps to
-the chain's top through union-find style links.  Each edge label is a
-list, edited in place: a hoist appends to the labels at the chain's top, a
-strip deletes a prefix, an only child's label moves up whole, and a fold
-extends the list of the edge it replaces.  A list mostly belongs to one
-edge.  The exception is a fork of a long held label: a return or internal
-whose rules take one run to several states with one output, which
-``move_table`` groups once per machine, so that the update makes one fold
-of them.  The fold builds its list once and every edge of the fork holds
-it, so that a fork costs the letters it appends, not the output held.  All
-those edges leave one node, ``EvalDag.shared`` counts them, and a hoist
-onto one of them copies the list first, while a strip, which applies to
-every out-edge of the node alike, cuts it once.
+the chain's top through union-find style links.  An edge label is a list
+or a ``Segment``.  A list belongs to one edge and is edited in place: a
+hoist appends to the labels at the chain's top, a strip deletes a prefix,
+an only child's label moves up whole, and a fold extends the list of the
+edge it replaces.  A segment is an immutable concatenation of pieces
+(lists, tuples, segments) with its length and first letter cached, which
+any number of edges may hold.  A fold that would copy ``SEGMENT_FLOOR``
+letters or more makes one segment that references head, mid and output
+instead: so a return of fig2_t1, whose held output sits below the first
+letter that tells its runs apart, costs its pieces, not the letters held,
+and a fork of a long held label, a return or internal whose rules take one
+run to several states with one output (one group of ``move_table``), gives
+every edge of the fork the same segment.  A dropped edge releases its
+reference; a strip of a segment keeps an offset into the same pieces; an
+lcp reads the segments' first letters and then only the pieces that hold
+the common prefix; and a hoist onto an edge that holds a segment appends
+to an open segment, one that edge alone holds, made over it, unless the
+fork's other edges are gone and the edge takes back the list the fork
+shared.  Below the floor a label stays a list: a copy of a few letters
+costs less than an object.
 The fragments ``step`` and ``finish`` return and the residuals ``decode``
 lists are tuples.
 
@@ -67,6 +75,7 @@ import enum
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
+from sys import getrefcount
 from typing import Iterable, Optional
 
 from .delay_algebra import Word, lcp
@@ -102,12 +111,135 @@ class Node:
         self.state = state
         self.symbol = symbol  # stack symbol at this level; None is bottom
         self.depth = depth
-        # child -> label; hoists, strips and folds edit the lists in place,
-        # and a list that more than one edge holds is in ``EvalDag.shared``
-        self.out: dict[Node, list[str]] = {}
+        # child -> label: a list that this edge alone holds, which hoists,
+        # strips and folds edit in place, or a ``Segment``
+        self.out: dict[Node, list[str] | Segment] = {}
         # letters emitted plus the longest label sum from the root (see
         # ``EvalDag.reach_of``)
         self.reach = 0
+
+
+# A fold or fork that would copy fewer letters than this copies them into a
+# list, and a strip that leaves fewer letters of a segment does too; from
+# this length on they reference the pieces in a ``Segment``.  A segment
+# costs an object and a ``len`` that runs Python code, a copy about 4 ns a
+# letter: on fig2_t1 c^n r1^n, whose folds copy up to n letters, a floor of
+# 64 ran as fast as copying every label at n <= 128 and faster at n = 256,
+# while floors of 4 to 32 ran up to 7 % slower than 64 at n = 32
+# (``BENCH_segments.json``, ``floor``).
+SEGMENT_FLOOR = 64
+
+
+class Segment:
+    """An immutable label that any number of edges may hold: the letters of
+    ``left`` then ``right`` less the first ``skip``, ``n`` letters, the
+    first of them ``first``.  A piece is a list or tuple of letters, or a
+    segment; a list that is a piece is no edge's label any more, so nothing
+    edits it until ``_reclaim`` takes it back from a segment that only one
+    edge holds.
+
+    An open segment is held by one edge and is no piece of a segment an
+    edge holds: its ``right`` is a list of its own, and a hoist onto the
+    edge appends to it in place.  Whatever gives it a second holder closes
+    it first; a fold may take it as a piece once its edge is gone.  Every
+    walk over the pieces keeps its own stack, as a segment can be as deep
+    as the input is long."""
+    __slots__ = ("left", "right", "skip", "n", "first", "open")
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
+        self.skip = 0
+        self.open = False
+        n = right.n if type(right) is Segment else len(right)
+        if type(left) is Segment:
+            self.n = left.n + n
+            self.first = left.first
+        elif left:
+            self.n = len(left) + n
+            self.first = left[0]
+        else:
+            self.n = n
+            self.first = right.first if type(right) is Segment else right[0]
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        return iter(_letters(self))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Segment, list, tuple)):
+            return NotImplemented
+        return self.n == len(other) and _letters(self) == _letters(other)
+
+    def __repr__(self) -> str:
+        return f"Segment({list(self)!r})"
+
+    def cut(self, k: int):
+        """The label that remains once a strip cuts the first ``k`` letters,
+        0 < k: ``[]`` when none remains and a list when fewer than
+        ``SEGMENT_FLOOR`` do, otherwise the same pieces at a larger offset,
+        or the open tail itself once the cut reaches it."""
+        rest = self.n - k
+        if rest < SEGMENT_FLOOR:
+            return list(_letters(self, k)) if rest else []
+        skip = self.skip + k
+        held = len(self.left)
+        if self.open and skip >= held:
+            tail = self.right
+            del tail[:skip - held]
+            return tail
+        view = Segment.__new__(Segment)
+        view.left, view.right, view.skip, view.n = self.left, self.right, skip, rest
+        view.open = self.open
+        view.first = _letters(view, 0, 1)[0]
+        return view
+
+
+def _letters(label, start: int = 0, stop: Optional[int] = None) -> Word:
+    """Letters ``start`` to ``stop`` of a label as a tuple, reading only the
+    pieces that hold them."""
+    if type(label) is not Segment:
+        return tuple(label[start:stop])
+    if start or stop is not None:
+        return tuple(_slice(label, start, (label.n if stop is None else stop) - start))
+    out: list[str] = []
+    pending = [label]
+    while pending:  # all of it: only a segment cut by a strip skips letters
+        piece = pending.pop()
+        if type(piece) is not Segment:
+            out += piece
+        elif piece.skip:
+            out += _slice(piece, 0, piece.n)
+        else:
+            pending.append(piece.right)
+            pending.append(piece.left)
+    return tuple(out)
+
+
+def _slice(label: Segment, skip: int, need: int) -> list[str]:
+    """The ``need`` letters of ``label`` after its first ``skip``."""
+    out: list[str] = []
+    pending = [label]
+    while need > 0:  # ``skip``: letters of the piece on top to pass over
+        piece = pending.pop()
+        if type(piece) is Segment:
+            skip += piece.skip
+            left = piece.left
+            held = len(left)
+            if skip >= held:
+                skip -= held
+                pending.append(piece.right)
+            else:
+                pending.append(piece.right)
+                pending.append(left)
+        else:
+            chunk = piece[skip:skip + need]
+            skip = 0
+            out += chunk
+            need -= len(chunk)
+    return out
 
 
 class EvalDag:
@@ -128,18 +260,19 @@ class EvalDag:
         # only these can have picked up a non-trivial label lcp
         self.dirty: set[Node] = set()
         # running totals over every edge, kept exact by each edit below; a
-        # shared label counts once per edge that holds it
+        # segment counts once per edge that holds it
         self.edge_count = 0
         self.label_tokens = 0
-        # id(list) -> the number of edges holding it, for each label list
-        # that more than one edge holds (see ``_add_folded``); all those
-        # edges leave one node.  Usually empty, and every test of it is
-        # guarded, so that labels held by one edge take no bookkeeping.
-        self.shared: dict[int, int] = {}
+        # letters written into label storage since the start: appended to
+        # a list or copied into a new one, out of a rule, a label or a
+        # segment that a strip cuts; a segment that references pieces
+        # writes none.  A plain count, not a ``MemoryReport`` field, so
+        # that a snapshot does not carry it.
+        self.letters_written = 0
 
     # -- structure ---------------------------------------------------------
 
-    def add_edge(self, src: Node, dst: Node, label: list[str]) -> None:
+    def add_edge(self, src: Node, dst: Node, label: list[str] | Segment) -> None:
         """Add src -> dst with ``label``, which the edge takes over."""
         out = src.out
         if dst in out:
@@ -147,11 +280,12 @@ class EvalDag:
                 raise RunConflict(dst.state, dst.symbol, dst.depth, out[dst], label)
             return
         out[dst] = label
+        n = len(label)  # once: a segment's ``len`` runs Python code
         self.edge_count += 1
-        self.label_tokens += len(label)
+        self.label_tokens += n
         # dst gets all its in-edges in the step that creates it, from
         # parents that outlive it: the max over them stays its longest path
-        reach = (self.reach_of(src) if src in self.chain else src.reach) + len(label)
+        reach = (self.reach_of(src) if src in self.chain else src.reach) + n
         ps = self.parents.get(dst)
         if ps is None:
             self.parents[dst] = {src: None}
@@ -170,24 +304,12 @@ class EvalDag:
                 label = p.out.pop(node)
                 self.edge_count -= 1
                 self.label_tokens -= len(label)
-                if self.shared:
-                    self.release(label)
                 self.dirty.add(p)
             # the updates drop a level only after the level below it, and
             # the cascade only childless nodes
             assert not node.out, node
             self.chain.pop(node, None)
             self.dirty.discard(node)
-
-    def release(self, label: list[str]) -> None:
-        """One edge no longer holds ``label``: its count drops, and a list
-        left on one edge leaves ``shared``, that edge owning it."""
-        key = id(label)
-        holders = self.shared.get(key)
-        if holders == 2:
-            del self.shared[key]
-        elif holders is not None:
-            self.shared[key] = holders - 1
 
     def cascade_remove(self, seeds: list[Node]) -> None:
         """Remove childless nodes, cascading to parents left childless."""
@@ -364,6 +486,7 @@ def update_call(dag: EvalDag, moves_from: dict) -> EvalDag:
     level = {}
     orphans = []
     add_edge = dag.add_edge
+    tokens = dag.label_tokens
     for leaf in dag.leaf_level.values():
         moves = moves_from.get(leaf.state)
         if moves is None:
@@ -374,6 +497,8 @@ def update_call(dag: EvalDag, moves_from: dict) -> EvalDag:
             if node is None:
                 node = level[key] = Node(key[0], key[1], depth)
             add_edge(leaf, node, [*out])
+    # every letter the new edges hold was copied from a rule's output
+    dag.letters_written += dag.label_tokens - tokens
     if orphans:
         dag.cascade_remove(orphans)
     dag.leaf_level = level
@@ -444,55 +569,83 @@ def update_internal(dag: EvalDag, moves_from: dict) -> EvalDag:
     return dag
 
 
-# A fold shares its head only from this length on.  Sharing costs a count in
-# ``EvalDag.shared``, a release when an edge goes and a copy when a hoist
-# lands on a shared label; a copy of a shorter head costs less.  The deep
-# workload's folds carry a few letters each and stay on the copying path (4
-# of its 8 074 folds in a round share); fig3_full's fork holds its whole
-# pending output, thousands of letters.
-SHARE_FLOOR = 32
-
-
 def _add_folded(dag: EvalDag, new_edges: list, last_use: dict) -> None:
     """Add each fold ``(src, targets, symbol, head, mid, out)`` as src -> the
     node (state, symbol) of a fresh leaf level at ``dag.depth`` for each
     state of ``targets``, labelled head + mid + out; every source is the
     root or a live node.
 
-    ``head`` is the label of an edge the update has removed, and every fold
-    of it leaves the same source.  ``last_use`` maps each head (by ``id``)
-    to the index of its last fold, which takes the list over and extends
-    it, so a fold costs the letters it appends, not those it keeps; the
-    other folds, all ahead of it, copy the head as it was.  A fold's targets,
-    one group of ``move_table``, get one label: from a head of
-    ``SHARE_FLOOR`` letters on, every edge the fold adds holds that list and
-    ``dag.shared`` counts them; below, the last target takes the list and
-    the others a copy each.  The old edges are off the counters by now, so
-    a reused list is counted once per edge.
+    ``head`` and ``mid`` are labels of edges the update has removed, and
+    every fold of a head leaves the same source.  ``last_use`` maps each
+    head (by ``id``) to the index of its last fold, which takes a list or
+    open segment over and appends mid and out to it, so a fold costs the
+    letters it appends, not those it keeps; a fold ahead of it copies the
+    head as it was.  Where that would copy ``SEGMENT_FLOOR`` letters or
+    more, the fold makes one ``Segment`` that references head, mid and out
+    instead, and a head referenced so is taken over by no later fold.  A
+    fold's targets, one group of ``move_table``, get one label: from
+    ``SEGMENT_FLOOR`` letters on, every edge the fold adds holds one closed
+    segment; below, the last target takes the list and the others a copy
+    each.  The old edges are off the counters by now, so a reused label is
+    counted once per edge; the letters copied or appended go into
+    ``dag.letters_written``.
     """
     depth = dag.depth
     level = dag.leaf_level = {}
     root, parents_of, add_edge = dag.root, dag.parents, dag.add_edge
+    floor = SEGMENT_FLOOR
+    written = 0
     for i, (src, targets, symbol, head, mid, out) in enumerate(new_edges):
         assert src is root or src in parents_of  # above a surviving leaf
-        share = len(targets) > 1 and len(head) >= SHARE_FLOOR
-        if last_use[id(head)] == i:
+        if last_use[id(head)] != i:
+            if len(head) + len(mid) < floor:
+                label = [*head, *mid, *out]
+                written += len(label)
+            else:
+                label = _join(head, mid, out)
+                last_use[id(head)] = -1  # no later fold takes it over
+        elif len(mid) >= floor:
+            # fig2_t1's returns: a letter before the held output
+            label = _join(head, mid, out)
+        elif type(head) is list:
             head += mid
             head += out
+            label = head
+            written += len(mid) + len(out)
+        elif head.open:
+            tail = head.right
+            tail += mid
+            tail += out
+            k = len(mid) + len(out)
+            head.n += k
+            label = head
+            written += k
         else:
-            head = [*head, *mid, *out]
-        holders = 0
+            label = _join(head, mid, out)
         last = targets[-1]
+        share = len(targets) > 1 and (type(label) is not list or len(label) >= floor)
+        if share:
+            if type(label) is list:
+                label = Segment(label, ())
+            else:
+                label.open = False
         for state in targets:
             key = (state, symbol)
             dst = level.get(key)
             if dst is None:
                 dst = level[key] = Node(state, symbol, depth)
-            if share:
-                holders += dst not in src.out  # else add_edge keeps the edge there
-            add_edge(src, dst, head if share or state is last else [*head])
-        if holders > 1:
-            dag.shared[id(head)] = holders
+            if share or state is last:
+                add_edge(src, dst, label)
+            else:
+                add_edge(src, dst, [*label])
+                written += len(label)
+    dag.letters_written += written
+
+
+def _join(head, mid, out) -> Segment:
+    """head + mid + out, not all empty, as a segment over the pieces."""
+    label = Segment(head, mid)
+    return Segment(label, out) if out else label
 
 
 # ---------------------------------------------------------------------------
@@ -510,16 +663,25 @@ def factorize_and_emit(dag: EvalDag) -> Word:
     ``dag.chain_top(node)``, the labels it would otherwise have passed
     through level by level being ε.  An only child's label is the lcp
     itself, so it moves up without a comparison and the edge keeps a fresh
-    empty list.  A label in ``dag.shared`` is copied before a hoist appends
-    to it, and cut once by a strip, every edge that holds it being an
-    out-edge of the node stripped.
+    empty list; so do the labels of a node whose out-edges all hold the
+    same letters, as a fork of a short label leaves them.  Lists are edited
+    in place: a hoist appends to them and a strip deletes their prefix.
+    With a segment among the labels, the lcp reads the segments' first
+    letters and then only the pieces that hold the common prefix, and a
+    strip cuts each label once, keeping an offset into the pieces where
+    ``SEGMENT_FLOOR`` letters or more remain.  A hoist onto an edge that
+    holds a segment appends to it in place when it is open, to the list it
+    was made over when no other edge holds it any more (``_reclaim``), and
+    otherwise to a fresh open segment over it.  The letters hoists append, and those a
+    cut copies, go into ``dag.letters_written``.
     """
     root = dag.root
     dirty = dag.dirty
     if not root.out:
         dirty.clear()
         return ()
-    parents_of, chain, shared = dag.parents, dag.chain, dag.shared
+    parents_of, chain = dag.parents, dag.chain
+    written = 0
     # the root's labels can share a prefix again only if its out-edges
     # changed or a hoist reaches them
     emit = root in dirty
@@ -541,18 +703,34 @@ def factorize_and_emit(dag: EvalDag) -> Word:
             if not out_edges:
                 continue
             if len(out_edges) == 1:
-                # an only child's label moves up whole; it is never shared,
-                # the edges sharing a list all leaving one node
+                # an only child's label moves up whole
                 (child, common), = out_edges.items()
                 if not common:
                     continue
                 out_edges[child] = []
             else:
-                common = lcp(list(out_edges.values()))
-                if not common:
-                    continue
-                for label in _distinct(out_edges.values()) if shared else out_edges.values():
-                    del label[:len(common)]
+                labels = [*out_edges.values()]
+                first, last = labels[0], labels[-1]
+                if type(first) is not list or type(last) is not list or (
+                        len(labels) > 2 and Segment in map(type, labels)):
+                    common = _segment_lcp(labels)
+                    if not common:
+                        continue
+                    written += _strip(out_edges, len(common))
+                elif not first or not last or first[0] != last[0]:
+                    continue  # two of the lists part at once
+                elif labels.count(first) == len(labels):
+                    # one label on every edge, as a fork of a short label
+                    # leaves it: it moves up whole, like an only child's
+                    common = first
+                    for child in out_edges:
+                        out_edges[child] = []
+                else:
+                    common = lcp(labels)
+                    if not common:
+                        continue
+                    for label in labels:
+                        del label[:len(common)]
             k = len(common)
             # a node hanging from the root, or with no link and several
             # parents, is its own chain top
@@ -563,14 +741,32 @@ def factorize_and_emit(dag: EvalDag) -> Word:
             node.reach += k
             for p in top_parents:
                 label = p.out[node]
-                if shared and id(label) in shared:
-                    dag.release(label)
-                    label = p.out[node] = [*label]
-                # p's labels part at once (see the docstring), so that
-                # appending to a label with a letter keeps them parted
-                settled = bool(label)
-                label += common
-                if settled:
+                if type(label) is list:
+                    # p's labels part at once (see the docstring), so
+                    # that appending to a label with a letter keeps them
+                    # parted; a list copies the letters of a segment
+                    settled = bool(label)
+                    label += common
+                    written += k
+                    if settled:
+                        continue
+                else:
+                    # a segment holds a letter, so p's labels stay parted
+                    if type(common) is Segment:
+                        p.out[node] = _append(label, common)
+                        continue
+                    written += k
+                    if label.open:
+                        label.right += common
+                        label.n += k
+                        continue
+                    owned = _reclaim(label)
+                    if owned is None:
+                        p.out[node] = _append(label, common)
+                        continue
+                    written += len(label.right)  # copied into the list
+                    p.out[node] = owned
+                    owned += common
                     continue
                 if p is root:
                     emit = True
@@ -581,23 +777,118 @@ def factorize_and_emit(dag: EvalDag) -> Word:
                     heapq.heappush(heap, -p.depth)
                 else:
                     level.append(p)
+    dag.letters_written += written
     if not emit:
         return ()
     root_edges = root.out
-    emitted = lcp(list(root_edges.values()))
-    if emitted:
-        k = len(emitted)
-        for label in _distinct(root_edges.values()) if shared else root_edges.values():
+    labels = [*root_edges.values()]
+    first, last = labels[0], labels[-1]
+    segmented = type(first) is not list or type(last) is not list or (
+        len(labels) > 2 and Segment in map(type, labels))
+    if segmented:
+        emitted = _segment_lcp(labels)
+    elif not first or not last or first[0] != last[0]:
+        return ()
+    else:
+        emitted = lcp(labels)
+    if not emitted:
+        return ()
+    k = len(emitted)
+    if segmented:
+        dag.letters_written += _strip(root_edges, k)
+        emitted = _letters(emitted)
+    else:
+        for label in labels:
             del label[:k]
-        dag.label_tokens -= k * len(root_edges)
-        root.reach += k
+    dag.label_tokens -= k * len(root_edges)
+    root.reach += k
     return emitted
 
 
-def _distinct(labels: Iterable[list[str]]) -> Iterable[list[str]]:
-    """``labels`` with each list once, for a strip that cuts a shared
-    list for every edge that holds it."""
-    return {id(label): label for label in labels}.values()
+def _segment_lcp(labels: list) -> Word | Segment:
+    """The lcp of one or more labels, a segment among them: the label
+    itself when they are all one segment, else a tuple.  A segment gives
+    its first letter at once; beyond it, only the pieces that hold the
+    common prefix are read, in doubling lengths."""
+    first = labels[0]
+    if type(first) is Segment:
+        head = first.first
+    elif first:
+        head = first[0]
+    else:
+        return ()
+    same = True
+    for label in labels:
+        if label is not first:
+            same = False
+            if type(label) is Segment:
+                if label.first != head:
+                    return ()
+            elif not label or label[0] != head:
+                return ()
+    if same:
+        return first
+    n = min(map(len, labels))
+    m = 16
+    while True:
+        m = min(m, n)
+        common = lcp([_letters(label, 0, m) for label in labels])
+        if len(common) < m or m == n:
+            return common
+        m *= 2
+
+
+def _strip(out_edges: dict, k: int) -> int:
+    """Cut the first ``k`` letters off every label of ``out_edges``, a
+    segment among them, and return the letters the cuts copy: a list loses
+    them in place, and a segment gives way to ``Segment.cut``'s label."""
+    copied = 0
+    for child, label in out_edges.items():
+        if type(label) is list:
+            del label[:k]
+            continue
+        label = out_edges[child] = label.cut(k)
+        if type(label) is list:
+            copied += len(label)
+    return copied
+
+
+def _reclaim(label: Segment) -> Optional[list[str]]:
+    """The list that an edge holding the closed segment ``label`` takes
+    back, to append to in place, or None.  It does when no other edge
+    holds the segment and it is no piece of another (its references are
+    the edge's, the caller's, this call's and ``getrefcount``'s), its left
+    piece is a list that only it holds and from which it cuts no letter,
+    and its right piece is empty or a list that only it holds, whose
+    letters the left list takes.  So once a fork's other edges are gone,
+    the edge left goes back to the list the fork shared."""
+    if getrefcount(label) != 4 or label.skip or type(label.left) is not list:
+        return None
+    if getrefcount(label.left) != 2:
+        return None
+    right = label.right
+    if right and (type(right) is not list or getrefcount(right) != 3):
+        return None
+    left = label.left
+    left += right
+    return left
+
+
+def _append(label, common) -> list[str] | Segment:
+    """The label of an edge that held the segment ``label`` once a hoist
+    appends ``common`` that ``label`` does not take in place: a segment
+    over both when ``common`` is a segment, else an open segment over
+    ``label`` and a copy of the letters."""
+    if type(common) is Segment:
+        common.open = False  # it may go to several labels
+        if not label:
+            return common
+        if type(label) is Segment:
+            label.open = False
+        return Segment(label, common)
+    label = Segment(label, [*common])
+    label.open = True
+    return label
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +957,7 @@ def finish(state: EvalState) -> Optional[Word]:
             "accepting branches disagree on the remaining output; "
             "the machine is not functional")
     state.status = Status.FINISHED
-    fragment = tuple(labels[0])
+    fragment = _letters(labels[0])
     state.emitted_len += len(fragment)
     return fragment
 

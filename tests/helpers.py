@@ -19,7 +19,7 @@ from typing import Iterator
 
 from vptstream.delay_algebra import Word, delta, lcp
 from vptstream.streamability import Bounded, Unbounded
-from vptstream.streaming_eval import MemoryReport, Status, memory_snapshot
+from vptstream.streaming_eval import MemoryReport, Segment, Status, memory_snapshot
 from vptstream.vpt_core import (
     CallRule,
     Configuration,
@@ -508,30 +508,19 @@ def level_widths(dag) -> list[int]:
 def assert_dag_invariants(state) -> None:
     """Structural bounds on the run DAG: one level per pending call plus the
     bottom, and per-level width at most |states| * |stack symbols|.  Also the
-    evaluator's bookkeeping: ``memory_snapshot`` equals the walk above, every
-    label is a list (a list and a tuple with the same letters compare
-    unequal), a list that n > 1 edges hold has the count n in ``dag.shared``
-    and every entry there names a list that sits on that many live edges,
-    all leaving one node, every recorded parent is the root or a
-    live node, the nodes with recorded parents are exactly those reachable
-    from the root, every edge is in both its parent's ``out`` and its
-    child's ``parents`` and goes one level down, no two live nodes share
-    (depth, state, symbol), ``leaf_level[(state, symbol)]`` is the node
-    itself and holds exactly the live nodes at ``dag.depth`` (a dropped node
-    is left in no map), chain links join live nodes and start
-    where a link may (single parent, only child, ε label), and after
-    factorization every node's out-labels have an empty lcp."""
+    evaluator's bookkeeping: ``memory_snapshot`` equals the walk above, the
+    label ownership of ``assert_label_ownership``, every recorded parent is
+    the root or a live node, the nodes with recorded parents are exactly
+    those reachable from the root, every edge is in both its parent's
+    ``out`` and its child's ``parents`` and goes one level down, no two
+    live nodes share (depth, state, symbol), ``leaf_level[(state,
+    symbol)]`` is the node itself and holds exactly the live nodes at
+    ``dag.depth`` (a dropped node is left in no map), chain links join live
+    nodes and start where a link may (single parent, only child, ε label),
+    and after factorization every node's out-labels have an empty lcp."""
     dag = state.dag
     order = dag_nodes(dag)
-    labels = [label for node in order for label in node.out.values()]
-    assert all(type(label) is list for label in labels), labels
-    holders = Counter(id(label) for label in labels)
-    assert {key: n for key, n in holders.items() if n > 1} == dag.shared, \
-        (holders, dag.shared)
-    for key in dag.shared:
-        sources = [node for node in order
-                   if any(id(label) == key for label in node.out.values())]
-        assert len(sources) == 1, sources
+    assert_label_ownership([label for node in order for label in node.out.values()])
     assert memory_snapshot(state) == snapshot_by_walk(state), \
         (memory_snapshot(state), snapshot_by_walk(state))
     assert set(dag.parents) == set(order[:-1]), (len(dag.parents), len(order))
@@ -564,5 +553,44 @@ def assert_dag_invariants(state) -> None:
         assert list(out) == [node] and out[node] == [], (node, out)
     if state.factorize and state.status is Status.RUNNING:
         for node in order:
-            labels = list(node.out.values())
+            labels = [tuple(label) for label in node.out.values()]
             assert not labels or not lcp(labels), (node, labels)
+
+
+def assert_label_ownership(labels: list) -> None:
+    """The labels of every edge: each is a list or a ``Segment`` (a list
+    and a tuple with the same letters compare unequal); a list sits on one
+    edge and is no piece of a segment, so editing it in place changes one
+    label; an open segment likewise sits on one edge, is no piece of
+    another and owns the list it appends to; every segment is nonempty
+    and its length and first letter are those of its letters.  A piece
+    may be an open segment that no edge holds any more."""
+    assert all(type(label) in (list, Segment) for label in labels), labels
+    held = Counter(id(label) for label in labels)
+    pieces: Counter[int] = Counter()  # id -> the segments it is a piece of
+    pending = [label for label in labels if type(label) is Segment]
+    seen: set[int] = set()
+    while pending:
+        seg = pending.pop()
+        if id(seg) in seen:
+            continue
+        seen.add(id(seg))
+        assert seg.n == len(seg.left) + len(seg.right) - seg.skip > 0, seg
+        assert 0 <= seg.skip <= len(seg.left) + len(seg.right), seg
+        if seg.open:
+            assert type(seg.right) is list, seg
+        for piece in (seg.left, seg.right):
+            assert type(piece) in (list, tuple, Segment), piece
+            pieces[id(piece)] += 1
+            if type(piece) is Segment:
+                pending.append(piece)
+    for label in labels:
+        if type(label) is list or label.open:
+            assert held[id(label)] == 1, label
+            assert id(label) not in pieces, label
+        if type(label) is Segment:
+            if label.open:
+                assert pieces[id(label.right)] == 1, label
+        if type(label) is Segment:
+            letters = tuple(label)
+            assert (label.n, label.first) == (len(letters), letters[0]), label

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import random
 
@@ -21,7 +22,8 @@ from vptstream import (
     start,
     step,
 )
-from vptstream.streaming_eval import SHARE_FLOOR, EvalDag, Status, _add_folded
+from vptstream import streaming_eval
+from vptstream.streaming_eval import SEGMENT_FLOOR, EvalDag, Segment, Status, _add_folded
 from vptstream.vpt_core import (
     initial_dconfigs,
     reduce,
@@ -369,9 +371,10 @@ def test_hoist_appends_to_the_root_label_in_place(fig3_full):
         assert len(label) == before[top][1] + 1
 
 
-def test_a_fork_of_a_long_held_label_shares_one_list(fig3_full):
+def test_a_fork_of_a_long_held_label_shares_one_segment(fig3_full):
     # p2 --r/c--> {p2, p3} folds the held root label into two edges with
-    # one output: past SHARE_FLOOR letters both edges hold one list
+    # one output: past SEGMENT_FLOOR letters both edges hold one closed
+    # segment, which references the held letters instead of copying them
     word = ["c", "c", "r", "r"] * 21
     st = start(fig3_full)
     for sym in word:
@@ -379,10 +382,35 @@ def test_a_fork_of_a_long_held_label_shares_one_list(fig3_full):
     assert_dag_invariants(st)
     labels = {node.state: label for node, label in st.dag.root.out.items()}
     assert labels.keys() == {"p2", "p3", "q2"}
-    assert labels["p2"] is labels["p3"]
-    assert len(labels["p2"]) >= SHARE_FLOOR
-    assert st.dag.shared == {id(labels["p2"]): 2}
+    assert type(labels["p2"]) is Segment and labels["p2"] is labels["p3"]
+    assert not labels["p2"].open and len(labels["p2"]) >= SEGMENT_FLOOR
+    assert type(labels["q2"]) is list  # no fork on the b branch
     assert finish(st) == ("a", "a", "c", "c") * 21
+
+
+@pytest.mark.parametrize("blocks", [21, 200])
+def test_the_edge_a_fork_leaves_takes_back_the_shared_list(fig3_full, blocks):
+    # once p3 dies, p2's edge alone holds the fork's segment, and the next
+    # hoist takes back the list it was made over: however many forks the
+    # word makes, the label stays the list that held the letters when the
+    # label first passed the floor, never copied.  The test keeps no
+    # reference to a label between steps, as one would stop the evaluator
+    # from taking the list back (it would append to a segment instead)
+    st = start(fig3_full)
+    shared = None  # id of that list
+    for sym in ["c", "c", "r", "r"] * blocks + ["c"]:
+        step(st, sym)
+        if shared is None:
+            label = {n.state: label for n, label in st.dag.root.out.items()}.get("p3")
+            if type(label) is Segment:
+                assert type(label.left) is list
+                shared = id(label.left)
+            del label
+    labels = {node.state: label for node, label in st.dag.root.out.items()}
+    assert labels.keys() == {"p2", "q2"}
+    assert type(labels["p2"]) is list and id(labels["p2"]) == shared
+    assert len(labels["p2"]) == 4 * blocks + 1
+    assert_dag_invariants(st)
 
 
 # fig3_full with two more ways to go on from its fork p2 --r/c--> {p2, p3}.
@@ -427,8 +455,8 @@ trans q2 c b push g q1
 """)
 
 
-def test_a_shared_label_is_copied_by_a_hoist_and_cut_once_by_a_strip():
-    held = ["c", "c", "r", "r"] * 9
+def test_a_shared_segment_takes_a_hoist_per_edge_and_a_cut_per_edge():
+    held = ["c", "c", "r", "r"] * 17
     tails = (["c", "rp"], ["c", "r", "c", "c", "r", "r"], ["c", "c", "r", "rp"],
              ["c", "c", "r", "r", "c", "rp"], ["k"], ["k", "f"], ["k", "k", "c", "r"])
     for word in [head + held + tail for head in ([], ["o"]) for tail in tails]:
@@ -444,26 +472,38 @@ def test_a_shared_label_is_copied_by_a_hoist_and_cut_once_by_a_strip():
     for sym in held:
         step(st, sym)
     labels = {node.state: label for node, label in st.dag.root.out.items()}
-    assert labels["p2"] is labels["p3"] and len(labels["p2"]) > SHARE_FLOOR
+    shared = labels["p2"]
+    assert type(shared) is Segment and labels["p3"] is shared
+    assert len(shared) > SEGMENT_FLOOR
+    # each edge takes its hoist in an open segment of its own over the
+    # shared one, which no hoist edits
     step(st, "c")
     labels = {node.state: label for node, label in st.dag.root.out.items()}
-    assert labels["p2"][-1] == "a" and labels["p3"][-1] == "x" and not st.dag.shared
+    assert labels["p2"] is not labels["p3"]
+    assert labels["p2"].left is shared and labels["p3"].left is shared
+    assert labels["p2"].open and labels["p3"].open
+    assert list(labels["p2"])[-1] == "a" and list(labels["p3"])[-1] == "x"
+    assert len(shared) == len(held)
+    # the root emits all of the shared letters but the e: each edge keeps
+    # what remains of its own label
     st = start(FORKS)
     for sym in held:
         step(st, sym)
-    assert step(st, "k") == ("a", "a", "c", "c") * 9
+    assert step(st, "k") == ("a", "a", "c", "c") * 17
+    assert all(type(label) is list for label in st.dag.root.out.values())
     assert finish(st) == ("e",)
 
 
-def test_a_fold_unlike_the_shared_one_copies_the_head_as_it_was():
-    # folds of one long head: the two ahead of the last copy the head as it
-    # was, and the last, onto F, extends it in place; the fork onto A, B
-    # and C finds the edge to A already there, so B and C alone hold its
-    # list.  A fork of a short head gives each target a list of its own,
-    # the last target taking the head.
+def test_folds_of_a_long_head_reference_it():
+    # folds of one long head: the two ahead of the last reference it in
+    # segments instead of copying it, so the last cannot take it over and
+    # references it too; the fork onto A, B and C finds the edge to A
+    # already there, so B and C alone hold its segment.  A fork of a short
+    # head gives each target a list of its own, the last target taking the
+    # head.
     dag = EvalDag()
     root = dag.root
-    head, short = list("h" * SHARE_FLOOR), ["s"]
+    head, short = list("h" * SEGMENT_FLOOR), ["s"]
     mid = ["m"]
     folds = [(root, ("A",), None, head, mid, ("x",)),
              (root, ("A", "B", "C"), None, head, mid, ("x",)),
@@ -472,12 +512,17 @@ def test_a_fold_unlike_the_shared_one_copies_the_head_as_it_was():
     _add_folded(dag, folds, {id(head): 3, id(short): 2})
     labels = {node.state: label for node, label in root.out.items()}
     assert labels["B"] is labels["C"] is not labels["A"]
-    assert labels["A"] == labels["B"] == list("h" * SHARE_FLOOR + "mx")
-    assert labels["F"] is head and head == list("h" * SHARE_FLOOR + "nz")
-    assert dag.shared == {id(labels["B"]): 2}
+    assert labels["A"] == labels["B"] == list("h" * SEGMENT_FLOOR + "mx")
+    assert labels["F"] == list("h" * SEGMENT_FLOOR + "nz")
+    assert head == list("h" * SEGMENT_FLOOR)  # no fold extended it
+    for state in "ABF":
+        assert type(labels[state]) is Segment
+        assert labels[state].left.left is head  # referenced, not copied
     assert labels["E"] is short and labels["D"] == short == ["s", "y"]
     assert dag.edge_count == 6
-    assert dag.label_tokens == 4 * (SHARE_FLOOR + 2) + 2 * 2
+    assert dag.label_tokens == 4 * (SEGMENT_FLOOR + 2) + 2 * 2
+    # the segments write no letter: y onto the short head, and D's copy
+    assert dag.letters_written == 1 + 2
 
 
 def test_a_dropped_state_is_freed_without_the_cycle_collector(fig3_full):
@@ -666,14 +711,111 @@ def test_an_eval_diagnostic_ends_the_evaluation(text, read, fail, then):
     assert st.reject_position is None
 
 
-def test_a_generated_flat_document_keeps_the_invariants():
-    # labels past SHARE_FLOOR letters, shared by fig3_full's fork, through
-    # a whole document of the flat workload
-    doc = next(load_gen().flat_rounds(1))[0]
+def _assert_generated_document(doc) -> None:
+    """Stream ``doc``, checking the fragments against its closed form after
+    every symbol (an exact profile, or nothing before the last symbol) and
+    ``assert_dag_invariants`` every 64 symbols."""
     st = start(machines.load(doc.machine))
     emitted = ()
+    last = len(doc.symbols)
     for i, sym in enumerate(doc.symbols, 1):
-        emitted += step(st, sym)
+        fragment = step(st, sym)
+        if doc.profile is not None:
+            assert fragment == doc.output[len(emitted):len(emitted) + doc.profile[i - 1]], i
+        elif i < last:
+            assert fragment == (), i
+        emitted += fragment
         if i % 64 == 0:
             assert_dag_invariants(st)
     assert emitted + finish(st) == doc.output
+
+
+def test_a_generated_flat_document_keeps_the_invariants():
+    # labels past SEGMENT_FLOOR letters, shared by fig3_full's fork, through
+    # a whole document of the flat workload
+    _assert_generated_document(next(load_gen().flat_rounds(1))[0])
+
+
+def _deep_and_telemetry_documents():
+    """The first seed-1 document of the deep workload, fig2_t1 with mixed
+    returns at height 920-959, whose lattice holds a segment on most
+    edges, and the first fig4_left document of the telemetry workload."""
+    gen = load_gen()
+    telemetry = next(gen.telemetry_rounds(1))
+    return [next(gen.deep_rounds(1))[0],
+            next(doc for doc in telemetry if doc.family == "fig4_left")]
+
+
+@pytest.mark.parametrize("doc", _deep_and_telemetry_documents(),
+                         ids=lambda doc: doc.family)
+def test_a_generated_deep_document_keeps_the_invariants(doc):
+    _assert_generated_document(doc)
+
+
+@pytest.mark.parametrize("floor", [1, SEGMENT_FLOOR])
+def test_every_fig2_t1_return_pattern_decodes_to_the_run_set(fig2_t1, monkeypatch, floor):
+    # naive run enumeration holds 2^k runs after c^k, so it is the oracle
+    # only at small heights; a floor of one letter puts a segment on every
+    # label a fold or a hoist can share
+    monkeypatch.setattr(streaming_eval, "SEGMENT_FLOOR", floor)
+    for n in range(1, 7):
+        for pattern in itertools.product(("r1", "r2"), repeat=n):
+            word = ("c",) * n + pattern
+            st = start(fig2_t1)
+            emitted: tuple[str, ...] = ()
+            for i, sym in enumerate(word, 1):
+                emitted += step(st, sym)
+                got = {(dc.state, dc.stack, emitted + dc.residual)
+                       for dc in decode(st.dag)}
+                assert got == set(run_dconfigs(fig2_t1, word[:i])), (word, i)
+                assert_dag_invariants(st)
+                if st.status is not Status.RUNNING:
+                    break
+
+
+def test_segments_everywhere_decode_like_the_run_set(monkeypatch):
+    # with a floor of one letter every fold of a nonempty mid or copy, every
+    # fork and every strip of a segment goes through segments: after every
+    # symbol the emitted prefix plus each decoded residual is the run set
+    monkeypatch.setattr(streaming_eval, "SEGMENT_FLOOR", 1)
+    rng = random.Random(13)
+    compared = 0
+    for _ in range(120):
+        m = random_nondet_vpt(rng)
+        st = start(m)
+        runs = initial_dconfigs(m)
+        emitted: tuple[str, ...] = ()
+        for sym in _call_heavy_run(m, rng, 24):
+            try:
+                emitted += step(st, sym)
+            except EvalDiagnostic:
+                break
+            runs = update_dconfigs(runs, sym, m)
+            if len(runs) > 256:
+                break
+            assert_dag_invariants(st)
+            got = {(dc.state, dc.stack, emitted + dc.residual)
+                   for dc in decode(st.dag)}
+            assert got == set(runs), (m, sym)
+            compared += 1
+    assert compared > 1000  # the corpus is not degenerate
+
+
+@pytest.mark.parametrize("name, word", [
+    ("fig4", lambda n: ["c"] * n + ["r"] * n),
+    ("fig3_plain", lambda n: ["c"] * n + ["r"] * n),
+    ("fig3_full", lambda n: ["c", "c", "r", "r"] * (n // 4)),
+    ("fig2_t1", lambda n: ["c"] * n + ["r1"] * n),
+], ids=["fig4", "fig3_plain", "fig3_full", "fig2_t1"])
+def test_letters_written_per_symbol_do_not_grow_with_the_input(name, word):
+    # the shape of ROADMAP aim 1 as a count: the letters written into
+    # labels per symbol stay under one constant, whatever the height and
+    # whatever the output held
+    m = machines.load(name)
+    for n in (1_000, 4_000, 16_000):
+        symbols = word(n)
+        st = start(m)
+        for sym in symbols:
+            step(st, sym)
+        assert finish(st) is not None
+        assert st.dag.letters_written <= 8 * len(symbols), (n, st.dag.letters_written)
