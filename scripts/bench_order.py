@@ -7,6 +7,7 @@
     python3 scripts/bench_order.py scaling PARENT CHANGE --out BENCH_order.json \
         [--rounds 5]
     python3 scripts/bench_order.py loc PARENT CHANGE --out BENCH_order.json
+    python3 scripts/bench_order.py traffic TREE --out BENCH_order.json
 
 ``equiv`` runs one child process per checkout (``dump``), each importing
 the package from that checkout's ``src`` and the machine helpers from its
@@ -43,16 +44,26 @@ builtin at n = 500 and 2 000, on fig2_t1's c^n r1^n up to n = 16 000 and
 the first fig2_t1 document of ``gen.deep_rounds(1)``, and on fig3_full's
 (c c r r)^m up to 32 000 symbols (``_scaling_cases``), one child process
 per checkout and round, alternating which goes first, and keeps each
-case's minimum over the rounds and the median over the rounds of the
-change's time over the parent's.  Next to the times it records the
-letters each tree writes into labels per symbol (``EvalDag.letters_written``;
-None where a tree does not count them): an exact count, which reads a
-change in shape where the timings of a loaded host cannot.
+case's minimum over the rounds and the quartiles (q1, median, q3) over the
+rounds of the change's time over the parent's, so that one loaded round
+shows as spread instead of moving the median unseen.  Next to the times
+it records the letters each tree writes into labels per symbol
+(``EvalDag.letters_written``; None where a tree does not count them): an
+exact count, which reads a change in shape where the timings of a loaded
+host cannot.
 ``loc`` counts the code lines of each checkout's ``src/vptstream``, per
 module and in total: every ``.py`` but ``machines/__init__.py``, each line
 that holds a token other than a comment or a docstring (``code_lines``).
-All four merge their section into the JSON file at ``--out``; ``equiv``
-writes ``--section``, so that one file can hold several comparisons.
+``traffic`` runs each workload of one checkout for ``TRAFFIC_SECONDS``
+under a line tracer, which a ``sitecustomize`` module on ``PYTHONPATH`` installs in
+every Python process the run starts (``TRACER``), and records per module
+of its ``src/vptstream`` the code lines no workload ran: the lines of its
+compiled code, docstrings aside, that raised no trace event.  The traced
+runs are far slower than untraced ones, so they say which lines run, not
+what they cost.
+All of them merge their section into the JSON file at ``--out``;
+``equiv`` writes ``--section``, so that one file can hold several
+comparisons.
 """
 
 from __future__ import annotations
@@ -62,6 +73,7 @@ import ast
 import hashlib
 import io
 import json
+import os
 import pickle
 import statistics
 import subprocess
@@ -69,6 +81,7 @@ import sys
 import tempfile
 import time
 import tokenize
+import types
 from pathlib import Path
 
 PREFIXES = 400
@@ -76,6 +89,7 @@ PREFIX_LEN = 6
 CLASSIFY_BOUNDS = ((3, 24), (2, 5), (3, 9), (1, 14))
 WORKLOADS = ("deep", "flat", "check", "telemetry")
 SCALING_REPEATS = 3
+TRAFFIC_SECONDS = 3
 CLI_MACHINES = {
     # on `c r` the two calls emit x and y and both runs accept
     "not_functional": ("calls: c\nreturns: r\nstates: i p f\ninitial: i\nfinal: f\n"
@@ -453,30 +467,39 @@ def scaling(parent_tree: Path, change_tree: Path, rounds: int) -> dict:
     runs = {side: [r["us"] for r in runs[side]] for side in runs}
     best = {side: {case: min(r[case] for r in runs[side]) for case in runs[side][0]}
             for side in runs}
-    # the two sides of one round ran back to back, so their ratio is less
-    # exposed to the host's drift than the two minima
-    ratio = {case: round(statistics.median(c[case] / p[case] for p, c
-                                           in zip(runs["parent"], runs["change"])), 3)
-             for case in best["parent"]}
+    ratio = round_ratios(runs["parent"], runs["change"])
     for case in best["parent"]:
+        r = ratio[case]
         print(f"{case:40} {best['parent'][case]:8.2f} {best['change'][case]:8.2f}"
-              f" {ratio[case]:7.3f}   letters/symbol {letters['parent'][case]}"
-              f" {letters['change'][case]}")
+              f" {r['median']:7.3f} [{r['q1']:.3f}, {r['q3']:.3f}]"
+              f"   letters/symbol {letters['parent'][case]} {letters['change'][case]}")
     return {"unit": f"µs/symbol: library step loop, best of {SCALING_REPEATS} passes, "
                     "then the minimum over the rounds",
             "rounds": rounds, "min": best,
-            "change_over_parent_median_of_rounds": ratio,
+            "change_over_parent_quartiles_of_rounds": ratio,
             "letters_per_symbol": letters, "runs": runs}
+
+
+def round_ratios(parent: list[dict], change: list[dict]) -> dict:
+    """case -> the q1, median and q3 over the rounds of the change's time
+    over the parent's.  The two sides of one round ran back to back, so
+    their ratio is less exposed to the host's drift than the two minima;
+    the quartiles show how far the rounds disagree."""
+    result = {}
+    for case in parent[0]:
+        values = [c[case] / p[case] for p, c in zip(parent, change)]
+        quartiles = _quartiles(values) if len(values) > 1 else values * 3
+        result[case] = dict(zip(("q1", "median", "q3"), (round(v, 3) for v in quartiles)))
+    return result
 
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
 
-def code_lines(text: str) -> int:
-    """The lines of a module that hold a token other than a comment or a
-    docstring: the module's, a class's or a function's first statement when
-    it is a string."""
+def _docstring_lines(text: str) -> set[int]:
+    """The lines of the docstrings of a module: the module's, a class's or
+    a function's first statement when it is a string."""
     docstrings = set()
     for node in ast.walk(ast.parse(text)):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -484,11 +507,17 @@ def code_lines(text: str) -> int:
             if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
                     and isinstance(first.value.value, str)):
                 docstrings.update(range(first.lineno, first.end_lineno + 1))
+    return docstrings
+
+
+def code_lines(text: str) -> int:
+    """The lines of a module that hold a token other than a comment or a
+    docstring."""
     lines = set()
     for tok in tokenize.generate_tokens(io.StringIO(text).readline):
         if tok.type not in _NOT_CODE:
             lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - docstrings)
+    return len(lines - _docstring_lines(text))
 
 
 def loc_counts(tree: Path) -> dict:
@@ -515,6 +544,90 @@ def loc(parent_tree: Path, change_tree: Path) -> dict:
             **sides, "delta": delta}
 
 
+# The ``sitecustomize`` module that ``traffic`` puts first on ``PYTHONPATH``:
+# each Python process started with ``BENCH_TRAFFIC_SRC`` set records the
+# lines that raise a trace event in the files under that directory, and
+# writes them at exit to a file of its own in ``BENCH_TRAFFIC_OUT``.
+TRACER = '''
+import atexit, json, os, sys, threading
+
+_SRC = os.environ.get("BENCH_TRAFFIC_SRC")
+_SEEN = {}
+
+
+def _trace(frame, event, arg):
+    if not frame.f_code.co_filename.startswith(_SRC):
+        return None
+    lines = _SEEN.setdefault(frame.f_code.co_filename, set())
+    lines.add(frame.f_lineno)
+
+    def local(frame, event, arg):
+        lines.add(frame.f_lineno)
+        return local
+    return local
+
+
+def _write():
+    sys.settrace(None)
+    path = os.path.join(os.environ["BENCH_TRAFFIC_OUT"], f"{os.getpid()}.json")
+    with open(path, "w") as handle:
+        json.dump({name: sorted(lines) for name, lines in _SEEN.items()}, handle)
+
+
+if _SRC:
+    atexit.register(_write)
+    threading.settrace(_trace)
+    sys.settrace(_trace)
+'''
+
+
+def compiled_lines(path: Path) -> set[int]:
+    """The lines of a module that its compiled code can run, docstrings
+    aside: every line its code objects map an instruction to."""
+    text = path.read_text(encoding="utf-8")
+    lines = set()
+    pending = [compile(text, str(path), "exec")]
+    while pending:
+        code = pending.pop()
+        lines.update(line for _, _, line in code.co_lines() if line)
+        pending += (c for c in code.co_consts if isinstance(c, types.CodeType))
+    return lines - _docstring_lines(text)
+
+
+def traffic(tree: Path) -> dict:
+    src = tree / "src"
+    ran: dict[str, set[int]] = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        site, out = Path(scratch) / "site", Path(scratch) / "out"
+        site.mkdir()
+        out.mkdir()
+        (site / "sitecustomize.py").write_text(TRACER)
+        env = {**os.environ, "BENCH_TRAFFIC_SRC": str(src) + os.sep,
+               "BENCH_TRAFFIC_OUT": str(out),
+               "PYTHONPATH": os.pathsep.join(filter(None, (str(site),
+                                                          os.environ.get("PYTHONPATH"))))}
+        for workload in WORKLOADS:
+            subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                            "--seed", "1", "--seconds", str(TRAFFIC_SECONDS), "--trace", "0"],
+                           cwd=tree, env=env, capture_output=True, text=True, check=True)
+        for path in out.glob("*.json"):
+            for name, lines in json.loads(path.read_text()).items():
+                ran.setdefault(name, set()).update(lines)
+    package = src / "vptstream"
+    modules = {}
+    for path in sorted(package.rglob("*.py")):
+        lines = compiled_lines(path)
+        unrun = sorted(lines - ran.get(str(path), set()))
+        modules[path.relative_to(package).as_posix()] = {
+            "code_lines": len(lines), "unrun": len(unrun), "unrun_lines": unrun}
+    for name, row in modules.items():
+        print(f"{name:20} {row['code_lines']:6} {row['unrun']:6}")
+    return {"how": f"perfbench/run.py --seed 1 --seconds {TRAFFIC_SECONDS} --trace 0 per "
+                   "workload under a line tracer in every process; a module's code lines "
+                   "are those its code objects map an instruction to, docstrings aside",
+            "workloads": list(WORKLOADS), "modules": modules}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -522,10 +635,13 @@ def main() -> None:
         d = sub.add_parser(name)
         d.add_argument("tree", type=Path)
         d.add_argument("out", type=Path)
-    for name in ("equiv", "pairs", "scaling", "loc"):
+    for name in ("equiv", "pairs", "scaling", "loc", "traffic"):
         p = sub.add_parser(name)
-        p.add_argument("parent", type=Path)
-        p.add_argument("change", type=Path)
+        if name == "traffic":
+            p.add_argument("tree", type=Path)
+        else:
+            p.add_argument("parent", type=Path)
+            p.add_argument("change", type=Path)
         p.add_argument("--out", type=Path, required=True)
         if name == "equiv":
             p.add_argument("--section", default="equivalence")
@@ -539,19 +655,21 @@ def main() -> None:
     if args.command in ("dump", "scale"):
         (dump if args.command == "dump" else scale)(args.tree.resolve(), args.out)
         return
-    parent, change = args.parent.resolve(), args.change.resolve()
     result = json.loads(args.out.read_text()) if args.out.exists() else {}
-    if args.command == "equiv":
-        result[args.section] = equiv(parent, change)
-    elif args.command == "scaling":
-        result["scaling"] = scaling(parent, change, args.rounds)
-    elif args.command == "loc":
-        result["loc"] = loc(parent, change)
+    if args.command == "traffic":
+        result["traffic"] = traffic(args.tree.resolve())
     else:
-        result["perfbench_pairs"] = pairs(parent, change, args.pairs, args.seconds,
-                                          args.first_seed)
+        parent, change = args.parent.resolve(), args.change.resolve()
+        if args.command == "equiv":
+            result[args.section] = equiv(parent, change)
+        elif args.command == "scaling":
+            result["scaling"] = scaling(parent, change, args.rounds)
+        elif args.command == "loc":
+            result["loc"] = loc(parent, change)
+        else:
+            result["perfbench_pairs"] = pairs(parent, change, args.pairs, args.seconds,
+                                              args.first_seed)
     args.out.write_text(json.dumps(result, indent=1, ensure_ascii=False) + "\n")
-
 
 if __name__ == "__main__":
     main()

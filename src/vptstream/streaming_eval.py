@@ -41,11 +41,13 @@ run to several states with one output (one group of ``move_table``), gives
 every edge of the fork the same segment.  A dropped edge releases its
 reference; a strip of a segment keeps an offset into the same pieces; an
 lcp reads the segments' first letters and then only the pieces that hold
-the common prefix; and a hoist onto an edge that holds a segment appends
-to an open segment, one that edge alone holds, made over it, unless the
-fork's other edges are gone and the edge takes back the list the fork
-shared.  Below the floor a label stays a list: a copy of a few letters
-costs less than an object.
+the common prefix; and a hoist onto an edge that holds a closed segment
+makes an open segment over it, whose list of its own takes that hoist's
+letters and every later hoist's in place.  So one rule says who may edit
+a label, with no reference counted: a list or an open segment belongs to
+one edge, and a closed segment to any number of edges and segments,
+which only read it.  Below the floor a label stays a list: a copy of a
+few letters costs less than an object.
 The fragments ``step`` and ``finish`` return and the residuals ``decode``
 lists are tuples.
 
@@ -75,7 +77,6 @@ import enum
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
-from sys import getrefcount
 from typing import Iterable, Optional
 
 from .delay_algebra import Word, lcp
@@ -135,15 +136,16 @@ class Segment:
     ``left`` then ``right`` less the first ``skip``, ``n`` letters, the
     first of them ``first``.  A piece is a list or tuple of letters, or a
     segment; a list that is a piece is no edge's label any more, so nothing
-    edits it until ``_reclaim`` takes it back from a segment that only one
-    edge holds.
+    edits it unless it is the list of an open segment.
 
     An open segment is held by one edge and is no piece of a segment an
     edge holds: its ``right`` is a list of its own, and a hoist onto the
-    edge appends to it in place.  Whatever gives it a second holder closes
-    it first; a fold may take it as a piece once its edge is gone.  Every
-    walk over the pieces keeps its own stack, as a segment can be as deep
-    as the input is long."""
+    edge appends to it in place.  A hoist onto an edge that holds a closed
+    segment makes one over it.  Whatever gives it a second holder closes
+    it first; a fold may take it as a piece once its edge is gone, and a
+    strip that cuts past its closed part leaves its list as the edge's
+    label.  Every walk over the pieces, ``_slice``, keeps its own stack, as
+    a segment can be as deep as the input is long."""
     __slots__ = ("left", "right", "skip", "n", "first", "open")
 
     def __init__(self, left, right):
@@ -202,20 +204,7 @@ def _letters(label, start: int = 0, stop: Optional[int] = None) -> Word:
     pieces that hold them."""
     if type(label) is not Segment:
         return tuple(label[start:stop])
-    if start or stop is not None:
-        return tuple(_slice(label, start, (label.n if stop is None else stop) - start))
-    out: list[str] = []
-    pending = [label]
-    while pending:  # all of it: only a segment cut by a strip skips letters
-        piece = pending.pop()
-        if type(piece) is not Segment:
-            out += piece
-        elif piece.skip:
-            out += _slice(piece, 0, piece.n)
-        else:
-            pending.append(piece.right)
-            pending.append(piece.left)
-    return tuple(out)
+    return tuple(_slice(label, start, (label.n if stop is None else stop) - start))
 
 
 def _slice(label: Segment, skip: int, need: int) -> list[str]:
@@ -670,10 +659,10 @@ def factorize_and_emit(dag: EvalDag) -> Word:
     letters and then only the pieces that hold the common prefix, and a
     strip cuts each label once, keeping an offset into the pieces where
     ``SEGMENT_FLOOR`` letters or more remain.  A hoist onto an edge that
-    holds a segment appends to it in place when it is open, to the list it
-    was made over when no other edge holds it any more (``_reclaim``), and
-    otherwise to a fresh open segment over it.  The letters hoists append, and those a
-    cut copies, go into ``dag.letters_written``.
+    holds a segment appends to it in place when it is open, and otherwise
+    (``_append``) goes to a fresh open segment over it, or to a closed
+    segment over both when what it hoists is a segment.  The letters hoists append, and those
+    a cut copies, go into ``dag.letters_written``.
     """
     root = dag.root
     dirty = dag.dirty
@@ -752,21 +741,13 @@ def factorize_and_emit(dag: EvalDag) -> Word:
                         continue
                 else:
                     # a segment holds a letter, so p's labels stay parted
-                    if type(common) is Segment:
-                        p.out[node] = _append(label, common)
-                        continue
-                    written += k
-                    if label.open:
-                        label.right += common
-                        label.n += k
-                        continue
-                    owned = _reclaim(label)
-                    if owned is None:
-                        p.out[node] = _append(label, common)
-                        continue
-                    written += len(label.right)  # copied into the list
-                    p.out[node] = owned
-                    owned += common
+                    if type(common) is not Segment:
+                        written += k
+                        if label.open:
+                            label.right += common
+                            label.n += k
+                            continue
+                    p.out[node] = _append(label, common)
                     continue
                 if p is root:
                     emit = True
@@ -841,50 +822,27 @@ def _segment_lcp(labels: list) -> Word | Segment:
 def _strip(out_edges: dict, k: int) -> int:
     """Cut the first ``k`` letters off every label of ``out_edges``, a
     segment among them, and return the letters the cuts copy: a list loses
-    them in place, and a segment gives way to ``Segment.cut``'s label."""
+    them in place, and a segment gives way to ``Segment.cut``'s label,
+    which is a copy when shorter than ``SEGMENT_FLOOR``."""
     copied = 0
     for child, label in out_edges.items():
         if type(label) is list:
             del label[:k]
             continue
         label = out_edges[child] = label.cut(k)
-        if type(label) is list:
+        if type(label) is list and len(label) < SEGMENT_FLOOR:
             copied += len(label)
     return copied
 
 
-def _reclaim(label: Segment) -> Optional[list[str]]:
-    """The list that an edge holding the closed segment ``label`` takes
-    back, to append to in place, or None.  It does when no other edge
-    holds the segment and it is no piece of another (its references are
-    the edge's, the caller's, this call's and ``getrefcount``'s), its left
-    piece is a list that only it holds and from which it cuts no letter,
-    and its right piece is empty or a list that only it holds, whose
-    letters the left list takes.  So once a fork's other edges are gone,
-    the edge left goes back to the list the fork shared."""
-    if getrefcount(label) != 4 or label.skip or type(label.left) is not list:
-        return None
-    if getrefcount(label.left) != 2:
-        return None
-    right = label.right
-    if right and (type(right) is not list or getrefcount(right) != 3):
-        return None
-    left = label.left
-    left += right
-    return left
-
-
-def _append(label, common) -> list[str] | Segment:
+def _append(label: Segment, common) -> Segment:
     """The label of an edge that held the segment ``label`` once a hoist
-    appends ``common`` that ``label`` does not take in place: a segment
-    over both when ``common`` is a segment, else an open segment over
-    ``label`` and a copy of the letters."""
+    appends ``common`` that ``label`` does not take in place: a closed
+    segment over both when ``common`` is a segment, else an open segment
+    over ``label`` and a copy of the letters."""
     if type(common) is Segment:
-        common.open = False  # it may go to several labels
-        if not label:
-            return common
-        if type(label) is Segment:
-            label.open = False
+        # both become pieces, and common may go to several labels
+        common.open = label.open = False
         return Segment(label, common)
     label = Segment(label, [*common])
     label.open = True

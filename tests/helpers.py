@@ -558,13 +558,16 @@ def assert_dag_invariants(state) -> None:
 
 
 def assert_label_ownership(labels: list) -> None:
-    """The labels of every edge: each is a list or a ``Segment`` (a list
-    and a tuple with the same letters compare unequal); a list sits on one
-    edge and is no piece of a segment, so editing it in place changes one
-    label; an open segment likewise sits on one edge, is no piece of
-    another and owns the list it appends to; every segment is nonempty
-    and its length and first letter are those of its letters.  A piece
-    may be an open segment that no edge holds any more."""
+    """The labels of every edge under the evaluator's one ownership rule:
+    each is a list or a ``Segment`` (a list and a tuple with the same
+    letters compare unequal); a list sits on one edge and is no piece of a
+    segment, so editing it in place changes one label; an open segment
+    likewise sits on one edge, is no piece of another and is the only
+    segment over the list it appends to; a closed segment may sit on any
+    number of edges and be a piece of any number of segments, none of
+    which edits it.  Every segment is nonempty and its length and first
+    letter are those of its letters.  A piece may be an open segment that
+    no edge holds any more."""
     assert all(type(label) in (list, Segment) for label in labels), labels
     held = Counter(id(label) for label in labels)
     pieces: Counter[int] = Counter()  # id -> the segments it is a piece of

@@ -72,6 +72,23 @@ def test_validation_errors_are_listed(tmp_path):
     assert "sX" in res.stderr
 
 
+@pytest.mark.parametrize("rule, message", [
+    ("trans s r - push g s", "call rule on non-call symbol 'r'"),
+    ("trans s c - push h s", "call rule pushes undeclared stack symbol 'h'"),
+    ("trans s c - pop g s", "return rule on non-return symbol 'c'"),
+    ("trans s c - int s", "internal rule on non-internal symbol 'c'"),
+    ("trans t a - int s", "rule references undeclared state 't'"),
+])
+def test_validation_names_the_broken_rule(tmp_path, rule, message):
+    p = tmp_path / "bad.vpt"
+    p.write_text("calls: c\nreturns: r\ninternals: a\nstates: s\ninitial: s\n"
+                 f"final: s\nstack: g\n{rule}\n")
+    res = invoke(["validate", str(p)])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [f"{p}: {message}"]
+
+
 @pytest.mark.parametrize("args", [["reduce", "builtin:fig4", "{out}"],
                                   ["eval", "builtin:fig4", "--telemetry", "{out}"]])
 def test_an_output_that_cannot_be_opened_is_one_usage_error(tmp_path, monkeypatch, args):
@@ -280,6 +297,25 @@ def test_check_violation_sets_exit_code():
     # the witness README.md shows for `check builtin:fig3_full`
     for line in ("htp: Violated", "  u1: c r", "  u2: c r"):
         assert line in lines
+
+
+def test_check_bm_prints_a_flattening_twinning_witness(tmp_path):
+    # at height 0 the flattening reads a^n with x^n on one run and y^n on
+    # the other, and only the last letter, b or d, tells them apart
+    p = tmp_path / "twins.vpt"
+    p.write_text("internals: a b d\nstates: i p q f\ninitial: i\nfinal: f\n"
+                 "trans i a x int p\ntrans p a x int p\ntrans p b b int f\n"
+                 "trans i a y int q\ntrans q a y int q\ntrans q d d int f\n")
+    res = invoke(["check", str(p), "--property", "bm"])
+    assert res.exit_code == 1
+    assert res.stdout.splitlines() == [
+        "bm: Violated",
+        "  note: twinning fails on the height-0 restriction",
+        "  witness: diverging-delay-loop",
+        "  u1: a", "  u2: a", "  v1: x", "  v2: x", "  w1: y", "  w2: y",
+        "  delay_before: x | y",
+        "  delay_after: x x | y y",
+    ]
 
 
 def test_check_all_reports_three_lines():

@@ -23,7 +23,8 @@ from vptstream import (
     step,
 )
 from vptstream import streaming_eval
-from vptstream.streaming_eval import SEGMENT_FLOOR, EvalDag, Segment, Status, _add_folded
+from vptstream.streaming_eval import (SEGMENT_FLOOR, EvalDag, Node, Segment, Status, _add_folded,
+                                      factorize_and_emit)
 from vptstream.vpt_core import (
     initial_dconfigs,
     reduce,
@@ -389,27 +390,26 @@ def test_a_fork_of_a_long_held_label_shares_one_segment(fig3_full):
 
 
 @pytest.mark.parametrize("blocks", [21, 200])
-def test_the_edge_a_fork_leaves_takes_back_the_shared_list(fig3_full, blocks):
-    # once p3 dies, p2's edge alone holds the fork's segment, and the next
-    # hoist takes back the list it was made over: however many forks the
-    # word makes, the label stays the list that held the letters when the
-    # label first passed the floor, never copied.  The test keeps no
-    # reference to a label between steps, as one would stop the evaluator
-    # from taking the list back (it would append to a segment instead)
+def test_the_edge_a_fork_leaves_hoists_onto_an_open_segment(fig3_full, blocks):
+    # once p3 dies, p2's edge alone holds the fork's closed segment: the
+    # next hoist makes an open segment of p2's own over it, which
+    # references the fork's segment as its left piece and leaves its
+    # letters as they were
     st = start(fig3_full)
-    shared = None  # id of that list
-    for sym in ["c", "c", "r", "r"] * blocks + ["c"]:
+    for sym in ["c", "c", "r", "r"] * blocks:
         step(st, sym)
-        if shared is None:
-            label = {n.state: label for n, label in st.dag.root.out.items()}.get("p3")
-            if type(label) is Segment:
-                assert type(label.left) is list
-                shared = id(label.left)
-            del label
+    labels = {node.state: label for node, label in st.dag.root.out.items()}
+    shared = labels["p3"]
+    assert type(shared) is Segment and labels["p2"] is shared and not shared.open
+    letters = tuple(shared)
+    assert letters == ("a", "a", "c", "c") * blocks
+    step(st, "c")
     labels = {node.state: label for node, label in st.dag.root.out.items()}
     assert labels.keys() == {"p2", "q2"}
-    assert type(labels["p2"]) is list and id(labels["p2"]) == shared
-    assert len(labels["p2"]) == 4 * blocks + 1
+    label = labels["p2"]
+    assert type(label) is Segment and label.open and label.left is shared
+    assert tuple(shared) == letters and not shared.open
+    assert tuple(label) == letters + ("a",)
     assert_dag_invariants(st)
 
 
@@ -523,6 +523,97 @@ def test_folds_of_a_long_head_reference_it():
     assert dag.label_tokens == 4 * (SEGMENT_FLOOR + 2) + 2 * 2
     # the segments write no letter: y onto the short head, and D's copy
     assert dag.letters_written == 1 + 2
+
+
+def test_a_hoist_of_a_segment_onto_a_segment_references_both():
+    # A's two out-edges hold one segment, which moves up whole onto the
+    # edge root -> A, an open segment: the edge gets a closed segment over
+    # both, each now a piece, and no letter is written.  D's label parts
+    # from A's at once, so the root emits nothing.
+    dag = EvalDag()
+    root = dag.root
+    a, b, c, d = Node("A", None, 0), Node("B", "g", 1), Node("C", "g", 1), Node("D", None, 0)
+    above = Segment(["h"] * SEGMENT_FLOOR, ["i"])
+    above.open = True
+    below = Segment(["m"] * SEGMENT_FLOOR, ())
+    dag.add_edge(root, a, above)
+    dag.add_edge(root, d, ["z"])
+    dag.add_edge(a, b, below)
+    dag.add_edge(a, c, below)
+    assert factorize_and_emit(dag) == ()
+    label = root.out[a]
+    assert type(label) is Segment and label.left is above and label.right is below
+    assert not (label.open or above.open or below.open)
+    assert tuple(label) == ("h",) * SEGMENT_FLOOR + ("i",) + ("m",) * SEGMENT_FLOOR
+    assert a.out == {b: [], c: []} and root.out[d] == ["z"]
+    assert dag.label_tokens == 2 * SEGMENT_FLOOR + 2
+    assert dag.letters_written == 0
+
+
+def test_a_cut_past_the_closed_part_of_an_open_segment_leaves_its_list():
+    # the root emits the closed part of A's open segment and the first ten
+    # letters of its tail, which D's label shares: A's edge keeps the tail
+    # list itself, less the letters cut, and no letter is copied
+    shared = Segment(["a"] * SEGMENT_FLOOR, ())
+    open_label = Segment(shared, ["b"] * 10 + ["c"] * SEGMENT_FLOOR)
+    open_label.open = True
+    tail = open_label.right
+    dag = EvalDag()
+    root = dag.root
+    a, d = Node("A", None, 0), Node("D", None, 0)
+    dag.add_edge(root, a, open_label)
+    dag.add_edge(root, d, ["a"] * SEGMENT_FLOOR + ["b"] * 10 + ["d"])
+    assert factorize_and_emit(dag) == ("a",) * SEGMENT_FLOOR + ("b",) * 10
+    assert root.out[a] is tail == ["c"] * SEGMENT_FLOOR
+    assert tuple(shared) == ("a",) * SEGMENT_FLOOR  # the closed part stays
+    assert root.out[d] == ["d"]
+    assert dag.letters_written == 0
+    assert dag.label_tokens == SEGMENT_FLOOR + 1
+
+
+def _label_shapes(dag: EvalDag) -> list:
+    """Each root edge's target state, then every label object reachable
+    from the root labels in one walk, by kind, flags and length; an object
+    is named by the order the walk first meets it, so two evaluations whose
+    labels share the same pieces give equal lists."""
+    names: dict[int, int] = {}
+    shapes: list = [node.state for node in dag.root.out]
+    pending = [*reversed(dag.root.out.values())]
+    while pending:
+        label = pending.pop()
+        if id(label) in names:
+            shapes.append(names[id(label)])
+            continue
+        names[id(label)] = len(names)
+        if type(label) is Segment:
+            shapes.append(("segment", label.open, label.skip, label.n, label.first))
+            pending += (label.right, label.left)
+        else:
+            shapes.append((type(label).__name__, tuple(label)))
+    return shapes
+
+
+@pytest.mark.parametrize("word", [
+    ["c", "c", "r", "r"] * 21 + ["c"] + ["c", "r"] * 40 + ["c", "c", "r", "r"] * 3,
+    ["c", "c", "r", "r"] * 30 + ["c", "c", "r", "rp"],
+    ["o"] + ["c", "c", "r", "r"] * 17 + ["k", "k", "c", "r"],
+    ["c", "c", "r", "r"] * 17 + ["c", "r", "c", "c", "r", "r"],
+])
+def test_holding_the_labels_changes_no_label(fig3_full, word):
+    # what a label becomes rests on the DAG alone: a caller that keeps a
+    # reference to every root label between steps sees the same label
+    # kinds, the same shared pieces and the same letters written as one
+    # that keeps none
+    machine = FORKS if {"o", "k"} & set(word) else fig3_full
+    free, held = start(machine), start(machine)
+    kept = []
+    for i, sym in enumerate(word, 1):
+        step(free, sym)
+        step(held, sym)
+        kept += held.dag.root.out.values()
+        assert _label_shapes(held.dag) == _label_shapes(free.dag), (word, i)
+        assert held.dag.letters_written == free.dag.letters_written, (word, i)
+    assert finish(held) == finish(free)
 
 
 def test_a_dropped_state_is_freed_without_the_cycle_collector(fig3_full):
